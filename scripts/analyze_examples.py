@@ -5,16 +5,7 @@ what each stage sees: normal form, grading, polygon, verdict.
 Run with:  python scripts/analyze_examples.py
 """
 
-from weylkit import (
-    Outcome,
-    analyze,
-    edges,
-    element_from_string,
-    grade_span,
-    power_index,
-    to_h_form,
-    weight_degree,
-)
+from weylkit import Outcome, analyze, element_from_string
 from weylkit.cli import lattice_sketch
 
 EXAMPLES = [
@@ -36,28 +27,28 @@ def main():
         print("=" * 72)
         print(f"{label}:  {text}")
         print(f"  normal form : {x}")
-        span = grade_span(x)
+        verdict = analyze(x)
+        profile = verdict.profile
+        span = profile.span
         print(f"  grade span  : [{span.min_grade}, {span.max_grade}]")
-        hf = to_h_form(x)
+        hf = profile.h_form
         for s in hf.grades():
             print(f"  h-form {s:+d}  : {hf.parts[s]}")
-        profile = edges(x)
-        for e in profile.edges:
-            idx = power_index(e.polynomial, e.weight) if e.weight.is_axis() else None
+        polygon = profile.polygon
+        for e, idx in zip(polygon.edges, profile.edge_indices):
             print(
                 f"  edge {e.weight}  : degree {e.degree}, polynomial {e.polynomial}"
                 + (f", power index {idx}" if idx is not None else ", non-axis weight")
             )
-        for v in profile.vertices:
+        for v in polygon.vertices:
             print(f"  vertex      : {v.point} separated by {v.separating_weight}")
-        verdict = analyze(x)
         print(f"  verdict     : {verdict.outcome.value}")
         if verdict.outcome == Outcome.SOLVABLE:
             print(f"  witness     : {verdict.witness}")
         for cit in verdict.reasons:
             print(f"  rule        : {cit.rule.value}  {cit.params}")
         print()
-        print(lattice_sketch(x, profile))
+        print(lattice_sketch(x, polygon))
         print()
 
 

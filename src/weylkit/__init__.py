@@ -41,7 +41,6 @@ from .polygon import (
     edges,
     leading_split,
     separating_weight,
-    support,
     weight_degree,
     weight_polynomial,
     weight_support,
@@ -60,6 +59,7 @@ from .power_analysis import (
 from .solvability import (
     DEFAULT_BOX_BOUND,
     DEFAULT_BOX_CAP,
+    ElementProfile,
     Outcome,
     RuleCitation,
     RuleId,

@@ -17,14 +17,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .element import WeylElement, WeylInternalError, commutator, format_element
-from .grading import grade_components, grade_span, to_h_form
-from .parser import ExprSyntaxError, element_from_string
+from .grading import grade_components
+from .parser import element_from_string
 from .polygon import PolygonProfile, edges
 from .polynomials import BiPoly, UniPoly
-from .power_analysis import power_index
 from .solvability import (
     DEFAULT_BOX_BOUND,
     DEFAULT_BOX_CAP,
+    ElementProfile,
     Verdict,
     analyze,
     find_witness_box,
@@ -40,9 +40,12 @@ def _box_cap() -> int:
     if raw is None:
         return DEFAULT_BOX_CAP
     try:
-        return int(raw)
+        cap = int(raw)
     except ValueError:
         raise _UsageError(f"{BOX_CAP_ENV} must be an integer, got {raw!r}")
+    if cap < 0:
+        raise _UsageError(f"{BOX_CAP_ENV} must be nonnegative, got {raw!r}")
+    return cap
 
 
 class _UsageError(Exception):
@@ -74,24 +77,33 @@ def bipoly_to_json(f: BiPoly) -> list[dict]:
     ]
 
 
-def _polygon_to_json(x: WeylElement, profile: PolygonProfile) -> dict:
-    edge_items = []
-    for e in profile.edges:
-        edge_items.append(
-            {
-                "weight": [e.weight.rho, e.weight.sigma],
-                "degree": e.degree,
-                "support": [list(pt) for pt in sorted(e.support)],
-                "polynomial": bipoly_to_json(e.polynomial),
-                "power_index": power_index(e.polynomial, e.weight) if e.weight.is_axis() else None,
-            }
-        )
+def _grading_to_json(profile: ElementProfile) -> dict:
+    """The "grade_span" and "h_form" fields of the analyze and grade reports."""
+    span, hf = profile.span, profile.h_form
+    return {
+        "grade_span": {"min": span.min_grade, "max": span.max_grade},
+        "h_form": [{"grade": s, "coeffs": unipoly_to_json(hf.parts[s])} for s in hf.grades()],
+    }
+
+
+def _polygon_to_json(profile: ElementProfile) -> dict:
+    polygon = profile.polygon
+    edge_items = [
+        {
+            "weight": [e.weight.rho, e.weight.sigma],
+            "degree": e.degree,
+            "support": [list(pt) for pt in sorted(e.support)],
+            "polynomial": bipoly_to_json(e.polynomial),
+            "power_index": index,
+        }
+        for e, index in zip(polygon.edges, profile.edge_indices)
+    ]
     vertex_items = [
         {
             "point": list(v.point),
             "separating_weight": [v.separating_weight.rho, v.separating_weight.sigma],
         }
-        for v in profile.vertices
+        for v in polygon.vertices
     ]
     return {"edges": edge_items, "vertices": vertex_items}
 
@@ -125,54 +137,28 @@ class AnalysisReport:
     notes: list[str] = field(default_factory=list)
 
     def to_json_dict(self) -> dict:
-        return {
-            "schema": self.schema,
-            "input": self.input,
-            "normal_form": self.normal_form,
-            "grade_span": self.grade_span,
-            "h_form": self.h_form,
-            "polygon": self.polygon,
-            "verdict": self.verdict,
-            "box_bound": self.box_bound,
-            "notes": self.notes,
-        }
+        # every field already holds JSON-ready data, so a shallow copy is
+        # enough; dataclasses.asdict would deep-copy all of it
+        return dict(vars(self))
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "AnalysisReport":
-        return cls(
-            input=data["input"],
-            normal_form=data["normal_form"],
-            grade_span=data["grade_span"],
-            h_form=data["h_form"],
-            polygon=data["polygon"],
-            verdict=data["verdict"],
-            box_bound=data["box_bound"],
-            schema=data["schema"],
-            notes=data["notes"],
-        )
+        return cls(**data)
 
 
 def build_report(text: str, x: WeylElement, box: int, cap: int) -> AnalysisReport:
     verdict = analyze(x, box=box, cap=cap)
     if x.is_zero():
-        span_json = None
-        h_json: list[dict] = []
-        polygon_json = None
+        facts = {"grade_span": None, "h_form": [], "polygon": None}
     else:
-        span = grade_span(x)
-        span_json = {"min": span.min_grade, "max": span.max_grade}
-        hf = to_h_form(x)
-        h_json = [{"grade": s, "coeffs": unipoly_to_json(hf.parts[s])} for s in hf.grades()]
-        polygon_json = _polygon_to_json(x, edges(x))
+        facts = {**_grading_to_json(verdict.profile), "polygon": _polygon_to_json(verdict.profile)}
     return AnalysisReport(
         input=text,
         normal_form=format_element(x),
-        grade_span=span_json,
-        h_form=h_json,
-        polygon=polygon_json,
         verdict=_verdict_to_json(verdict),
         box_bound=box,
         notes=list(verdict.notes),
+        **facts,
     )
 
 
@@ -242,15 +228,14 @@ def _cmd_grade(args, cap: int) -> int:
     x = element_from_string(args.expr)
     if x.is_zero():
         raise _UsageError("the zero element has no grading data")
-    span = grade_span(x)
+    profile = ElementProfile(x)
+    span, hf = profile.span, profile.h_form
     comps = grade_components(x)
-    hf = to_h_form(x)
     payload = {
         "input": args.expr,
         "normal_form": format_element(x),
-        "grade_span": {"min": span.min_grade, "max": span.max_grade},
         "components": {str(s): format_element(c) for s, c in comps.items()},
-        "h_form": [{"grade": s, "coeffs": unipoly_to_json(hf.parts[s])} for s in hf.grades()],
+        **_grading_to_json(profile),
     }
     lines = [
         f"normal form : {format_element(x)}",
@@ -278,18 +263,18 @@ def _cmd_polygon(args, cap: int) -> int:
     x = element_from_string(args.expr)
     if x.is_zero():
         raise _UsageError("the zero element has no support polygon")
-    profile = edges(x)
+    profile = ElementProfile(x)
+    polygon = profile.polygon
     payload = {
         "input": args.expr,
         "normal_form": format_element(x),
-        "polygon": _polygon_to_json(x, profile),
-        "support": [list(pt) for pt in sorted(x.support())],
+        "polygon": _polygon_to_json(profile),
+        "support": [list(pt) for pt in sorted(profile.support)],
     }
     lines = [f"normal form : {format_element(x)}"]
-    if profile.edges:
+    if polygon.edges:
         lines.append("edges:")
-        for e in profile.edges:
-            pidx = power_index(e.polynomial, e.weight) if e.weight.is_axis() else None
+        for e, pidx in zip(polygon.edges, profile.edge_indices):
             pidx_txt = str(pidx) if pidx is not None else "n/a (non-axis weight)"
             lines.append(
                 f"  weight {e.weight}: degree {e.degree}, "
@@ -298,12 +283,12 @@ def _cmd_polygon(args, cap: int) -> int:
             )
     else:
         lines.append("edges: none")
-    if profile.vertices:
+    if polygon.vertices:
         lines.append("joining vertices:")
-        for v in profile.vertices:
+        for v in polygon.vertices:
             lines.append(f"  point {v.point} with separating weight {v.separating_weight}")
     lines.append("")
-    lines.append(lattice_sketch(x, profile))
+    lines.append(lattice_sketch(x, polygon))
     _emit(payload, args.json, lines)
     return 0
 
@@ -394,13 +379,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         cap = _box_cap()
         return args.func(args, cap)
-    except ExprSyntaxError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (_UsageError, ValueError) as exc:  # ExprSyntaxError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except WeylInternalError as exc:

@@ -10,7 +10,6 @@ their coefficient maps are equal.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
 from typing import Iterable, Mapping
 
 Scalar = Fraction
@@ -261,33 +260,34 @@ ONE = WeylElement.one()
 ZERO = WeylElement.zero()
 
 
+def format_monomial(exponents: Iterable[int], names: str) -> str:
+    """Spelling of a monomial such as p^2*q: a variable with exponent 0 is
+    left out, exponent 1 is not written, and the unit monomial is empty."""
+    parts = []
+    for v, k in zip(names, exponents):
+        if k:
+            parts.append(v if k == 1 else f"{v}^{k}")
+    return "*".join(parts)
+
+
+def format_terms(terms: Iterable[tuple[Fraction, str]]) -> str:
+    """Join (coefficient, monomial) pairs in the given order, shared by every
+    printer in the kit: signs become " + " / " - " separators (a leading "-"
+    on the first term), a unit magnitude is elided before a monomial, an
+    empty monomial prints the bare magnitude, and no terms print "0"."""
+    parts: list[str] = []
+    for c, mono in terms:
+        mag = abs(c)
+        body = str(mag) if not mono else mono if mag == 1 else f"{mag}*{mono}"
+        if parts:
+            parts.append(f" - {body}" if c < 0 else f" + {body}")
+        else:
+            parts.append(f"-{body}" if c < 0 else body)
+    return "".join(parts) or "0"
+
+
 def format_element(x: WeylElement) -> str:
     """Canonical printing: terms sorted by (i+j, i) descending, reduced
     fractional coefficients, p^i*q^j monomials, unit coefficients elided."""
-    if x.is_zero():
-        return "0"
-    parts: list[str] = []
-    for (i, j) in sorted(x._terms, key=lambda t: (t[0] + t[1], t[0]), reverse=True):
-        c = x._terms[(i, j)]
-        mono: list[str] = []
-        if i == 1:
-            mono.append("p")
-        elif i > 1:
-            mono.append(f"p^{i}")
-        if j == 1:
-            mono.append("q")
-        elif j > 1:
-            mono.append(f"q^{j}")
-        mono_str = "*".join(mono)
-        mag = abs(c)
-        if not mono_str:
-            body = str(mag)
-        elif mag == 1:
-            body = mono_str
-        else:
-            body = f"{mag}*{mono_str}"
-        if not parts:
-            parts.append(f"-{body}" if c < 0 else body)
-        else:
-            parts.append(f" - {body}" if c < 0 else f" + {body}")
-    return "".join(parts)
+    order = sorted(x._terms, key=lambda t: (t[0] + t[1], t[0]), reverse=True)
+    return format_terms((x._terms[key], format_monomial(key, "pq")) for key in order)

@@ -10,7 +10,7 @@ Grammar (whitespace insignificant, multiplication always explicit):
 
 Products keep their source order; "q*p" only becomes p*q - 1 when the
 tree is evaluated into a normal-ordered element.  The atom h stands for
-the product p*q.
+the product p*q.  Parentheses nest at most MAX_NESTING levels deep.
 """
 
 from __future__ import annotations
@@ -63,6 +63,9 @@ class Sum:
 
 ExprAst = Num | Var | Pow | Prod | Neg | Sum
 
+#: Deepest parenthesis nesting accepted; bounds the recursion of the parser.
+MAX_NESTING = 100
+
 _TOKEN = re.compile(r"\s*(?:(\d+(?:/\d+)?)|([pqh])|([-+*^()]))")
 
 
@@ -87,6 +90,7 @@ class _Tokens:
                 self.items.append(("op", m.group(3), offset))
             pos = m.end()
         self.index = 0
+        self.depth = 0  # parentheses open at the current position
 
     def peek(self) -> tuple[str, str, int] | None:
         return self.items[self.index] if self.index < len(self.items) else None
@@ -172,7 +176,11 @@ def _parse_atom(tokens: _Tokens) -> ExprAst:
     if kind == "name":
         return Var(value)
     if kind == "op" and value == "(":
+        if tokens.depth == MAX_NESTING:
+            raise ExprSyntaxError(f"parentheses nested deeper than {MAX_NESTING} levels", offset)
+        tokens.depth += 1
         inner = _parse_sum(tokens)
+        tokens.depth -= 1
         closing = tokens.next()
         if closing is None or closing[1] != ")":
             raise ExprSyntaxError("expected ')'", closing[2] if closing else tokens.end_offset())

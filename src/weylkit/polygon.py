@@ -53,11 +53,6 @@ class Weight:
         return f"({self.rho},{self.sigma})"
 
 
-def support(x: WeylElement) -> frozenset[tuple[int, int]]:
-    """Exponent pairs carrying a nonzero coefficient."""
-    return x.support()
-
-
 def weight_degree(x: WeylElement, w: Weight):
     """max(i*rho + j*sigma) over the support; NEG_INF for the zero element."""
     if x.is_zero():

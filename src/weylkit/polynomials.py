@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .element import as_scalar
+from .element import as_scalar, format_monomial, format_terms
 
 
 class UniPoly:
@@ -176,23 +176,9 @@ class UniPoly:
         return self.compose(UniPoly((k, 1)))
 
     def __str__(self) -> str:
-        if not self._coeffs:
-            return "0"
-        parts: list[str] = []
-        for k in range(len(self._coeffs) - 1, -1, -1):
-            c = self._coeffs[k]
-            if not c:
-                continue
-            if k == 0:
-                body = str(abs(c))
-            else:
-                var = "X" if k == 1 else f"X^{k}"
-                body = var if abs(c) == 1 else f"{abs(c)}*{var}"
-            if not parts:
-                parts.append(f"-{body}" if c < 0 else body)
-            else:
-                parts.append(f" - {body}" if c < 0 else f" + {body}")
-        return "".join(parts)
+        return format_terms(
+            (c, format_monomial((k,), "X")) for k, c in reversed(list(enumerate(self._coeffs))) if c
+        )
 
     def __repr__(self) -> str:
         return f"UniPoly({str(self)!r})"
@@ -325,33 +311,8 @@ class BiPoly:
         return BiPoly._raw({(j, i): c for (i, j), c in self._terms.items()})
 
     def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        parts: list[str] = []
-        for (i, j) in sorted(self._terms, key=lambda t: (t[0] + t[1], t[0]), reverse=True):
-            c = self._terms[(i, j)]
-            mono: list[str] = []
-            if i == 1:
-                mono.append("X")
-            elif i > 1:
-                mono.append(f"X^{i}")
-            if j == 1:
-                mono.append("Y")
-            elif j > 1:
-                mono.append(f"Y^{j}")
-            mono_str = "*".join(mono)
-            mag = abs(c)
-            if not mono_str:
-                body = str(mag)
-            elif mag == 1:
-                body = mono_str
-            else:
-                body = f"{mag}*{mono_str}"
-            if not parts:
-                parts.append(f"-{body}" if c < 0 else body)
-            else:
-                parts.append(f" - {body}" if c < 0 else f" + {body}")
-        return "".join(parts)
+        order = sorted(self._terms, key=lambda t: (t[0] + t[1], t[0]), reverse=True)
+        return format_terms((self._terms[key], format_monomial(key, "XY")) for key in order)
 
     def __repr__(self) -> str:
         return f"BiPoly({str(self)!r})"

@@ -12,12 +12,13 @@ solving the exact linear system [x, y] = 1 in the coefficients of y.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 
 from .element import WeylElement, WeylInternalError, commutator
-from .grading import grade_span, to_h_form
+from .grading import GradeSpan, HForm, grade_span, to_h_form
 from .polygon import (
     PolygonProfile,
     Weight,
@@ -25,7 +26,9 @@ from .polygon import (
     edges,
     weight_degree,
     weight_polynomial,
+    weight_support,
 )
+from .polynomials import BiPoly
 from .power_analysis import power_index
 
 DEFAULT_BOX_BOUND = 4
@@ -64,6 +67,58 @@ class RuleCitation:
     citation: str
 
 
+class ElementProfile:
+    """The facts the decision ladder derives from one element, each computed
+    on first use and then shared by the later rules and by the report.
+
+    A profile belongs to one analysis of one element; nothing is kept
+    across calls.
+    """
+
+    def __init__(self, x: WeylElement):
+        self.x = x
+        self._faces: dict[frozenset[tuple[int, int]], tuple[BiPoly, int]] = {}
+
+    @cached_property
+    def support(self) -> frozenset[tuple[int, int]]:
+        return self.x.support()
+
+    @cached_property
+    def span(self) -> GradeSpan:
+        return grade_span(self.x)
+
+    @cached_property
+    def h_form(self) -> HForm:
+        return to_h_form(self.x)
+
+    @cached_property
+    def polygon(self) -> PolygonProfile:
+        return edges(self.x)
+
+    @cached_property
+    def edge_indices(self) -> tuple[int | None, ...]:
+        """Power index of each polygon edge; None at a non-axis weight."""
+        return tuple(
+            self.leading(e.weight)[1] if e.weight.is_axis() else None
+            for e in self.polygon.edges
+        )
+
+    def leading(self, w: Weight) -> tuple[BiPoly, int]:
+        """The leading polynomial of x at the axis weight w and its power
+        index, computed once per exposed face.
+
+        The face is a sound key: a face of two or more points is exposed by
+        exactly one weight, and a one-point face X^a Y^b has power index
+        gcd(a, b) at every weight.
+        """
+        face = weight_support(self.x, w)
+        hit = self._faces.get(face)
+        if hit is None:
+            poly = weight_polynomial(self.x, w)
+            hit = self._faces[face] = (poly, power_index(poly, w))
+        return hit
+
+
 @dataclass(frozen=True)
 class Verdict:
     outcome: Outcome
@@ -72,6 +127,7 @@ class Verdict:
     attempted: tuple[RuleId, ...] = ()
     box_bound: int | None = None
     notes: tuple[str, ...] = ()
+    profile: ElementProfile | None = field(default=None, compare=False, repr=False)
 
 
 def verify_witness(x: WeylElement, y: WeylElement) -> bool:
@@ -183,6 +239,13 @@ def _solve_fraction_free(rows: list[list[Fraction]], rhs: list[Fraction]) -> lis
     return solution
 
 
+def _check_box(box: int, cap: int) -> None:
+    if box > cap:
+        raise ValueError(f"box bound {box} exceeds the solver cap {cap}")
+    if box < 0:
+        raise ValueError("box bound must be nonnegative")
+
+
 def find_witness_box(x: WeylElement, box: int, cap: int = DEFAULT_BOX_CAP) -> WeylElement | None:
     """Search for a witness supported inside {(i, j): i <= box, j <= box}.
 
@@ -190,10 +253,7 @@ def find_witness_box(x: WeylElement, box: int, cap: int = DEFAULT_BOX_CAP) -> We
     over the rationals; a returned witness is always re-verified.  None
     means only that no witness exists within the box.
     """
-    if box > cap:
-        raise ValueError(f"box bound {box} exceeds the solver cap {cap}")
-    if box < 0:
-        raise ValueError("box bound must be nonnegative")
+    _check_box(box, cap)
     if x.is_zero():
         raise ValueError("the zero element admits no witness")
     columns = [(i, j) for i in range(box + 1) for j in range(box + 1)]
@@ -208,10 +268,6 @@ def find_witness_box(x: WeylElement, box: int, cap: int = DEFAULT_BOX_CAP) -> We
     if not verify_witness(x, y):
         raise WeylInternalError("box oracle produced a non-verifying witness")
     return y
-
-
-def _cite(rule: RuleId, params: dict, citation: str) -> RuleCitation:
-    return RuleCitation(rule, params, citation)
 
 
 def _axis_weights(x: WeylElement) -> list[Weight]:
@@ -246,49 +302,43 @@ def analyze(
     edge gcd one, box oracle (solvable), unknown.  Cheap structural rules
     come first; the first matching unsolvability rule wins, and solvable
     outcomes always carry a verified witness, so the order cannot make a
-    verdict unsound.
+    verdict unsound.  The verdict carries the element's profile, so the
+    facts the rules derived can be reported without computing them again.
     """
+    _check_box(box, cap)
+    profile = ElementProfile(x)
     attempted: list[RuleId] = []
     notes: list[str] = []
 
+    def verdict(outcome: Outcome, *reasons: RuleCitation, witness=None) -> Verdict:
+        return Verdict(outcome, witness=witness, reasons=reasons, attempted=tuple(attempted),
+                       box_bound=box, notes=tuple(notes), profile=profile)
+
     def unsolvable(cit: RuleCitation) -> Verdict:
-        return Verdict(
-            Outcome.UNSOLVABLE,
-            reasons=(cit,),
-            attempted=tuple(attempted),
-            box_bound=box,
-            notes=tuple(notes),
-        )
+        return verdict(Outcome.UNSOLVABLE, cit)
 
     def solvable(witness: WeylElement, cit: RuleCitation) -> Verdict:
         if not verify_witness(x, witness):
             raise WeylInternalError("solvable verdict with a failing witness")
-        return Verdict(
-            Outcome.SOLVABLE,
-            witness=witness,
-            reasons=(cit,),
-            attempted=tuple(attempted),
-            box_bound=box,
-            notes=tuple(notes),
-        )
+        return verdict(Outcome.SOLVABLE, cit, witness=witness)
 
     attempted.append(RuleId.CONSTANT_ELEMENT)
-    if all(pt == (0, 0) for pt in x.support()):
+    if all(pt == (0, 0) for pt in profile.support):
         return unsolvable(
-            _cite(
+            RuleCitation(
                 RuleId.CONSTANT_ELEMENT,
                 {"value": str(x)},
                 "scalars commute with everything, so [x, y] = 0 can never reach 1",
             )
         )
 
-    span = grade_span(x)
+    span = profile.span
 
     attempted.append(RuleId.LOW_GRADE_BAND)
     if span.min_grade >= 2 or span.max_grade <= -2:
         side = "min" if span.min_grade >= 2 else "max"
         return unsolvable(
-            _cite(
+            RuleCitation(
                 RuleId.LOW_GRADE_BAND,
                 {"min_grade": span.min_grade, "max_grade": span.max_grade, "side": side},
                 "every graded component of x sits beyond grade +-1, so no bracket "
@@ -299,10 +349,10 @@ def analyze(
     attempted.append(RuleId.HOMOGENEOUS_HIGH_DEGREE)
     if span.min_grade == span.max_grade and abs(span.min_grade) == 1:
         s = span.min_grade
-        f = to_h_form(x).parts[s]
+        f = profile.h_form.parts[s]
         if f.degree() >= 1:
             return unsolvable(
-                _cite(
+                RuleCitation(
                     RuleId.HOMOGENEOUS_HIGH_DEGREE,
                     {"grade": s, "h_degree": f.degree(), "weight": "(1,1)",
                      "weighted_degree": 2 * f.degree() + 1},
@@ -313,7 +363,7 @@ def analyze(
             )
 
     attempted.append(RuleId.POLYNOMIAL_IN_GENERATOR)
-    pts = x.support()
+    pts = profile.support
     axis_gen = None
     if all(i == 0 for i, _ in pts):
         axis_gen = ("q", max(j for _, j in pts))
@@ -323,7 +373,7 @@ def analyze(
         gen, deg = axis_gen
         if deg >= 2:
             return unsolvable(
-                _cite(
+                RuleCitation(
                     RuleId.POLYNOMIAL_IN_GENERATOR,
                     {"generator": gen, "degree": deg},
                     f"x is a polynomial of degree {deg} in {gen}; a solvable "
@@ -335,17 +385,17 @@ def analyze(
             raise WeylInternalError("degree-1 generator polynomial without affine witness")
         return solvable(
             witness,
-            _cite(
+            RuleCitation(
                 RuleId.LINEAR_IN_GENERATOR,
                 {"generator": gen, "witness": str(witness)},
                 f"x is affine in {gen}; a scaled complementary generator is a witness",
             ),
         )
     if span.min_grade == span.max_grade == 0:
-        f0 = to_h_form(x).parts[0]
+        f0 = profile.h_form.parts[0]
         if f0.degree() >= 2:
             return unsolvable(
-                _cite(
+                RuleCitation(
                     RuleId.POLYNOMIAL_IN_GENERATOR,
                     {"generator": "h", "degree": f0.degree()},
                     f"x = f(h) with deg f = {f0.degree()}; a solvable polynomial "
@@ -358,7 +408,7 @@ def analyze(
     if witness is not None:
         return solvable(
             witness,
-            _cite(
+            RuleCitation(
                 RuleId.AFFINE_FAMILY,
                 {"witness": str(witness)},
                 "x = a*p + g(q) (or its mirror) is conjugate to a*p by an "
@@ -366,13 +416,13 @@ def analyze(
             ),
         )
 
-    profile: PolygonProfile = edges(x)
+    polygon = profile.polygon
 
     attempted.append(RuleId.NON_AXIS_EDGE)
-    for e in profile.edges:
+    for e in polygon.edges:
         if e.weight.rho >= 2 and e.weight.sigma >= 2 and e.degree > e.weight.rho + e.weight.sigma:
             return unsolvable(
-                _cite(
+                RuleCitation(
                     RuleId.NON_AXIS_EDGE,
                     {"weight": str(e.weight), "degree": e.degree},
                     "x has an edge at a weight with both components at least 2 and "
@@ -387,13 +437,13 @@ def analyze(
         v = weight_degree(x, w)
         if v < w.rho + w.sigma:
             continue
-        r = power_index(weight_polynomial(x, w), w)
+        f, r = profile.leading(w)
         if r == 1:
             return unsolvable(
-                _cite(
+                RuleCitation(
                     RuleId.AXIS_POWER_INDEX_ONE,
                     {"weight": str(w), "weighted_degree": v,
-                     "leading_polynomial": str(weight_polynomial(x, w))},
+                     "leading_polynomial": str(f)},
                     "the leading polynomial at an axis weight with weighted degree "
                     "at least rho + sigma is not a proper power; a witness would "
                     "force an impossible leading-polynomial proportionality",
@@ -404,13 +454,13 @@ def analyze(
         notes.append(_CLOSURE_NOTE)
 
     attempted.append(RuleId.EDGE_GCD_ONE)
-    if len(profile.edges) >= 2 and all(e.weight.is_axis() for e in profile.edges) and dominates_unit(x):
-        indices = [power_index(e.polynomial, e.weight) for e in profile.edges]
+    if len(polygon.edges) >= 2 and all(e.weight.is_axis() for e in polygon.edges) and dominates_unit(x):
+        indices = list(profile.edge_indices)
         if gcd(*indices) == 1:
             return unsolvable(
-                _cite(
+                RuleCitation(
                     RuleId.EDGE_GCD_ONE,
-                    {"weights": [str(e.weight) for e in profile.edges],
+                    {"weights": [str(e.weight) for e in polygon.edges],
                      "power_indices": indices},
                     "x dominates the unit and all its edges sit at axis weights "
                     "(required for the rule to apply), yet the edge power indices "
@@ -424,17 +474,11 @@ def analyze(
     if y is not None:
         return solvable(
             y,
-            _cite(
+            RuleCitation(
                 RuleId.ORACLE_WITNESS,
                 {"box": box, "witness": str(y)},
                 f"exact linear solve found a witness with exponents at most {box}",
             ),
         )
 
-    return Verdict(
-        Outcome.UNKNOWN,
-        reasons=(),
-        attempted=tuple(attempted),
-        box_bound=box,
-        notes=tuple(notes),
-    )
+    return verdict(Outcome.UNKNOWN)

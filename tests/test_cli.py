@@ -183,6 +183,28 @@ class TestOracle:
         assert "cap 2" in err
 
 
+class TestBoxBound:
+    """The box bound is checked before any rule runs, so a structural
+    verdict cannot carry a box the oracle would have refused."""
+
+    def assert_usage_error(self, capsys, *argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+
+    def test_negative_box(self, capsys):
+        self.assert_usage_error(capsys, "analyze", "q^3", "--box", "-1", "--json")
+
+    def test_box_above_cap(self, capsys):
+        self.assert_usage_error(capsys, "analyze", "q^3", "--box", "9", "--json")
+
+    def test_negative_env_cap(self, capsys, monkeypatch):
+        monkeypatch.setenv("WEYL_BOX_CAP", "-3")
+        self.assert_usage_error(capsys, "analyze", "q^3", "--json")
+
+
 class TestExitCodes:
     @pytest.mark.parametrize("text", BAD_INPUTS)
     def test_malformed_expressions_exit_one(self, capsys, text):

@@ -90,6 +90,8 @@ BAD_INPUTS = [
     "((p)",
     "-",
     "p -",
+    pytest.param("(" * 101 + "p" + ")" * 101, id="nested-101"),
+    pytest.param("(" * 5000 + "p" + ")" * 5000, id="nested-5000"),
 ]
 
 
@@ -109,6 +111,15 @@ class TestErrors:
         with pytest.raises(ExprSyntaxError) as info:
             parse_expr("q^-1")
         assert info.value.position == 2
+
+    def test_nesting_limit_offset(self):
+        # the error points at the first parenthesis beyond the limit
+        with pytest.raises(ExprSyntaxError) as info:
+            parse_expr("(" * 5000 + "p" + ")" * 5000)
+        assert info.value.position == 100
+
+    def test_nesting_at_limit_parses(self):
+        assert element_from_string("(" * 100 + "p + q" + ")" * 100) == P + Q
 
 
 class TestPrintParseRoundTrip:

@@ -1,6 +1,7 @@
 """Decision ladder, witnesses, and the box oracle."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -11,19 +12,27 @@ from weylkit import (
     ONE,
     P,
     Q,
+    ElementProfile,
     Outcome,
     RuleId,
     WeylElement,
     analyze,
     dominates_unit,
+    edges,
+    element_from_string,
     exp_ad,
     find_witness_box,
+    grade_span,
     mul,
     omega,
     power,
+    power_index,
+    to_h_form,
     verify_witness,
     witness_for_affine,
 )
+from weylkit import solvability
+from weylkit.cli import build_report
 
 from oracles import naive_box_witness
 from strategies import weyl_elements
@@ -114,6 +123,13 @@ class TestFindWitnessBox:
             find_witness_box(Q, 9)
         with pytest.raises(ValueError, match="cap 10"):
             find_witness_box(Q, 11, cap=10)
+
+    def test_analyze_checks_box_before_any_rule(self):
+        # q^3 is decided by a structural rule long before the oracle runs
+        with pytest.raises(ValueError, match="cap 8"):
+            analyze(Q ** 3, box=9)
+        with pytest.raises(ValueError, match="nonnegative"):
+            analyze(Q ** 3, box=-1)
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -268,6 +284,52 @@ class TestLadderVerdicts:
                 assert verify_witness(x, verdict.witness)
             elif verdict.outcome == Outcome.UNSOLVABLE:
                 assert verdict.reasons
+
+
+class TestElementProfile:
+    @settings(max_examples=60, deadline=None)
+    @given(weyl_elements(max_exp=4, max_terms=5, nonzero=True))
+    def test_facts_match_direct_computation(self, x):
+        profile = ElementProfile(x)
+        assert profile.support == x.support()
+        assert profile.span == grade_span(x)
+        assert profile.h_form == to_h_form(x)
+        polygon = edges(x)
+        assert profile.polygon == polygon
+        assert profile.edge_indices == tuple(
+            power_index(e.polynomial, e.weight) if e.weight.is_axis() else None
+            for e in polygon.edges
+        )
+
+    def test_verdict_carries_profile_outside_equality(self):
+        a, b = analyze(H), analyze(H)
+        assert a.profile is not None and a.profile is not b.profile
+        assert a == b
+
+    def test_report_computes_each_fact_once(self, monkeypatch):
+        calls = Counter()
+        faces = []
+
+        def counting(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                if name == "power_index":
+                    faces.append(args[0].support())
+                return fn(*args)
+            return wrapper
+
+        for name in ("grade_span", "to_h_form", "edges", "power_index"):
+            monkeypatch.setattr(solvability, name, counting(name, getattr(solvability, name)))
+        for text in (
+            "h", "p^4 + p^3*q + p^2*q^2 + q^3 + q", "p^3*q + q^3", "p^2*q^2 + p*q + 1",
+            "(p^3*q^3 + p^4*q)^2 + p^3*q^9 + 3*p^4*q^8 + 3*p^5*q^7",
+        ):
+            calls.clear()
+            faces.clear()
+            build_report(text, element_from_string(text), box=2, cap=8)
+            # the report shows span, h-form and polygon of every nonzero x
+            assert (calls["grade_span"], calls["to_h_form"], calls["edges"]) == (1, 1, 1)
+            assert len(set(faces)) == len(faces)
 
 
 class TestVerdictConsistency:
