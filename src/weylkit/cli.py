@@ -19,7 +19,7 @@ from fractions import Fraction
 from .element import WeylElement, WeylInternalError, commutator, format_element
 from .grading import grade_components
 from .parser import element_from_string
-from .polygon import PolygonProfile, edges
+from .polygon import PolygonProfile
 from .polynomials import BiPoly, UniPoly
 from .solvability import (
     DEFAULT_BOX_BOUND,
@@ -60,10 +60,6 @@ class _Parser(argparse.ArgumentParser):
 def scalar_to_json(c: Fraction) -> dict:
     # decimal strings keep arbitrary-precision values lossless in JSON
     return {"num": str(c.numerator), "den": str(c.denominator)}
-
-
-def scalar_from_json(obj: dict) -> Fraction:
-    return Fraction(int(obj["num"]), int(obj["den"]))
 
 
 def unipoly_to_json(f: UniPoly) -> list[dict]:
@@ -162,16 +158,15 @@ def build_report(text: str, x: WeylElement, box: int, cap: int) -> AnalysisRepor
     )
 
 
-def lattice_sketch(x: WeylElement, profile: PolygonProfile | None = None) -> str:
-    """ASCII picture of the support lattice: '*' support points, 'E' points
-    on an edge, 'V' joining vertices.  Presentation only."""
+def lattice_sketch(x: WeylElement, polygon: PolygonProfile) -> str:
+    """ASCII picture of the support lattice of x with its polygon: '*'
+    support points, 'E' points on an edge, 'V' joining vertices.
+    Presentation only."""
     pts = x.support()
     if not pts:
         return "(empty support)"
-    if profile is None:
-        profile = edges(x)
-    edge_points = set().union(*(e.support for e in profile.edges)) if profile.edges else set()
-    vertex_points = {v.point for v in profile.vertices}
+    edge_points = set().union(*(e.support for e in polygon.edges)) if polygon.edges else set()
+    vertex_points = {v.point for v in polygon.vertices}
     imax = max(i for i, _ in pts)
     jmax = max(j for _, j in pts)
     rows = []

@@ -3,10 +3,11 @@
 The analyzer runs a fixed ladder of decision rules.  Every "unsolvable"
 verdict is backed by a proved criterion about the element's grading or
 support geometry, every "solvable" verdict carries an explicit witness
-that is re-verified by exact computation, and everything else comes back
-"unknown" (the general decision problem is open).  An independent
-brute-force oracle searches for witnesses with bounded exponents by
-solving the exact linear system [x, y] = 1 in the coefficients of y.
+that the function producing it has verified by exact computation, and
+everything else comes back "unknown" (the general decision problem is
+open).  An independent brute-force oracle searches for witnesses with
+bounded exponents by solving the exact linear system [x, y] = 1 in the
+coefficients of y.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from .grading import GradeSpan, HForm, grade_span, to_h_form
 from .polygon import (
     PolygonProfile,
     Weight,
-    convex_hull,
     edges,
     weight_degree,
     weight_polynomial,
@@ -50,9 +50,7 @@ class Outcome(enum.Enum):
 class RuleId(enum.Enum):
     CONSTANT_ELEMENT = "constant-element"
     LOW_GRADE_BAND = "low-grade-band"
-    HOMOGENEOUS_HIGH_DEGREE = "homogeneous-high-degree"
     POLYNOMIAL_IN_GENERATOR = "polynomial-in-generator"
-    LINEAR_IN_GENERATOR = "linear-in-generator"
     AFFINE_FAMILY = "affine-family"
     NON_AXIS_EDGE = "non-axis-edge"
     AXIS_POWER_INDEX_ONE = "axis-power-index-one"
@@ -118,6 +116,27 @@ class ElementProfile:
             hit = self._faces[face] = (poly, power_index(poly, w))
         return hit
 
+    @cached_property
+    def dominates_unit(self) -> bool:
+        """True iff v(w) >= rho + sigma at every coprime positive weight w,
+        where v is the weighted degree of x.
+
+        v(w) - (rho + sigma) = max over the support of <pt - (1,1), w>, a
+        convex piecewise linear function of w on the closed weight cone.
+        Its pieces change exactly where two support points tie for the
+        maximum, i.e. at the edge weights of the polygon, so its minimum
+        over the cone sits at an edge weight or at one of the limit
+        directions (1,0) and (0,1), where it equals max i - 1 and
+        max j - 1.  Coprime weights are dense among the directions, so the
+        condition holds exactly when max i >= 1, max j >= 1 and every edge
+        has degree at least rho + sigma.
+        """
+        return (
+            max(i for i, _ in self.support) >= 1
+            and max(j for _, j in self.support) >= 1
+            and all(e.degree >= e.weight.rho + e.weight.sigma for e in self.polygon.edges)
+        )
+
 
 @dataclass(frozen=True)
 class Verdict:
@@ -142,49 +161,24 @@ def witness_for_affine(x: WeylElement) -> WeylElement | None:
     scaled generator in both cases.  Returns None when x has neither shape.
     """
     pts = x.support()
-    if all(pt == (1, 0) or pt[0] == 0 for pt in pts):
-        a = x.coeff(1, 0)
-        if a:
-            y = WeylElement.monomial(0, 1, Fraction(1) / a)
-            if not verify_witness(x, y):
-                raise WeylInternalError("affine witness failed verification")
-            return y
-    if all(pt == (0, 1) or pt[1] == 0 for pt in pts):
-        a = x.coeff(0, 1)
-        if a:
-            y = WeylElement.monomial(1, 0, Fraction(-1) / a)
-            if not verify_witness(x, y):
-                raise WeylInternalError("affine witness failed verification")
-            return y
-    return None
+    if all(pt == (1, 0) or pt[0] == 0 for pt in pts) and x.coeff(1, 0):
+        y = WeylElement.monomial(0, 1, Fraction(1) / x.coeff(1, 0))
+    elif all(pt == (0, 1) or pt[1] == 0 for pt in pts) and x.coeff(0, 1):
+        y = WeylElement.monomial(1, 0, Fraction(-1) / x.coeff(0, 1))
+    else:
+        return None
+    if not verify_witness(x, y):
+        raise WeylInternalError("affine witness failed verification")
+    return y
 
 
 def dominates_unit(x: WeylElement) -> bool:
     """True iff the weighted degree of x is at least rho + sigma for every
-    coprime positive weight.
-
-    Equivalent exact test: the convex hull of the support meets the region
-    {z1 >= 1 and z2 >= 1}, decided by clipping the hull to z1 >= 1 and
-    comparing the maximal z2 against 1 with rational arithmetic.
-    """
+    coprime positive weight; decided from the polygon edges, see
+    ElementProfile.dominates_unit."""
     if x.is_zero():
         raise ValueError("zero element never dominates the unit")
-    hull = convex_hull(x.support())
-    best: Fraction | None = None
-    for pt in hull:
-        if pt[0] >= 1:
-            y = Fraction(pt[1])
-            if best is None or y > best:
-                best = y
-    if len(hull) >= 2:
-        for k in range(len(hull)):
-            a = hull[k]
-            b = hull[(k + 1) % len(hull)]
-            if (a[0] - 1) * (b[0] - 1) < 0:
-                y = Fraction(a[1]) + Fraction(b[1] - a[1], b[0] - a[0]) * (1 - a[0])
-                if best is None or y > best:
-                    best = y
-    return best is not None and best >= 1
+    return ElementProfile(x).dominates_unit
 
 
 def _solve_fraction_free(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
@@ -250,7 +244,7 @@ def find_witness_box(x: WeylElement, box: int, cap: int = DEFAULT_BOX_CAP) -> We
     """Search for a witness supported inside {(i, j): i <= box, j <= box}.
 
     The commutator is linear in y, so the search is an exact linear solve
-    over the rationals; a returned witness is always re-verified.  None
+    over the rationals; a returned witness is always verified.  None
     means only that no witness exists within the box.
     """
     _check_box(box, cap)
@@ -297,13 +291,16 @@ def analyze(
     """Run the decision ladder on x.
 
     Rule order: constant element, low grade band (and its mirror),
-    homogeneous grade +-1, polynomial in a single generator or in h,
-    affine family (solvable), non-axis edge, axis power index one,
-    edge gcd one, box oracle (solvable), unknown.  Cheap structural rules
-    come first; the first matching unsolvability rule wins, and solvable
-    outcomes always carry a verified witness, so the order cannot make a
-    verdict unsound.  The verdict carries the element's profile, so the
-    facts the rules derived can be reported without computing them again.
+    polynomial of degree at least 2 in a single generator or in h, affine
+    family (solvable), non-axis edge, axis power index one, edge gcd one,
+    box oracle (solvable), unknown.  Cheap structural rules come first; the
+    first matching unsolvability rule wins, and solvable outcomes always
+    carry a verified witness, so the order cannot make a verdict unsound.
+    Every witness is checked once, by the function that builds it
+    (witness_for_affine, find_witness_box), which raises WeylInternalError
+    rather than return one that fails.  The verdict carries the element's
+    profile, so the facts the rules derived can be reported without
+    computing them again.
     """
     _check_box(box, cap)
     profile = ElementProfile(x)
@@ -316,11 +313,6 @@ def analyze(
 
     def unsolvable(cit: RuleCitation) -> Verdict:
         return verdict(Outcome.UNSOLVABLE, cit)
-
-    def solvable(witness: WeylElement, cit: RuleCitation) -> Verdict:
-        if not verify_witness(x, witness):
-            raise WeylInternalError("solvable verdict with a failing witness")
-        return verdict(Outcome.SOLVABLE, cit, witness=witness)
 
     attempted.append(RuleId.CONSTANT_ELEMENT)
     if all(pt == (0, 0) for pt in profile.support):
@@ -346,74 +338,45 @@ def analyze(
             )
         )
 
-    attempted.append(RuleId.HOMOGENEOUS_HIGH_DEGREE)
-    if span.min_grade == span.max_grade and abs(span.min_grade) == 1:
-        s = span.min_grade
-        f = profile.h_form.parts[s]
-        if f.degree() >= 1:
-            return unsolvable(
-                RuleCitation(
-                    RuleId.HOMOGENEOUS_HIGH_DEGREE,
-                    {"grade": s, "h_degree": f.degree(), "weight": "(1,1)",
-                     "weighted_degree": 2 * f.degree() + 1},
-                    "x is homogeneous of grade +-1 with (1,1)-degree at least 2; "
-                    "a homogeneous solvable element of nonzero grade must have "
-                    "weighted degree below rho + sigma at every weight",
-                )
-            )
-
+    # x = f(h)*q or f(h)*p with deg f >= 1 needs no rule of its own:
+    # axis-power-index-one decides it at (1,1), where the leading term is
+    # the monomial X^d Y^(d+1) (or its mirror) of power index 1
     attempted.append(RuleId.POLYNOMIAL_IN_GENERATOR)
     pts = profile.support
-    axis_gen = None
     if all(i == 0 for i, _ in pts):
-        axis_gen = ("q", max(j for _, j in pts))
+        gen, deg = "q", max(j for _, j in pts)
     elif all(j == 0 for _, j in pts):
-        axis_gen = ("p", max(i for i, _ in pts))
-    if axis_gen is not None:
-        gen, deg = axis_gen
-        if deg >= 2:
-            return unsolvable(
-                RuleCitation(
-                    RuleId.POLYNOMIAL_IN_GENERATOR,
-                    {"generator": gen, "degree": deg},
-                    f"x is a polynomial of degree {deg} in {gen}; a solvable "
-                    "polynomial in a single element must have degree 1",
-                )
-            )
-        witness = witness_for_affine(x)
-        if witness is None:
-            raise WeylInternalError("degree-1 generator polynomial without affine witness")
-        return solvable(
-            witness,
+        gen, deg = "p", max(i for i, _ in pts)
+    elif span.min_grade == span.max_grade == 0:
+        gen, deg = "h", profile.h_form.parts[0].degree()
+    else:
+        gen, deg = None, 0
+    # degree 1 (a*q + c, a*p + c) falls through to affine-family
+    if deg >= 2:
+        if gen == "h":
+            shape = f"x = f(h) with deg f = {deg}"
+        else:
+            shape = f"x is a polynomial of degree {deg} in {gen}"
+        return unsolvable(
             RuleCitation(
-                RuleId.LINEAR_IN_GENERATOR,
-                {"generator": gen, "witness": str(witness)},
-                f"x is affine in {gen}; a scaled complementary generator is a witness",
-            ),
-        )
-    if span.min_grade == span.max_grade == 0:
-        f0 = profile.h_form.parts[0]
-        if f0.degree() >= 2:
-            return unsolvable(
-                RuleCitation(
-                    RuleId.POLYNOMIAL_IN_GENERATOR,
-                    {"generator": "h", "degree": f0.degree()},
-                    f"x = f(h) with deg f = {f0.degree()}; a solvable polynomial "
-                    "in a single element must have degree 1",
-                )
+                RuleId.POLYNOMIAL_IN_GENERATOR,
+                {"generator": gen, "degree": deg},
+                f"{shape}; a solvable polynomial in a single element must have degree 1",
             )
+        )
 
     attempted.append(RuleId.AFFINE_FAMILY)
     witness = witness_for_affine(x)
     if witness is not None:
-        return solvable(
-            witness,
+        return verdict(
+            Outcome.SOLVABLE,
             RuleCitation(
                 RuleId.AFFINE_FAMILY,
                 {"witness": str(witness)},
                 "x = a*p + g(q) (or its mirror) is conjugate to a*p by an "
                 "exp-ad automorphism; the scaled opposite generator is a witness",
             ),
+            witness=witness,
         )
 
     polygon = profile.polygon
@@ -454,7 +417,7 @@ def analyze(
         notes.append(_CLOSURE_NOTE)
 
     attempted.append(RuleId.EDGE_GCD_ONE)
-    if len(polygon.edges) >= 2 and all(e.weight.is_axis() for e in polygon.edges) and dominates_unit(x):
+    if len(polygon.edges) >= 2 and all(e.weight.is_axis() for e in polygon.edges) and profile.dominates_unit:
         indices = list(profile.edge_indices)
         if gcd(*indices) == 1:
             return unsolvable(
@@ -472,13 +435,14 @@ def analyze(
     attempted.append(RuleId.ORACLE_WITNESS)
     y = find_witness_box(x, box, cap)
     if y is not None:
-        return solvable(
-            y,
+        return verdict(
+            Outcome.SOLVABLE,
             RuleCitation(
                 RuleId.ORACLE_WITNESS,
                 {"box": box, "witness": str(y)},
                 f"exact linear solve found a witness with exponents at most {box}",
             ),
+            witness=y,
         )
 
     return verdict(Outcome.UNKNOWN)

@@ -8,7 +8,8 @@ elements of the `scripts/verdict_survey.py` generator with seed 7 (exponents
 at most 4, at most 5 terms, |coefficient| at most 9).
 
 Regenerate the file only for an intended change of output, and record that
-change in CHANGES.md:
+change in CHANGES.md.  The script prints the id and the changed command
+forms of every case whose digests differ from the file it replaces:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -84,11 +85,19 @@ def _inputs() -> list[tuple[str, str]]:
 
 
 def regenerate() -> None:
+    """Rewrite the corpus and print, for every case whose digests differ
+    from the file it replaces, its id and the changed command forms."""
+    old = {case["id"]: case for case in _load()} if GOLDEN.exists() else {}
     cases = [
         {"id": case_id, "input": text,
          "outputs": {command: run_command(command, text) for command in COMMANDS}}
         for case_id, text in _inputs()
     ]
+    for case in cases:
+        before = old.get(case["id"], {"outputs": {}})["outputs"]
+        changed = [command for command in COMMANDS if before.get(command) != case["outputs"][command]]
+        if changed:
+            print(f"{case['id']}: {', '.join(changed)}")
     GOLDEN.parent.mkdir(exist_ok=True)
     with open(GOLDEN, "w") as fh:
         # one case per line keeps a regenerated corpus readable as a diff

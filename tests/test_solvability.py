@@ -5,7 +5,8 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+import hypothesis.strategies as st
+from hypothesis import assume, example, given, settings
 
 from weylkit import (
     H,
@@ -29,13 +30,14 @@ from weylkit import (
     power_index,
     to_h_form,
     verify_witness,
+    weight_degree,
     witness_for_affine,
 )
 from weylkit import solvability
 from weylkit.cli import build_report
 
-from oracles import naive_box_witness
-from strategies import weyl_elements
+from oracles import all_coprime_weights, naive_box_witness
+from strategies import coefficients, homogeneous_elements, weyl_elements
 
 
 def rules_of(verdict):
@@ -106,6 +108,22 @@ class TestDominatesUnit:
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             dominates_unit(WeylElement.zero())
+
+    @settings(max_examples=300, deadline=None)
+    @given(weyl_elements(max_exp=5, max_terms=6, nonzero=True))
+    # boundary cases: an edge of degree exactly rho + sigma, and (1,1) alone
+    @example(W({(2, 0): 1, (0, 2): 1}))
+    @example(W({(1, 1): 1}))
+    def test_matches_naive_weight_scan(self, x):
+        # the minimum of v(w) - (rho + sigma) sits at an edge weight (both
+        # components at most the largest exponent) or in a limit direction,
+        # which (n,1) and (1,n) reach by n = largest exponent + 2
+        max_exp = max(max(pt) for pt in x.support())
+        naive = all(
+            weight_degree(x, w) >= w.rho + w.sigma
+            for w in all_coprime_weights(max_exp + 2)
+        )
+        assert dominates_unit(x) == naive
 
 
 class TestFindWitnessBox:
@@ -206,7 +224,7 @@ class TestLadderVerdicts:
     def test_linear_polynomial_solvable(self):
         v = analyze(W({(0, 1): 3, (0, 0): 5}))
         assert v.outcome == Outcome.SOLVABLE
-        assert rules_of(v) == [RuleId.LINEAR_IN_GENERATOR]
+        assert rules_of(v) == [RuleId.AFFINE_FAMILY]
         assert verify_witness(W({(0, 1): 3, (0, 0): 5}), v.witness)
 
     @pytest.mark.parametrize("degree", range(2, 7))
@@ -233,7 +251,7 @@ class TestLadderVerdicts:
         # x = h q is homogeneous of grade 1 with nonconstant h-polynomial
         v = analyze(mul(H, Q))
         assert v.outcome == Outcome.UNSOLVABLE
-        assert rules_of(v) == [RuleId.HOMOGENEOUS_HIGH_DEGREE]
+        assert rules_of(v) == [RuleId.AXIS_POWER_INDEX_ONE]
 
     def test_non_axis_edge(self):
         # support {(3,1),(0,3)} spans an edge of weight (2,3), degree 9 > 5
@@ -284,6 +302,34 @@ class TestLadderVerdicts:
                 assert verify_witness(x, verdict.witness)
             elif verdict.outcome == Outcome.UNSOLVABLE:
                 assert verdict.reasons
+
+
+class TestSubsumedShapes:
+    """Shapes decided by a more general rule of the ladder: f(h)*q and
+    f(h)*p by axis-power-index-one at (1,1), a*q + c and a*p + c by
+    affine-family."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from([1, -1]).flatmap(
+        lambda s: homogeneous_elements(s, max_h_degree=5)))
+    def test_f_of_h_times_generator_is_axis_power_index_one(self, x):
+        d = to_h_form(x).parts[grade_span(x).min_grade].degree()
+        assume(d >= 1)
+        v = analyze(x)
+        assert v.outcome == Outcome.UNSOLVABLE
+        assert rules_of(v) == [RuleId.AXIS_POWER_INDEX_ONE]
+        assert v.reasons[0].params["weight"] == "(1,1)"
+        assert v.reasons[0].params["weighted_degree"] == 2 * d + 1
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from(["p", "q"]), coefficients(fractional=True),
+           st.one_of(st.just(Fraction(0)), coefficients(fractional=True)))
+    def test_linear_in_generator_is_affine_family(self, gen, a, c):
+        x = (P if gen == "p" else Q).scale(a) + ONE.scale(c)
+        v = analyze(x)
+        assert v.outcome == Outcome.SOLVABLE
+        assert rules_of(v) == [RuleId.AFFINE_FAMILY]
+        assert v.witness == (Q.scale(1 / a) if gen == "p" else P.scale(-1 / a))
 
 
 class TestElementProfile:
