@@ -35,6 +35,8 @@ COMMANDS = (
     "polygon",
     "grade --json",
     "grade",
+    "oracle --box 4",
+    "oracle --json --box 4",
 )
 
 SURVEY_SEED = 7
