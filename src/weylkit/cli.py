@@ -4,7 +4,7 @@ oracle.
 Human-readable text by default; --json emits the versioned report schema
 (see SCHEMA_VERSION and the README for the field layout).  Exit codes:
 0 on success, 1 for parse or usage errors, 2 for internal invariant
-breaches.
+breaches and any other unexpected exception, reported on one line.
 """
 
 from __future__ import annotations
@@ -379,6 +379,9 @@ def main(argv=None) -> int:
         return 1
     except WeylInternalError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:  # a bug, reported on one line instead of a traceback
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

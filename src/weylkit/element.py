@@ -191,12 +191,8 @@ def mul(x: WeylElement, y: WeylElement) -> WeylElement:
                 if k:
                     coef = -(coef * (b - k + 1) * (c - k + 1)) // k
                 key = (a + c - k, b + d - k)
-                s = acc.get(key, 0) + cxy * coef
-                if s:
-                    acc[key] = s
-                else:
-                    acc.pop(key, None)
-    return WeylElement._raw(acc)
+                acc[key] = acc.get(key, 0) + cxy * coef
+    return WeylElement._raw({key: c for key, c in acc.items() if c})
 
 
 def linear_combine(terms: Iterable[tuple[object, WeylElement]]) -> WeylElement:
@@ -207,17 +203,30 @@ def linear_combine(terms: Iterable[tuple[object, WeylElement]]) -> WeylElement:
         if not c:
             continue
         for key, v in x._terms.items():
-            s = acc.get(key, 0) + c * v
-            if s:
-                acc[key] = s
-            else:
-                acc.pop(key, None)
-    return WeylElement._raw(acc)
+            acc[key] = acc.get(key, 0) + c * v
+    return WeylElement._raw({key: c for key, c in acc.items() if c})
 
 
 def commutator(x: WeylElement, y: WeylElement) -> WeylElement:
-    """[x, y] = x y - y x."""
-    return mul(x, y) - mul(y, x)
+    """[x, y] = x y - y x, summed directly rather than as two products:
+
+        [p^a q^b, p^c q^d] = sum_{k>=1} (-1)^k k! (C(b,k) C(c,k) - C(d,k) C(a,k))
+                             p^(a+c-k) q^(b+d-k).
+
+    The k = 0 terms of the two orders cancel; each coefficient follows the
+    integer recurrence of mul."""
+    acc: dict[ExponentPair, Fraction] = {}
+    for (a, b), cx in x._terms.items():
+        for (c, d), cy in y._terms.items():
+            cxy = cx * cy
+            left = right = 1
+            for k in range(1, max(min(b, c), min(d, a)) + 1):
+                left = -(left * (b - k + 1) * (c - k + 1)) // k
+                right = -(right * (d - k + 1) * (a - k + 1)) // k
+                if left != right:
+                    key = (a + c - k, b + d - k)
+                    acc[key] = acc.get(key, 0) + cxy * (left - right)
+    return WeylElement._raw({key: c for key, c in acc.items() if c})
 
 
 def ad_power(x: WeylElement, y: WeylElement, n: int) -> WeylElement:

@@ -181,55 +181,49 @@ def dominates_unit(x: WeylElement) -> bool:
     return ElementProfile(x).dominates_unit
 
 
-def _solve_fraction_free(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
-    """Solve A c = rhs exactly; returns one solution with all free
-    variables set to zero, or None when the system is inconsistent.
+def _solve_sparse(rows: list[dict[int, Fraction]], ncols: int) -> dict[int, Fraction] | None:
+    """Solve a sparse system exactly.  A row maps column indices to
+    coefficients, with its right-hand side under the key ncols.  Returns
+    the solution on the pivot columns (free columns are zero), or None when
+    the system is inconsistent.
 
-    Rows are scaled to integers, reduced by fraction-free (Bareiss-style)
-    forward elimination with a fixed first-nonzero pivoting order, then
-    back-substituted over the rationals.  Fully deterministic.
+    Fraction-free elimination on integer rows, each scaled by the lcm of
+    its denominators.  Columns are taken in index order; the pivot is the
+    remaining row with a nonzero there and the fewest nonzeros, ties to the
+    earliest row, and every other row with that column becomes
+    lead * row - f * pivot divided by its content.  The pivot columns are
+    the leftmost independent ones whatever rows are picked, and the
+    solution supported on them is unique.
     """
-    ncols = len(rows[0]) if rows else 0
-    mat: list[list[int]] = []
-    for row, b in zip(rows, rhs):
-        scale = lcm(*(c.denominator for c in row), b.denominator)
-        mat.append([int(c * scale) for c in row] + [int(b * scale)])
-    nrows = len(mat)
-    prev = 1
-    pivot_rows: list[tuple[int, int]] = []
-    r = 0
+    remaining: list[dict[int, int]] = []
+    for row in rows:
+        scale = lcm(*(c.denominator for c in row.values()))
+        remaining.append({t: int(c * scale) for t, c in row.items() if c})
+    pivots: list[tuple[int, dict[int, int]]] = []
     for col in range(ncols):
-        pivot = next((k for k in range(r, nrows) if mat[k][col]), None)
-        if pivot is None:
+        hits = [k for k, row in enumerate(remaining) if col in row]
+        if not hits:
             continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        lead = mat[r][col]
-        for k in range(r + 1, nrows):
-            factor = mat[k][col]
-            row_k = mat[k]
-            row_r = mat[r]
-            for t in range(col, ncols + 1):
-                num = lead * row_k[t] - factor * row_r[t]
-                quot, rem = divmod(num, prev)
-                if rem:
-                    raise WeylInternalError("fraction-free elimination lost exactness")
-                row_k[t] = quot
-        pivot_rows.append((r, col))
-        prev = lead
-        r += 1
-        if r == nrows:
-            break
-    for k in range(r, nrows):
-        if mat[k][ncols] and not any(mat[k][:ncols]):
-            return None
-    solution = [Fraction(0)] * ncols
-    for row_idx, col in reversed(pivot_rows):
-        row = mat[row_idx]
-        acc = Fraction(row[ncols])
-        for t in range(col + 1, ncols):
-            if row[t]:
-                acc -= row[t] * solution[t]
-        solution[col] = acc / row[col]
+        pivot = remaining[min(hits, key=lambda k: len(remaining[k]))]
+        lead = pivot[col]
+        for k in hits:
+            row = remaining[k]
+            if row is not pivot:
+                f = row[col]
+                new = {t: lead * c for t, c in row.items()}
+                for t, c in pivot.items():
+                    new[t] = new.get(t, 0) - f * c
+                g = gcd(*new.values()) or 1
+                remaining[k] = {t: c // g for t, c in new.items() if c}
+        pivots.append((col, pivot))
+        remaining = [row for row in remaining if row and row is not pivot]
+    if any(remaining):  # rows left hold only a nonzero right-hand side
+        return None
+    solution: dict[int, Fraction] = {}
+    for col, row in reversed(pivots):
+        # a pivot row holds no column left of its own
+        acc = row.get(ncols, 0) - sum(c * solution.get(t, 0) for t, c in row.items() if col < t < ncols)
+        solution[col] = Fraction(acc) / row[col]
     return solution
 
 
@@ -244,21 +238,24 @@ def find_witness_box(x: WeylElement, box: int, cap: int = DEFAULT_BOX_CAP) -> We
     """Search for a witness supported inside {(i, j): i <= box, j <= box}.
 
     The commutator is linear in y, so the search is an exact linear solve
-    over the rationals; a returned witness is always verified.  None
-    means only that no witness exists within the box.
+    over the rationals: column (i, j) is the bracket [x, p^i q^j], stored as
+    sparse rows keyed by monomial, and the witness is the one supported on
+    the leftmost independent columns (see _solve_sparse).  A returned
+    witness is always verified.  None means only that no witness exists
+    within the box.
     """
     _check_box(box, cap)
     if x.is_zero():
         raise ValueError("the zero element admits no witness")
     columns = [(i, j) for i in range(box + 1) for j in range(box + 1)]
-    brackets = [commutator(x, WeylElement.monomial(i, j)) for i, j in columns]
-    row_keys = sorted({pt for br in brackets for pt in br.support()} | {(0, 0)})
-    rows = [[br.coeff(*key) for br in brackets] for key in row_keys]
-    rhs = [Fraction(1) if key == (0, 0) else Fraction(0) for key in row_keys]
-    solution = _solve_fraction_free(rows, rhs)
+    system: dict[tuple[int, int], dict[int, Fraction]] = {(0, 0): {len(columns): Fraction(1)}}
+    for col, (i, j) in enumerate(columns):
+        for key, c in commutator(x, WeylElement.monomial(i, j)).terms().items():
+            system.setdefault(key, {})[col] = c
+    solution = _solve_sparse([system[key] for key in sorted(system)], len(columns))
     if solution is None:
         return None
-    y = WeylElement({key: c for key, c in zip(columns, solution) if c})
+    y = WeylElement({columns[col]: c for col, c in solution.items() if c})
     if not verify_witness(x, y):
         raise WeylInternalError("box oracle produced a non-verifying witness")
     return y

@@ -77,13 +77,20 @@ def series_exp_ad(g: WeylElement, x: WeylElement, cap: int = 64) -> WeylElement:
 
 
 def naive_box_witness(x: WeylElement, box: int) -> WeylElement | None:
-    """Plain rational Gaussian elimination for the linear system
-    [x, y] = 1 over box-supported y.  Cross-checks the fraction-free
-    solver's existence answers; the particular solution may differ."""
-    from weylkit import commutator, verify_witness
+    """Plain rational Gauss-Jordan elimination for the linear system
+    [x, y] = 1 over box-supported y, with every bracket taken as two
+    products, x m - m x, so that it does not rest on the library's
+    commutator.  Columns are pivoted left to right and free variables set
+    to zero, so the witness it returns is the one find_witness_box must
+    return: the solution supported on the leftmost independent columns is
+    unique."""
+    from weylkit import mul
+
+    def bracket(y: WeylElement) -> WeylElement:
+        return mul(x, y) - mul(y, x)
 
     columns = [(i, j) for i in range(box + 1) for j in range(box + 1)]
-    brackets = [commutator(x, WeylElement.monomial(i, j)) for i, j in columns]
+    brackets = [bracket(WeylElement.monomial(i, j)) for i, j in columns]
     row_keys = sorted({pt for br in brackets for pt in br.support()} | {(0, 0)})
     mat = [
         [br.coeff(*key) for br in brackets] + [Fraction(1 if key == (0, 0) else 0)]
@@ -112,7 +119,7 @@ def naive_box_witness(x: WeylElement, box: int) -> WeylElement | None:
     for row, col in pivots:
         solution[col] = mat[row][ncols]
     y = WeylElement({key: c for key, c in zip(columns, solution) if c})
-    assert verify_witness(x, y)
+    assert bracket(y) == WeylElement.one()
     return y
 
 

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from weylkit import cli
 from weylkit.cli import AnalysisReport, SCHEMA_VERSION, build_report, main
 from weylkit import element_from_string
 
@@ -223,3 +224,13 @@ class TestExitCodes:
     def test_success_exits_zero(self, capsys):
         code, _, _ = run_cli(capsys, "normalize", "p")
         assert code == 0
+
+    def test_unexpected_exception_exits_two_without_traceback(self, capsys, monkeypatch):
+        def broken(args, cap):
+            raise ZeroDivisionError("division by zero")
+
+        monkeypatch.setattr(cli, "_cmd_normalize", broken)
+        code, out, err = run_cli(capsys, "normalize", "p")
+        assert code == 2
+        assert out == ""
+        assert err == "internal error: ZeroDivisionError: division by zero\n"

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from weylkit import (
@@ -23,11 +23,18 @@ from weylkit import (
 )
 
 from oracles import rewrite_normal_qp
-from strategies import weyl_elements
+from strategies import coefficients, weyl_elements
 
 
 def W(terms):
     return WeylElement(terms)
+
+
+# bracket operands: sparse elements (zero included) and bare scalars
+operands = st.one_of(
+    weyl_elements(max_exp=5, fractional=True),
+    coefficients(fractional=True).map(lambda c: WeylElement.monomial(0, 0, c)),
+)
 
 
 class TestNormalizeQP:
@@ -120,8 +127,21 @@ class TestCommutator:
         qqpp = rewrite_normal_qp(2, 2)
         assert qqpp - mul(power(P, 2), power(Q, 2)) == expected
 
-    @settings(max_examples=120, deadline=None)
-    @given(weyl_elements(max_exp=3, max_terms=3), weyl_elements(max_exp=3, max_terms=3))
+    @settings(max_examples=300, deadline=None)
+    @given(operands, operands)
+    @example(WeylElement.zero(), P)
+    @example(WeylElement.monomial(0, 0, Fraction(3, 2)), H)
+    def test_matches_two_products(self, x, y):
+        # the closed-form sum against the definition x y - y x
+        assert commutator(x, y) == mul(x, y) - mul(y, x)
+
+    @settings(max_examples=150, deadline=None)
+    @given(operands)
+    def test_self_bracket_vanishes(self, x):
+        assert commutator(x, x).is_zero()
+
+    @settings(max_examples=150, deadline=None)
+    @given(operands, operands)
     def test_antisymmetry(self, x, y):
         assert commutator(x, y) == -commutator(y, x)
 

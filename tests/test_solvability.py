@@ -168,8 +168,9 @@ class TestFindWitnessBox:
                 assert verify_witness(x, y)
 
     def test_existence_matches_naive_elimination(self):
-        # the fraction-free solver and a plain rational row reduction must
-        # agree on whether a box witness exists at all
+        # the sparse solver and a plain dense row reduction must return the
+        # same witness, not only agree that one exists: both solve on the
+        # leftmost independent columns with free variables set to zero
         rng = random.Random(1789)
         agreements = 0
         for _ in range(60):
@@ -180,11 +181,55 @@ class TestFindWitnessBox:
             x = W({k: v for k, v in terms.items() if v})
             if x.is_zero():
                 continue
-            fast = find_witness_box(x, 2)
-            slow = naive_box_witness(x, 2)
-            assert (fast is None) == (slow is None), str(x)
+            for box in (2, 3):
+                assert find_witness_box(x, box) == naive_box_witness(x, box), (str(x), box)
             agreements += 1
         assert agreements >= 50
+
+    @pytest.mark.parametrize("text", ["p^3*q^2+q^4+p^2", "(p+q^2)^2", "p+q^2", "h"])
+    def test_deep_elements_match_naive_elimination(self, text):
+        x = element_from_string(text)
+        assert find_witness_box(x, 6) == naive_box_witness(x, 6)
+
+
+class TestSparseSolver:
+    """_solve_sparse on hand-built systems; the right-hand side of a row
+    sits under the key ncols."""
+
+    solve = staticmethod(solvability._solve_sparse)
+
+    def test_unique_solution(self):
+        # x0 + x1 = 3, x0 - x1 = 1/2
+        rows = [{0: Fraction(1), 1: Fraction(1), 2: Fraction(3)},
+                {0: Fraction(1), 1: Fraction(-1), 2: Fraction(1, 2)}]
+        assert self.solve(rows, 2) == {0: Fraction(7, 4), 1: Fraction(5, 4)}
+
+    def test_inconsistent_system(self):
+        # x0 + x1 = 1 and 2 x0 + 2 x1 = 3
+        rows = [{0: Fraction(1), 1: Fraction(1), 2: Fraction(1)},
+                {0: Fraction(2), 1: Fraction(2), 2: Fraction(3)}]
+        assert self.solve(rows, 2) is None
+
+    def test_rank_deficient_sets_free_columns_to_zero(self):
+        # x0 + x1 + x2 = 4 and x1 + x2 = 1: x2 is free, so 0
+        rows = [{0: Fraction(1), 1: Fraction(1), 2: Fraction(1), 3: Fraction(4)},
+                {1: Fraction(1), 2: Fraction(1), 3: Fraction(1)}]
+        assert self.solve(rows, 3) == {0: Fraction(3), 1: Fraction(1)}
+
+    def test_row_with_only_the_right_hand_side(self):
+        rows = [{0: Fraction(2), 1: Fraction(1)}, {1: Fraction(5)}]
+        assert self.solve(rows, 1) is None
+
+    def test_zero_right_hand_side(self):
+        rows = [{0: Fraction(1), 1: Fraction(-1)}, {1: Fraction(3, 2)}]
+        solution = self.solve(rows, 2)
+        assert solution is not None and not any(solution.values())
+
+    def test_untouched_column_is_free(self):
+        # x0 + x2 = 1 and x2 = 2; column 1 appears in no row
+        rows = [{0: Fraction(1), 2: Fraction(1), 3: Fraction(1)},
+                {2: Fraction(1), 3: Fraction(2)}]
+        assert self.solve(rows, 3) == {0: Fraction(-1), 2: Fraction(2)}
 
 
 class TestLadderVerdicts:
