@@ -30,14 +30,18 @@ def as_scalar(value) -> Fraction:
     raise TypeError(f"expected an int or Fraction, got {type(value).__name__}")
 
 
-class WeylElement:
-    """A normal-ordered element sum(c_ij * p^i * q^j) with rational c_ij.
+class MonomialMap:
+    """An immutable sparse map from exponent pairs to nonzero rationals.
 
-    Instances are immutable; all arithmetic returns new elements in
-    canonical sparse form (no zero coefficients stored).
+    The value-type half of WeylElement and polynomials.BiPoly: validation,
+    equality, hashing, addition, scaling, powering and printing are written
+    here once, and each subclass supplies its own product and the names of
+    its two variables.  Values of different subclasses never compare equal
+    and never add.
     """
 
     __slots__ = ("_terms", "_hash")
+    _names: str  # the two variable names of the printer, set by each subclass
 
     def __init__(self, terms: Mapping[ExponentPair, object] | None = None):
         data: dict[ExponentPair, Fraction] = {}
@@ -53,7 +57,7 @@ class WeylElement:
         object.__setattr__(self, "_hash", None)
 
     @classmethod
-    def _raw(cls, data: dict[ExponentPair, Fraction]) -> "WeylElement":
+    def _raw(cls, data: dict[ExponentPair, Fraction]):
         # internal fast path: data already validated and pruned
         obj = object.__new__(cls)
         object.__setattr__(obj, "_terms", data)
@@ -61,20 +65,20 @@ class WeylElement:
         return obj
 
     @classmethod
-    def zero(cls) -> "WeylElement":
+    def zero(cls):
         return cls._raw({})
 
     @classmethod
-    def one(cls) -> "WeylElement":
+    def one(cls):
         return cls._raw({(0, 0): Fraction(1)})
 
     @classmethod
-    def monomial(cls, i: int, j: int, coeff=1) -> "WeylElement":
+    def monomial(cls, i: int, j: int, coeff=1):
         c = as_scalar(coeff)
         return cls._raw({(i, j): c}) if c else cls.zero()
 
     def __setattr__(self, name, value):
-        raise AttributeError("WeylElement is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def terms(self) -> dict[ExponentPair, Fraction]:
         return dict(self._terms)
@@ -89,14 +93,14 @@ class WeylElement:
         return not self._terms
 
     def total_degree(self) -> int:
-        """max(i + j) over the support; -1 for the zero element."""
+        """max(i + j) over the support; -1 for zero."""
         return max((i + j for i, j in self._terms), default=-1)
 
     def __bool__(self) -> bool:
         return bool(self._terms)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, WeylElement):
+        if type(other) is type(self):
             return self._terms == other._terms
         return NotImplemented
 
@@ -107,8 +111,8 @@ class WeylElement:
             object.__setattr__(self, "_hash", h)
         return h
 
-    def __add__(self, other) -> "WeylElement":
-        if not isinstance(other, WeylElement):
+    def __add__(self, other):
+        if type(other) is not type(self):
             return NotImplemented
         data = dict(self._terms)
         for key, c in other._terms.items():
@@ -117,46 +121,67 @@ class WeylElement:
                 data[key] = s
             else:
                 data.pop(key, None)
-        return WeylElement._raw(data)
+        return self._raw(data)
 
-    def __sub__(self, other) -> "WeylElement":
-        if not isinstance(other, WeylElement):
+    def __sub__(self, other):
+        if type(other) is not type(self):
             return NotImplemented
         return self + (-other)
 
-    def __neg__(self) -> "WeylElement":
-        return WeylElement._raw({k: -c for k, c in self._terms.items()})
+    def __neg__(self):
+        return self._raw({k: -c for k, c in self._terms.items()})
 
-    def __mul__(self, other) -> "WeylElement":
-        if isinstance(other, WeylElement):
-            return mul(self, other)
-        try:
-            c = as_scalar(other)
-        except TypeError:
-            return NotImplemented
-        return self.scale(c)
-
-    def __rmul__(self, other) -> "WeylElement":
-        try:
-            c = as_scalar(other)
-        except TypeError:
-            return NotImplemented
-        return self.scale(c)
-
-    def __pow__(self, n: int) -> "WeylElement":
-        return power(self, n)
-
-    def scale(self, c) -> "WeylElement":
+    def scale(self, c):
         c = as_scalar(c)
         if not c:
-            return WeylElement.zero()
-        return WeylElement._raw({k: c * v for k, v in self._terms.items()})
+            return self.zero()
+        return self._raw({k: c * v for k, v in self._terms.items()})
+
+    def __rmul__(self, other):
+        try:
+            c = as_scalar(other)
+        except TypeError:
+            return NotImplemented
+        return self.scale(c)
+
+    def __pow__(self, n: int):
+        """Binary powering on the subclass product; x^0 = 1."""
+        if n < 0:
+            raise ValueError("negative powers are not defined")
+        result = self.one()
+        base = self
+        while n:
+            if n & 1:
+                result = result * base
+            n >>= 1
+            if n:
+                base = base * base
+        return result
 
     def __str__(self) -> str:
-        return format_element(self)
+        """Terms sorted by (i+j, i) descending, reduced fractional
+        coefficients, unit coefficients elided."""
+        order = sorted(self._terms, key=lambda t: (t[0] + t[1], t[0]), reverse=True)
+        return format_terms((self._terms[key], format_monomial(key, self._names)) for key in order)
 
     def __repr__(self) -> str:
-        return f"WeylElement({format_element(self)!r})"
+        return f"{type(self).__name__}({str(self)!r})"
+
+
+class WeylElement(MonomialMap):
+    """A normal-ordered element sum(c_ij * p^i * q^j) with rational c_ij.
+
+    Instances are immutable; all arithmetic returns new elements in
+    canonical sparse form (no zero coefficients stored).
+    """
+
+    __slots__ = ()
+    _names = "pq"
+
+    def __mul__(self, other):
+        if isinstance(other, WeylElement):
+            return mul(self, other)
+        return self.__rmul__(other)
 
 
 def normalize_qp(m: int, n: int) -> WeylElement:
@@ -240,18 +265,8 @@ def ad_power(x: WeylElement, y: WeylElement, n: int) -> WeylElement:
 
 
 def power(x: WeylElement, n: int) -> WeylElement:
-    """x^n by repeated multiplication; x^0 = 1."""
-    if n < 0:
-        raise ValueError("negative powers are not defined in the Weyl algebra")
-    result = WeylElement.one()
-    base = x
-    while n:
-        if n & 1:
-            result = mul(result, base)
-        n >>= 1
-        if n:
-            base = mul(base, base)
-    return result
+    """x^n by binary powering; x^0 = 1."""
+    return x ** n
 
 
 def substitute_poly(f, x: WeylElement) -> WeylElement:
@@ -298,5 +313,4 @@ def format_terms(terms: Iterable[tuple[Fraction, str]]) -> str:
 def format_element(x: WeylElement) -> str:
     """Canonical printing: terms sorted by (i+j, i) descending, reduced
     fractional coefficients, p^i*q^j monomials, unit coefficients elided."""
-    order = sorted(x._terms, key=lambda t: (t[0] + t[1], t[0]), reverse=True)
-    return format_terms((x._terms[key], format_monomial(key, "pq")) for key in order)
+    return str(x)

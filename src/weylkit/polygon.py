@@ -170,7 +170,8 @@ def edges(x: WeylElement) -> PolygonProfile:
         sup = weight_support(x, w)
         if len(sup) < 2:
             raise WeylInternalError(f"hull segment at weight {w} exposes a single point")
-        edge_list.append(Edge(w, sup, weight_polynomial(x, w), weight_degree(x, w)))
+        polynomial = BiPoly({pt: x.coeff(*pt) for pt in sup})
+        edge_list.append(Edge(w, sup, polynomial, w.degree_of(next(iter(sup)))))
 
     vertex_list: list[Vertex] = []
     for e1, e2 in zip(edge_list, edge_list[1:]):

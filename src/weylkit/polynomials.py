@@ -1,17 +1,19 @@
 """Commutative polynomial helpers over the rationals.
 
 UniPoly is a dense univariate polynomial (coefficient list, ascending);
-BiPoly is a sparse bivariate polynomial keyed by (i, j) exponent pairs.
-Both are immutable value types used by the grading and support-geometry
-machinery; they carry exactly the operations those modules need.
+BiPoly is a sparse bivariate polynomial keyed by (i, j) exponent pairs,
+sharing element.MonomialMap with WeylElement and differing only in its
+commutative product.  Both are immutable value types used by the grading
+and support-geometry machinery; they carry exactly the operations those
+modules need.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable
 
-from .element import as_scalar, format_monomial, format_terms
+from .element import MonomialMap, as_scalar, format_monomial, format_terms
 
 
 class UniPoly:
@@ -28,14 +30,6 @@ class UniPoly:
     def __setattr__(self, name, value):
         raise AttributeError("UniPoly is immutable")
 
-    @classmethod
-    def x(cls) -> "UniPoly":
-        return cls((0, 1))
-
-    @classmethod
-    def constant(cls, c) -> "UniPoly":
-        return cls((c,))
-
     def coeffs(self) -> tuple[Fraction, ...]:
         return self._coeffs
 
@@ -45,9 +39,6 @@ class UniPoly:
 
     def is_zero(self) -> bool:
         return not self._coeffs
-
-    def is_constant(self) -> bool:
-        return len(self._coeffs) <= 1
 
     def leading(self) -> Fraction:
         if not self._coeffs:
@@ -158,13 +149,6 @@ class UniPoly:
         lead = self._coeffs[-1]
         return UniPoly(tuple(c / lead for c in self._coeffs))
 
-    def eval(self, value) -> Fraction:
-        v = as_scalar(value)
-        acc = Fraction(0)
-        for c in reversed(self._coeffs):
-            acc = acc * v + c
-        return acc
-
     def compose(self, other: "UniPoly") -> "UniPoly":
         acc = UniPoly()
         for c in reversed(self._coeffs):
@@ -194,125 +178,26 @@ def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
     return a.monic()
 
 
-class BiPoly:
+class BiPoly(MonomialMap):
     """Sparse commutative polynomial in X, Y over the rationals."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ()
+    _names = "XY"
 
-    def __init__(self, terms: Mapping[tuple[int, int], object] | None = None):
-        data: dict[tuple[int, int], Fraction] = {}
-        if terms:
-            for (i, j), value in terms.items():
-                if not (isinstance(i, int) and isinstance(j, int) and i >= 0 and j >= 0):
-                    raise ValueError(f"exponent pair {(i, j)!r} is not a pair of nonnegative integers")
-                c = as_scalar(value)
-                if c:
-                    data[(i, j)] = c
-        object.__setattr__(self, "_terms", data)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BiPoly is immutable")
-
-    @classmethod
-    def _raw(cls, data: dict[tuple[int, int], Fraction]) -> "BiPoly":
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "_terms", data)
-        return obj
-
-    @classmethod
-    def monomial(cls, i: int, j: int, coeff=1) -> "BiPoly":
-        c = as_scalar(coeff)
-        return cls._raw({(i, j): c}) if c else cls._raw({})
-
-    def terms(self) -> dict[tuple[int, int], Fraction]:
-        return dict(self._terms)
-
-    def support(self) -> frozenset[tuple[int, int]]:
-        return frozenset(self._terms)
-
-    def coeff(self, i: int, j: int) -> Fraction:
-        return self._terms.get((i, j), Fraction(0))
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def is_monomial(self) -> bool:
-        return len(self._terms) == 1
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, BiPoly):
-            return self._terms == other._terms
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
-
-    def __add__(self, other) -> "BiPoly":
+    def __mul__(self, other):
         if not isinstance(other, BiPoly):
-            return NotImplemented
-        data = dict(self._terms)
-        for key, c in other._terms.items():
-            s = data.get(key, 0) + c
-            if s:
-                data[key] = s
-            else:
-                data.pop(key, None)
-        return BiPoly._raw(data)
-
-    def __neg__(self) -> "BiPoly":
-        return BiPoly._raw({k: -c for k, c in self._terms.items()})
-
-    def __sub__(self, other) -> "BiPoly":
-        if not isinstance(other, BiPoly):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other) -> "BiPoly":
-        if isinstance(other, BiPoly):
-            acc: dict[tuple[int, int], Fraction] = {}
-            for (a, b), ca in self._terms.items():
-                for (c, d), cb in other._terms.items():
-                    key = (a + c, b + d)
-                    s = acc.get(key, 0) + ca * cb
-                    if s:
-                        acc[key] = s
-                    else:
-                        acc.pop(key, None)
-            return BiPoly._raw(acc)
-        try:
-            c = as_scalar(other)
-        except TypeError:
-            return NotImplemented
-        if not c:
-            return BiPoly._raw({})
-        return BiPoly._raw({k: c * v for k, v in self._terms.items()})
-
-    def __rmul__(self, other) -> "BiPoly":
-        return self.__mul__(other)
-
-    def __pow__(self, n: int) -> "BiPoly":
-        if n < 0:
-            raise ValueError("negative power")
-        result = BiPoly.monomial(0, 0, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+            return self.__rmul__(other)
+        acc: dict[tuple[int, int], Fraction] = {}
+        for (a, b), ca in self._terms.items():
+            for (c, d), cb in other._terms.items():
+                key = (a + c, b + d)
+                s = acc.get(key, 0) + ca * cb
+                if s:
+                    acc[key] = s
+                else:
+                    acc.pop(key, None)
+        return BiPoly._raw(acc)
 
     def swap_vars(self) -> "BiPoly":
         """The polynomial with X and Y exchanged."""
         return BiPoly._raw({(j, i): c for (i, j), c in self._terms.items()})
-
-    def __str__(self) -> str:
-        order = sorted(self._terms, key=lambda t: (t[0] + t[1], t[0]), reverse=True)
-        return format_terms((self._terms[key], format_monomial(key, "XY")) for key in order)
-
-    def __repr__(self) -> str:
-        return f"BiPoly({str(self)!r})"

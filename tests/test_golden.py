@@ -70,7 +70,7 @@ def test_cli_output_unchanged(case, monkeypatch):
         )
 
 
-def _inputs() -> list[tuple[str, str]]:
+def corpus_inputs() -> list[tuple[str, str]]:
     scripts = Path(__file__).resolve().parent.parent / "scripts"
     sys.path.insert(0, str(scripts))
     from analyze_examples import EXAMPLES
@@ -93,7 +93,7 @@ def regenerate() -> None:
     cases = [
         {"id": case_id, "input": text,
          "outputs": {command: run_command(command, text) for command in COMMANDS}}
-        for case_id, text in _inputs()
+        for case_id, text in corpus_inputs()
     ]
     for case in cases:
         before = old.get(case["id"], {"outputs": {}})["outputs"]

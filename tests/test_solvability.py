@@ -37,6 +37,7 @@ from weylkit import solvability
 from weylkit.cli import build_report
 
 from oracles import all_coprime_weights, naive_box_witness
+from test_golden import corpus_inputs
 from strategies import coefficients, homogeneous_elements, weyl_elements
 
 
@@ -475,3 +476,21 @@ class TestVerdictConsistency:
             }
             g = W(terms)
             assert verify_witness(exp_ad(g, x), exp_ad(g, y))
+
+
+class TestAttemptedBookkeeping:
+    """`attempted` is the ladder's rule order up to and including the rule
+    that decided, and every rule for `unknown`, so a change of `attempted`
+    in `analyze --json` reads as a change of ladder order alone."""
+
+    CORPUS = corpus_inputs()
+
+    @pytest.mark.parametrize("text", [text for _, text in CORPUS], ids=[i for i, _ in CORPUS])
+    def test_attempted_is_ladder_prefix(self, text):
+        verdict = analyze(element_from_string(text))
+        ladder = tuple(RuleId)
+        if verdict.outcome == Outcome.UNKNOWN:
+            assert verdict.attempted == ladder
+        else:
+            k = ladder.index(verdict.reasons[0].rule)
+            assert verdict.attempted == ladder[:k + 1]
