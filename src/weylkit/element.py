@@ -10,6 +10,7 @@ their coefficient maps are equal.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Mapping
 
 Scalar = Fraction
@@ -205,11 +206,23 @@ def normalize_qp(m: int, n: int) -> WeylElement:
     return WeylElement._raw(data)
 
 
+def numerators(x: WeylElement) -> tuple[int, dict[ExponentPair, int]]:
+    """(d, terms of d*x): d is the lcm of the denominators of x (1 for
+    zero), so every coefficient of d*x is an integer."""
+    d = lcm(*(c.denominator for c in x._terms.values()))
+    return d, {key: c.numerator * (d // c.denominator) for key, c in x._terms.items()}
+
+
 def mul(x: WeylElement, y: WeylElement) -> WeylElement:
-    """Product in the Weyl algebra, returned in canonical sparse form."""
-    acc: dict[ExponentPair, Fraction] = {}
-    for (a, b), cx in x._terms.items():
-        for (c, d), cy in y._terms.items():
+    """Product in the Weyl algebra, returned in canonical sparse form.
+
+    The k-recurrence runs on the integer numerators of dx*x and dy*y; each
+    output coefficient becomes one Fraction over dx*dy."""
+    dx, xs = numerators(x)
+    dy, ys = numerators(y)
+    acc: dict[ExponentPair, int] = {}
+    for (a, b), cx in xs.items():
+        for (c, d), cy in ys.items():
             cxy = cx * cy
             coef = 1
             for k in range(min(b, c) + 1):
@@ -217,7 +230,8 @@ def mul(x: WeylElement, y: WeylElement) -> WeylElement:
                     coef = -(coef * (b - k + 1) * (c - k + 1)) // k
                 key = (a + c - k, b + d - k)
                 acc[key] = acc.get(key, 0) + cxy * coef
-    return WeylElement._raw({key: c for key, c in acc.items() if c})
+    den = dx * dy
+    return WeylElement._raw({key: Fraction(c, den) for key, c in acc.items() if c})
 
 
 def linear_combine(terms: Iterable[tuple[object, WeylElement]]) -> WeylElement:
@@ -232,17 +246,18 @@ def linear_combine(terms: Iterable[tuple[object, WeylElement]]) -> WeylElement:
     return WeylElement._raw({key: c for key, c in acc.items() if c})
 
 
-def commutator(x: WeylElement, y: WeylElement) -> WeylElement:
-    """[x, y] = x y - y x, summed directly rather than as two products:
+def bracket_numerators(xs: Mapping[ExponentPair, int],
+                       ys: Mapping[ExponentPair, int]) -> dict[ExponentPair, int]:
+    """[x, y] on integer coefficient maps, zero terms pruned:
 
         [p^a q^b, p^c q^d] = sum_{k>=1} (-1)^k k! (C(b,k) C(c,k) - C(d,k) C(a,k))
                              p^(a+c-k) q^(b+d-k).
 
     The k = 0 terms of the two orders cancel; each coefficient follows the
     integer recurrence of mul."""
-    acc: dict[ExponentPair, Fraction] = {}
-    for (a, b), cx in x._terms.items():
-        for (c, d), cy in y._terms.items():
+    acc: dict[ExponentPair, int] = {}
+    for (a, b), cx in xs.items():
+        for (c, d), cy in ys.items():
             cxy = cx * cy
             left = right = 1
             for k in range(1, max(min(b, c), min(d, a)) + 1):
@@ -251,7 +266,18 @@ def commutator(x: WeylElement, y: WeylElement) -> WeylElement:
                 if left != right:
                     key = (a + c - k, b + d - k)
                     acc[key] = acc.get(key, 0) + cxy * (left - right)
-    return WeylElement._raw({key: c for key, c in acc.items() if c})
+    return {key: c for key, c in acc.items() if c}
+
+
+def commutator(x: WeylElement, y: WeylElement) -> WeylElement:
+    """[x, y] = x y - y x in canonical sparse form, summed directly rather
+    than as two products: with dx and dy the common denominators of x and
+    y (see numerators), bracket_numerators takes the integer bracket of
+    dx*x and dy*y, and each of its terms becomes one Fraction over dx*dy."""
+    dx, xs = numerators(x)
+    dy, ys = numerators(y)
+    den = dx * dy
+    return WeylElement._raw({key: Fraction(c, den) for key, c in bracket_numerators(xs, ys).items()})
 
 
 def ad_power(x: WeylElement, y: WeylElement, n: int) -> WeylElement:

@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 
-from .element import WeylElement, WeylInternalError, commutator
+from .element import WeylElement, WeylInternalError, bracket_numerators, commutator, numerators
 from .grading import GradeSpan, HForm, grade_span, to_h_form
 from .polygon import (
     PolygonProfile,
@@ -181,14 +181,15 @@ def dominates_unit(x: WeylElement) -> bool:
     return ElementProfile(x).dominates_unit
 
 
-def _solve_sparse(rows: list[dict[int, Fraction]], ncols: int) -> dict[int, Fraction] | None:
-    """Solve a sparse system exactly.  A row maps column indices to
-    coefficients, with its right-hand side under the key ncols.  Returns
-    the solution on the pivot columns (free columns are zero), or None when
-    the system is inconsistent.
+def _solve_sparse(rows: list[dict[int, int | Fraction]], ncols: int) -> dict[int, Fraction] | None:
+    """Solve a sparse system exactly.  A row maps column indices to int or
+    Fraction coefficients, with its right-hand side under the key ncols.
+    Returns the solution on the pivot columns (free columns are zero), or
+    None when the system is inconsistent.
 
     Fraction-free elimination on integer rows, each scaled by the lcm of
-    its denominators.  Columns are taken in index order; the pivot is the
+    its denominators (a no-op on integer rows, which the box oracle
+    passes).  Columns are taken in index order; the pivot is the
     remaining row with a nonzero there and the fewest nonzeros, ties to the
     earliest row, and every other row with that column becomes
     lead * row - f * pivot divided by its content.  The pivot columns are
@@ -237,20 +238,25 @@ def _check_box(box: int, cap: int) -> None:
 def find_witness_box(x: WeylElement, box: int, cap: int = DEFAULT_BOX_CAP) -> WeylElement | None:
     """Search for a witness supported inside {(i, j): i <= box, j <= box}.
 
-    The commutator is linear in y, so the search is an exact linear solve
-    over the rationals: column (i, j) is the bracket [x, p^i q^j], stored as
-    sparse rows keyed by monomial, and the witness is the one supported on
-    the leftmost independent columns (see _solve_sparse).  A returned
-    witness is always verified.  None means only that no witness exists
-    within the box.
+    The commutator is linear in y, so the search is an exact linear solve.
+    It runs on integers: with d the common denominator of x and X = d*x,
+    column (i, j) is the bracket [X, p^i q^j] taken on X's integer
+    numerators (element.bracket_numerators), stored as sparse rows keyed
+    by monomial, and the right-hand side is d at (0, 0), because
+    [X, y] = d exactly when [x, y] = 1.  Each row is d times the row of the
+    rational system, so the nonzeros, the pivots and the witness are the
+    same: the one supported on the leftmost independent columns (see
+    _solve_sparse).  A returned witness is always verified.  None means
+    only that no witness exists within the box.
     """
     _check_box(box, cap)
     if x.is_zero():
         raise ValueError("the zero element admits no witness")
     columns = [(i, j) for i in range(box + 1) for j in range(box + 1)]
-    system: dict[tuple[int, int], dict[int, Fraction]] = {(0, 0): {len(columns): Fraction(1)}}
+    d, xs = numerators(x)
+    system: dict[tuple[int, int], dict[int, int]] = {(0, 0): {len(columns): d}}
     for col, (i, j) in enumerate(columns):
-        for key, c in commutator(x, WeylElement.monomial(i, j)).terms().items():
+        for key, c in bracket_numerators(xs, {(i, j): 1}).items():
             system.setdefault(key, {})[col] = c
     solution = _solve_sparse([system[key] for key in sorted(system)], len(columns))
     if solution is None:

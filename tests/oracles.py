@@ -3,12 +3,15 @@
 Everything here is deliberately naive: single-swap rewriting instead of the
 closed-form normal ordering, exhaustive weight scans instead of convex
 hulls, and undetermined-coefficient root extraction instead of squarefree
-multiplicities.  Slow but obviously correct.
+multiplicities.  Slow but obviously correct.  The one exception is
+swap_normal_qp, a memoised recurrence that is checked against the literal
+rewriting on small exponents and stays fast on large ones.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import gcd
 
 from weylkit import BiPoly, WeylElement, Weight, ad_power
@@ -35,6 +38,44 @@ def rewrite_normal_qp(m: int, n: int) -> WeylElement:
         assert word == "p" * i + "q" * j
         terms[(i, j)] = terms.get((i, j), Fraction(0)) + coeff
     return WeylElement(terms)
+
+
+@cache
+def swap_normal_qp(m: int, n: int) -> dict[tuple[int, int], int]:
+    """Normal form of q^m p^n as {(i, j): coefficient of p^i q^j}.
+
+    The single swap q p -> p q - 1, moved through q^m, gives
+    q^m p = p q^m - m q^(m-1), hence the recurrence
+
+        q^m p^n = p (q^m p^(n-1)) - m q^(m-1) p^(n-1).
+
+    Results are cached and shared between callers: read them, never modify.
+    """
+    if m == 0 or n == 0:
+        return {(n, m): 1}
+    out: dict[tuple[int, int], int] = {}
+    for (i, j), c in swap_normal_qp(m, n - 1).items():
+        out[(i + 1, j)] = out.get((i + 1, j), 0) + c
+    for (i, j), c in swap_normal_qp(m - 1, n - 1).items():
+        out[(i, j)] = out.get((i, j), 0) - m * c
+    return {key: c for key, c in out.items() if c}
+
+
+def reference_mul(x: WeylElement, y: WeylElement) -> WeylElement:
+    """x y from swap_normal_qp alone: p^a q^b p^c q^d is p^a (q^b p^c) q^d,
+    with the middle word normal ordered by the recurrence."""
+    acc: dict[tuple[int, int], Fraction] = {}
+    for (a, b), cx in x.terms().items():
+        for (c, d), cy in y.terms().items():
+            for (i, j), k in swap_normal_qp(b, c).items():
+                key = (a + i, j + d)
+                acc[key] = acc.get(key, Fraction(0)) + cx * cy * k
+    return WeylElement(acc)
+
+
+def reference_bracket(x: WeylElement, y: WeylElement) -> WeylElement:
+    """[x, y] as reference_mul(x, y) - reference_mul(y, x)."""
+    return reference_mul(x, y) - reference_mul(y, x)
 
 
 def all_coprime_weights(bound: int) -> list[Weight]:
@@ -78,19 +119,14 @@ def series_exp_ad(g: WeylElement, x: WeylElement, cap: int = 64) -> WeylElement:
 
 def naive_box_witness(x: WeylElement, box: int) -> WeylElement | None:
     """Plain rational Gauss-Jordan elimination for the linear system
-    [x, y] = 1 over box-supported y, with every bracket taken as two
-    products, x m - m x, so that it does not rest on the library's
-    commutator.  Columns are pivoted left to right and free variables set
-    to zero, so the witness it returns is the one find_witness_box must
+    [x, y] = 1 over box-supported y, with every bracket taken from
+    reference_bracket, so that it rests on neither the library's mul nor
+    its commutator.  Columns are pivoted left to right and free variables
+    set to zero, so the witness it returns is the one find_witness_box must
     return: the solution supported on the leftmost independent columns is
     unique."""
-    from weylkit import mul
-
-    def bracket(y: WeylElement) -> WeylElement:
-        return mul(x, y) - mul(y, x)
-
     columns = [(i, j) for i in range(box + 1) for j in range(box + 1)]
-    brackets = [bracket(WeylElement.monomial(i, j)) for i, j in columns]
+    brackets = [reference_bracket(x, WeylElement.monomial(i, j)) for i, j in columns]
     row_keys = sorted({pt for br in brackets for pt in br.support()} | {(0, 0)})
     mat = [
         [br.coeff(*key) for br in brackets] + [Fraction(1 if key == (0, 0) else 0)]
@@ -119,7 +155,7 @@ def naive_box_witness(x: WeylElement, box: int) -> WeylElement | None:
     for row, col in pivots:
         solution[col] = mat[row][ncols]
     y = WeylElement({key: c for key, c in zip(columns, solution) if c})
-    assert bracket(y) == WeylElement.one()
+    assert reference_bracket(x, y) == WeylElement.one()
     return y
 
 

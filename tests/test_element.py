@@ -1,6 +1,7 @@
 """Core arithmetic: normal ordering, ring axioms, commutator identities."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -22,8 +23,8 @@ from weylkit import (
     substitute_poly,
 )
 
-from oracles import rewrite_normal_qp
-from strategies import coefficients, weyl_elements
+from oracles import reference_bracket, reference_mul, rewrite_normal_qp, swap_normal_qp
+from strategies import coefficients, exponent_pairs, weyl_elements
 
 
 def W(terms):
@@ -35,6 +36,14 @@ operands = st.one_of(
     weyl_elements(max_exp=5, fractional=True),
     coefficients(fractional=True).map(lambda c: WeylElement.monomial(0, 0, c)),
 )
+
+# denominators drawn from pairwise coprime values, so the common denominator
+# the kernel scales an element by is larger than each of its own
+coprime_fractional = st.dictionaries(
+    exponent_pairs(4),
+    st.builds(Fraction, st.integers(-9, 9).filter(bool), st.sampled_from([1, 2, 3, 5, 7, 11, 13])),
+    max_size=5,
+).map(WeylElement)
 
 
 class TestNormalizeQP:
@@ -54,6 +63,12 @@ class TestNormalizeQP:
     @pytest.mark.parametrize("n", range(7))
     def test_matches_rewrite_oracle(self, m, n):
         assert normalize_qp(m, n) == rewrite_normal_qp(m, n)
+
+    @pytest.mark.parametrize("m", range(6))
+    @pytest.mark.parametrize("n", range(6))
+    def test_swap_recurrence_matches_rewrite_oracle(self, m, n):
+        # ties the reference product of the kernel tests to the literal rewriting
+        assert WeylElement(swap_normal_qp(m, n)) == rewrite_normal_qp(m, n)
 
 
 class TestMul:
@@ -92,13 +107,20 @@ class TestMul:
     @settings(max_examples=60, deadline=None)
     @given(weyl_elements(fractional=True), weyl_elements(fractional=True))
     def test_canonical_sparse_form(self, x, y):
-        product = mul(x, y)
-        assert all(c != 0 for c in product.terms().values())
-        # denominators positive and reduced is Fraction's contract; spot-check it
-        for c in product.terms().values():
-            assert c.denominator > 0
-            from math import gcd
-            assert gcd(abs(c.numerator), c.denominator) == 1
+        # both kernels divide integer sums by a common denominator; the
+        # result must still hold no zero and only reduced fractions
+        for result in (mul(x, y), commutator(x, y)):
+            for c in result.terms().values():
+                assert c != 0
+                assert c.denominator > 0
+                assert gcd(abs(c.numerator), c.denominator) == 1
+
+    @settings(max_examples=150, deadline=None)
+    @given(coprime_fractional, coprime_fractional)
+    @example(W({(1, 2): Fraction(1, 6), (0, 1): Fraction(3, 5)}), W({(2, 1): Fraction(5, 7), (0, 0): 2}))
+    def test_kernel_matches_reference_product(self, x, y):
+        assert mul(x, y) == reference_mul(x, y)
+        assert commutator(x, y) == reference_bracket(x, y)
 
 
 class TestLinearCombine:

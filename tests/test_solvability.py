@@ -171,12 +171,16 @@ class TestFindWitnessBox:
     def test_existence_matches_naive_elimination(self):
         # the sparse solver and a plain dense row reduction must return the
         # same witness, not only agree that one exists: both solve on the
-        # leftmost independent columns with free variables set to zero
+        # leftmost independent columns with free variables set to zero.
+        # Denominators up to 6 give x a common denominator d that often
+        # exceeds the lcm of a single row of the rational system, so the
+        # integer rows scaled by d and the right-hand side d are checked
+        # against plain rational elimination.
         rng = random.Random(1789)
         agreements = 0
         for _ in range(60):
             terms = {
-                (rng.randint(0, 3), rng.randint(0, 3)): Fraction(rng.randint(-6, 6), rng.randint(1, 2))
+                (rng.randint(0, 3), rng.randint(0, 3)): Fraction(rng.randint(-6, 6), rng.randint(1, 6))
                 for _ in range(rng.randint(1, 4))
             }
             x = W({k: v for k, v in terms.items() if v})
@@ -186,6 +190,18 @@ class TestFindWitnessBox:
                 assert find_witness_box(x, box) == naive_box_witness(x, box), (str(x), box)
             agreements += 1
         assert agreements >= 50
+
+        # random draws this dense almost never have a witness in the box, so
+        # compare found witnesses on x = a q + c u^2 with u = p + b q^2,
+        # which [x, -u/a] = -[q, p] = 1 makes solvable at box 2
+        def frac():
+            return Fraction(rng.choice((-1, 1)) * rng.randint(1, 6), rng.randint(1, 6))
+
+        for _ in range(20):
+            u = P + frac() * Q ** 2
+            x = frac() * Q + frac() * u * u
+            y = find_witness_box(x, 2)
+            assert y is not None and y == naive_box_witness(x, 2), str(x)
 
     @pytest.mark.parametrize("text", ["p^3*q^2+q^4+p^2", "(p+q^2)^2", "p+q^2", "h"])
     def test_deep_elements_match_naive_elimination(self, text):
