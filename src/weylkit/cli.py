@@ -373,7 +373,15 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         cap = _box_cap()
-        return args.func(args, cap)
+        code = args.func(args, cap)
+        sys.stdout.flush()  # a reader that went away shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # stdout's reader is gone: point stdout at devnull, so that the flush
+        # at interpreter exit has nowhere to fail (the recipe in the Python
+        # `signal` documentation)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (_UsageError, ValueError) as exc:  # ExprSyntaxError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -16,7 +16,7 @@ import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 from .element import WeylElement, WeylInternalError, bracket_numerators, commutator, numerators
 from .grading import GradeSpan, HForm, grade_span, to_h_form
@@ -181,6 +181,15 @@ def dominates_unit(x: WeylElement) -> bool:
     return ElementProfile(x).dominates_unit
 
 
+def _integer_rows(rows: list[dict[int, int | Fraction]]) -> list[dict[int, int]]:
+    """Each row scaled by the lcm of its denominators, zeros dropped."""
+    out = []
+    for row in rows:
+        scale = lcm(*(c.denominator for c in row.values()))
+        out.append({t: int(c * scale) for t, c in row.items() if c})
+    return out
+
+
 def _solve_sparse(rows: list[dict[int, int | Fraction]], ncols: int) -> dict[int, Fraction] | None:
     """Solve a sparse system exactly.  A row maps column indices to int or
     Fraction coefficients, with its right-hand side under the key ncols.
@@ -188,18 +197,15 @@ def _solve_sparse(rows: list[dict[int, int | Fraction]], ncols: int) -> dict[int
     None when the system is inconsistent.
 
     Fraction-free elimination on integer rows, each scaled by the lcm of
-    its denominators (a no-op on integer rows, which the box oracle
-    passes).  Columns are taken in index order; the pivot is the
+    its denominators.  Columns are taken in index order; the pivot is the
     remaining row with a nonzero there and the fewest nonzeros, ties to the
     earliest row, and every other row with that column becomes
     lead * row - f * pivot divided by its content.  The pivot columns are
     the leftmost independent ones whatever rows are picked, and the
-    solution supported on them is unique.
+    solution supported on them is unique.  The box oracle calls it only
+    through _solve_modular, as the exact fallback.
     """
-    remaining: list[dict[int, int]] = []
-    for row in rows:
-        scale = lcm(*(c.denominator for c in row.values()))
-        remaining.append({t: int(c * scale) for t, c in row.items() if c})
+    remaining = _integer_rows(rows)
     pivots: list[tuple[int, dict[int, int]]] = []
     for col in range(ncols):
         hits = [k for k, row in enumerate(remaining) if col in row]
@@ -228,11 +234,149 @@ def _solve_sparse(rows: list[dict[int, int | Fraction]], ncols: int) -> dict[int
     return solution
 
 
+_PRIME = 2**61 - 1
+_RECON_BOUND = isqrt(_PRIME // 2)
+
+
+def _reconstruct(u: int) -> tuple[int, int] | None:
+    """The fraction r/s = u mod _PRIME with |r|, s <= _RECON_BOUND, by the
+    half-extended Euclidean algorithm (Wang 1981); None if there is none.
+    Such a fraction is unique when it exists."""
+    r0, s0, r1, s1 = _PRIME, 0, u, 1
+    while r1 > _RECON_BOUND:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        s0, s1 = s1, s0 - q * s1
+    if s1 < 0:
+        r1, s1 = -r1, -s1
+    if s1 > _RECON_BOUND or gcd(r1, s1) != 1:
+        return None
+    return r1, s1
+
+
+def _lift(v: dict[int, int]) -> tuple[int, dict[int, int]] | None:
+    """A vector mod _PRIME reconstructed over Q, as a common denominator
+    and integer numerators; None if some entry does not reconstruct."""
+    fracs = []
+    for t, u in v.items():
+        rs = _reconstruct(u)
+        if rs is None:
+            return None
+        fracs.append((t, rs))
+    d = lcm(*(s for _, (_, s) in fracs))
+    return d, {t: r * (d // s) for t, (r, s) in fracs}
+
+
+def _solve_modular(rows: list[dict[int, int | Fraction]], ncols: int) -> dict[int, Fraction] | None:
+    """_solve_sparse's answer, found modulo the prime p = 2^61 - 1 and
+    proved exactly; _solve_sparse itself runs only when a proof step fails.
+
+    The elimination is _solve_sparse's, over GF(p).  The proof works on the
+    integer rows, in O(nnz) per vector:
+    - each mod-p free column f that some row holds gets the kernel vector
+      with y_f = 1 and the other free columns 0, reconstructed over Q and
+      checked to satisfy A v = 0.  Then no free column is a rational
+      pivot, and columns independent mod p are independent over Q, so the
+      two pivot sets are equal;
+    - a row left holding only a right-hand side is then a nonzero minor of
+      [A | b] beyond the rank, so the system is inconsistent: None;
+    - otherwise the reconstructed solution on the pivot columns, checked to
+      satisfy A y = b, is the unique solution supported on them.
+    """
+    # the box oracle's rows are integers already; copying them would cost a
+    # fifth of the time on its small systems
+    exact = rows if all(type(c) is int for row in rows for c in row.values()) else _integer_rows(rows)
+    by_col: dict[int, list[tuple[int, int]]] = {}
+    for k, row in enumerate(exact):
+        for t, c in row.items():
+            by_col.setdefault(t, []).append((k, c))
+    rhs = {k: c for k, c in by_col.pop(ncols, ()) if c}
+
+    def holds(lifted: tuple[int, dict[int, int]] | None, target: dict[int, int]) -> bool:
+        # A v = target exactly, for v = numerators / d, in O(nnz of v's columns)
+        if lifted is None:
+            return False
+        d, v = lifted
+        acc: dict[int, int] = {}
+        for t, c in v.items():
+            if c:
+                for k, a in by_col[t]:
+                    acc[k] = acc.get(k, 0) + a * c
+        return {k: s for k, s in acc.items() if s} == {k: d * b for k, b in target.items()}
+
+    # rows mod p in buckets by column: a row waits in a bucket at or left
+    # of its leftmost column, and moves on to that column when its bucket
+    # comes up without holding it
+    reduced = [{t: c % _PRIME for t, c in row.items() if c % _PRIME} for row in exact]
+    waiting: dict[int, list[int]] = {}
+    for k, row in enumerate(reduced):
+        if row:
+            waiting.setdefault(min(row), []).append(k)
+    pivots: list[tuple[int, dict[int, int]]] = []
+    for col in range(ncols):
+        hits = []
+        for k in waiting.pop(col, ()):
+            if col in reduced[k]:
+                hits.append(k)
+            else:
+                waiting.setdefault(min(reduced[k]), []).append(k)
+        if not hits:
+            continue
+        pk = min(hits, key=lambda k: (len(reduced[k]), k))
+        inv = pow(reduced[pk][col], -1, _PRIME)
+        pivot = {t: c * inv % _PRIME for t, c in reduced[pk].items()}
+        for k in hits:
+            if k != pk:
+                row = reduced[k]
+                f = row[col]
+                for t, c in pivot.items():
+                    c = (row.get(t, 0) - f * c) % _PRIME
+                    if c:
+                        row[t] = c
+                    else:
+                        row.pop(t, None)
+                if row:
+                    waiting.setdefault(col + 1, []).append(k)
+        pivots.append((col, pivot))
+
+    def back_substitute(y: dict[int, int], below: int, homogeneous: bool) -> dict[int, int]:
+        # monic pivot rows, each holding no column left of its own; pivot
+        # columns at or beyond `below` are zero
+        for col, row in reversed(pivots):
+            if col < below:
+                acc = 0 if homogeneous else row.get(ncols, 0)
+                y[col] = (acc - sum(c * y.get(t, 0) for t, c in row.items() if col < t < ncols)) % _PRIME
+        return y
+
+    for f in sorted(by_col.keys() - {col for col, _ in pivots}):
+        if not holds(_lift(back_substitute({f: 1}, f, True)), {}):
+            return _solve_sparse(exact, ncols)
+    if waiting:  # rows left hold only a nonzero right-hand side
+        return None
+    lifted = _lift(back_substitute({}, ncols, False))
+    if not holds(lifted, rhs):
+        return _solve_sparse(exact, ncols)
+    d, num = lifted
+    return {col: Fraction(num[col], d) for col, _ in reversed(pivots)}
+
+
 def _check_box(box: int, cap: int) -> None:
     if box > cap:
         raise ValueError(f"box bound {box} exceeds the solver cap {cap}")
     if box < 0:
         raise ValueError("box bound must be nonnegative")
+
+
+def _box_system(x: WeylElement, box: int) -> tuple[list[dict[int, int]], list[tuple[int, int]]]:
+    """The integer rows of [x, y] = 1 for y inside the box, and the
+    exponent pair of each column; see find_witness_box."""
+    columns = [(i, j) for i in range(box + 1) for j in range(box + 1)]
+    d, xs = numerators(x)
+    system: dict[tuple[int, int], dict[int, int]] = {(0, 0): {len(columns): d}}
+    for col, (i, j) in enumerate(columns):
+        for key, c in bracket_numerators(xs, {(i, j): 1}).items():
+            system.setdefault(key, {})[col] = c
+    return [system[key] for key in sorted(system)], columns
 
 
 def find_witness_box(x: WeylElement, box: int, cap: int = DEFAULT_BOX_CAP) -> WeylElement | None:
@@ -246,19 +390,15 @@ def find_witness_box(x: WeylElement, box: int, cap: int = DEFAULT_BOX_CAP) -> We
     [X, y] = d exactly when [x, y] = 1.  Each row is d times the row of the
     rational system, so the nonzeros, the pivots and the witness are the
     same: the one supported on the leftmost independent columns (see
-    _solve_sparse).  A returned witness is always verified.  None means
-    only that no witness exists within the box.
+    _solve_sparse).  _solve_modular finds it modulo a prime and certifies
+    it exactly.  A returned witness is always verified.  None means only
+    that no witness exists within the box.
     """
     _check_box(box, cap)
     if x.is_zero():
         raise ValueError("the zero element admits no witness")
-    columns = [(i, j) for i in range(box + 1) for j in range(box + 1)]
-    d, xs = numerators(x)
-    system: dict[tuple[int, int], dict[int, int]] = {(0, 0): {len(columns): d}}
-    for col, (i, j) in enumerate(columns):
-        for key, c in bracket_numerators(xs, {(i, j): 1}).items():
-            system.setdefault(key, {})[col] = c
-    solution = _solve_sparse([system[key] for key in sorted(system)], len(columns))
+    rows, columns = _box_system(x, box)
+    solution = _solve_modular(rows, len(columns))
     if solution is None:
         return None
     y = WeylElement({columns[col]: c for col, c in solution.items() if c})

@@ -1,6 +1,10 @@
 """Command-line behavior: subcommands, JSON schema, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -234,3 +238,17 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert err == "internal error: ZeroDivisionError: division by zero\n"
+
+    @pytest.mark.parametrize("argv", [("analyze", "--json", "--", "p + q^2"), ("normalize", "p*q")])
+    def test_closed_stdout_pipe_exits_one_quietly(self, argv):
+        # the reader closes before the child writes: every write fails
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        try:
+            proc = subprocess.run([sys.executable, "-m", "weylkit", *argv], stdout=write_end,
+                                  stderr=subprocess.PIPE, text=True, env=env, timeout=60)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1
+        assert proc.stderr == ""

@@ -249,6 +249,103 @@ class TestSparseSolver:
         assert self.solve(rows, 3) == {0: Fraction(-1), 2: Fraction(2)}
 
 
+class TestModularSolver(TestSparseSolver):
+    """_solve_modular: the hand-built systems above, then systems built to
+    defeat each step of its certificate, which must reach the exact solver
+    and still return _solve_sparse's answer."""
+
+    solve = staticmethod(solvability._solve_modular)
+    PRIME = solvability._PRIME
+
+    @pytest.fixture
+    def fallbacks(self, monkeypatch):
+        calls = []
+        exact = solvability._solve_sparse
+
+        def counted(rows, ncols):
+            calls.append(ncols)
+            return exact(rows, ncols)
+
+        monkeypatch.setattr(solvability, "_solve_sparse", counted)
+        return calls
+
+    def test_column_of_prime_multiples_is_a_pivot_over_q(self, fallbacks):
+        # P x0 + x1 = 1: mod P column 0 vanishes and x1 = 1 solves, but over
+        # Q column 0 is the leftmost independent one, so x0 = 1/P
+        rows = [{0: self.PRIME, 1: 1, 2: 1}]
+        assert self.solve(rows, 2) == {0: Fraction(1, self.PRIME)}
+        assert fallbacks == [2]
+
+    def test_inconsistent_mod_prime_only(self, fallbacks):
+        # P x0 + x1 = 0 and x1 = 1 leave 0 = 1 mod P, yet x0 = -1/P solves
+        rows = [{0: self.PRIME, 1: 1}, {1: 1, 2: 1}]
+        assert self.solve(rows, 2) == {0: Fraction(-1, self.PRIME), 1: Fraction(1)}
+        assert fallbacks == [2]
+
+    def test_consistent_mod_prime_only(self, fallbacks):
+        # x0 = 0 and x0 = P agree mod P but not over Q
+        rows = [{0: 1}, {0: 1, 1: self.PRIME}]
+        assert self.solve(rows, 1) is None
+        assert fallbacks == [1]
+
+    def test_coefficient_beyond_reconstruction(self, fallbacks):
+        big = 2**31 + 1
+        assert solvability._reconstruct(big) is None
+        assert self.solve([{0: 1, 1: big}], 1) == {0: Fraction(big)}
+        assert fallbacks == [1]
+
+    def test_deep_box_systems_certified_without_fallback(self, fallbacks, monkeypatch):
+        # the centralizers of these elements meet the box (x, x^2, powers of
+        # p + q^2, powers of h), so several kernel certificates are checked
+        lifts = []
+        lift = solvability._lift
+        monkeypatch.setattr(solvability, "_lift", lambda v: lifts.append(v) or lift(v))
+        for text in ("p^3*q^2+q^4+p^2", "(p+q^2)^2", "p+q^2", "h"):
+            for box in (10, 12):
+                rows, columns = solvability._box_system(element_from_string(text), box)
+                expected = solvability._solve_sparse(rows, len(columns))
+                fallbacks.clear()
+                lifts.clear()
+                assert self.solve(rows, len(columns)) == expected
+                assert not fallbacks, (text, box)
+                # every p^i q^i is a polynomial in h, so h's centralizer
+                # columns are zero and need no certificate
+                assert len([v for v in lifts if len(v) > 1]) >= 2 or text == "h", (text, box)
+
+
+@st.composite
+def sparse_systems(draw, fractional):
+    """Small sparse systems, often rank-deficient or inconsistent: extra
+    rows are combinations of the first ones, with the right-hand side
+    sometimes shifted.  Some entries are multiples of the prime or too
+    large to reconstruct, so the exact fallback is exercised too."""
+    ncols = draw(st.integers(1, 6))
+    small = st.integers(-9, 9)
+    if fractional:
+        small = st.builds(Fraction, small, st.integers(1, 6))
+    rows = draw(st.lists(st.dictionaries(st.integers(0, ncols), small, max_size=ncols + 1), min_size=1, max_size=6))
+    big = st.sampled_from([solvability._PRIME, -2 * solvability._PRIME, 2**40 + 3])
+    spoiler = st.tuples(st.integers(0, len(rows) - 1), st.integers(0, ncols), big)
+    for k, t, c in draw(st.lists(spoiler, max_size=1)):
+        rows[k][t] = c
+    combos = st.tuples(st.integers(0, len(rows) - 1), st.integers(0, len(rows) - 1), st.integers(-3, 3), st.integers(-1, 1))
+    for a, b, m, shift in draw(st.lists(combos, max_size=4)):
+        row = dict(rows[a])
+        for t, c in rows[b].items():
+            row[t] = row.get(t, 0) + m * c
+        row[ncols] = row.get(ncols, 0) + shift
+        rows.append(row)
+    return rows, ncols
+
+
+class TestModularMatchesExact:
+    @settings(max_examples=600, deadline=None)
+    @given(st.booleans().flatmap(lambda fractional: sparse_systems(fractional)))
+    def test_random_systems(self, system):
+        rows, ncols = system
+        assert solvability._solve_modular(rows, ncols) == solvability._solve_sparse(rows, ncols)
+
+
 class TestLadderVerdicts:
     def test_constant(self):
         v = analyze(W({(0, 0): 7}))
