@@ -6,15 +6,12 @@ from .element import (
     ONE,
     P,
     Q,
-    ZERO,
-    Scalar,
     WeylElement,
     WeylInternalError,
     ad_power,
     as_scalar,
     commutator,
     format_element,
-    linear_combine,
     mul,
     normalize_qp,
     power,
@@ -44,14 +41,12 @@ from .polygon import (
     weight_degree,
     weight_polynomial,
     weight_support,
-    weight_term,
 )
 from .polynomials import BiPoly, UniPoly, poly_gcd
 from .power_analysis import (
     HomogShape,
     SquarefreeDecomp,
     dehomogenize,
-    is_weighted_homogeneous,
     power_index,
     rehomogenize,
     squarefree_decompose,
@@ -65,7 +60,6 @@ from .solvability import (
     RuleId,
     Verdict,
     analyze,
-    dominates_unit,
     find_witness_box,
     verify_witness,
     witness_for_affine,

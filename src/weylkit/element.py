@@ -13,7 +13,6 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Mapping
 
-Scalar = Fraction
 ExponentPair = tuple[int, int]
 
 
@@ -29,6 +28,20 @@ def as_scalar(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     raise TypeError(f"expected an int or Fraction, got {type(value).__name__}")
+
+
+def binary_power(base, n: int, one):
+    """base^n by binary powering on base's own product; base^0 = one."""
+    if n < 0:
+        raise ValueError("negative powers are not defined")
+    result = one
+    while n:
+        if n & 1:
+            result = result * base
+        n >>= 1
+        if n:
+            base = base * base
+    return result
 
 
 class MonomialMap:
@@ -146,18 +159,7 @@ class MonomialMap:
         return self.scale(c)
 
     def __pow__(self, n: int):
-        """Binary powering on the subclass product; x^0 = 1."""
-        if n < 0:
-            raise ValueError("negative powers are not defined")
-        result = self.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return binary_power(self, n, self.one())
 
     def __str__(self) -> str:
         """Terms sorted by (i+j, i) descending, reduced fractional
@@ -234,18 +236,6 @@ def mul(x: WeylElement, y: WeylElement) -> WeylElement:
     return WeylElement._raw({key: Fraction(c, den) for key, c in acc.items() if c})
 
 
-def linear_combine(terms: Iterable[tuple[object, WeylElement]]) -> WeylElement:
-    """sum(c_k * x_k) in canonical form; zero coefficients pruned."""
-    acc: dict[ExponentPair, Fraction] = {}
-    for c, x in terms:
-        c = as_scalar(c)
-        if not c:
-            continue
-        for key, v in x._terms.items():
-            acc[key] = acc.get(key, 0) + c * v
-    return WeylElement._raw({key: c for key, c in acc.items() if c})
-
-
 def bracket_numerators(xs: Mapping[ExponentPair, int],
                        ys: Mapping[ExponentPair, int]) -> dict[ExponentPair, int]:
     """[x, y] on integer coefficient maps, zero terms pruned:
@@ -307,7 +297,6 @@ P = WeylElement.monomial(1, 0)
 Q = WeylElement.monomial(0, 1)
 H = WeylElement.monomial(1, 1)  # h = p*q, already normal ordered
 ONE = WeylElement.one()
-ZERO = WeylElement.zero()
 
 
 def format_monomial(exponents: Iterable[int], names: str) -> str:

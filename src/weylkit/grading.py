@@ -49,11 +49,6 @@ class HForm:
     def grades(self) -> list[int]:
         return sorted(self.parts)
 
-    def __eq__(self, other) -> bool:
-        if isinstance(other, HForm):
-            return self.parts == other.parts
-        return NotImplemented
-
 
 def grade_components(x: WeylElement) -> dict[int, WeylElement]:
     """Split x into its graded pieces, keyed by s = j - i."""

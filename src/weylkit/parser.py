@@ -66,29 +66,22 @@ ExprAst = Num | Var | Pow | Prod | Neg | Sum
 #: Deepest parenthesis nesting accepted; bounds the recursion of the parser.
 MAX_NESTING = 100
 
-_TOKEN = re.compile(r"\s*(?:(\d+(?:/\d+)?)|([pqh])|([-+*^()]))")
+_SPACE = re.compile(r"\s*")
+_TOKEN = re.compile(r"(\d+(?:/\d+)?)|([pqh])|([-+*^()])")
+_KINDS = ("number", "name", "op")  # of _TOKEN's three groups, in order
 
 
 class _Tokens:
     def __init__(self, text: str):
         self.text = text
         self.items: list[tuple[str, str, int]] = []  # (kind, value, offset)
-        pos = 0
+        pos = _SPACE.match(text).end()
         while pos < len(text):
-            if not text[pos:].strip():
-                break
             m = _TOKEN.match(text, pos)
-            if m is None or m.end() == pos:
-                bad = pos + len(text[pos:]) - len(text[pos:].lstrip())
-                raise ExprSyntaxError(f"unexpected character {text[bad]!r}", bad)
-            offset = m.start(m.lastindex)
-            if m.group(1) is not None:
-                self.items.append(("number", m.group(1), offset))
-            elif m.group(2) is not None:
-                self.items.append(("name", m.group(2), offset))
-            else:
-                self.items.append(("op", m.group(3), offset))
-            pos = m.end()
+            if m is None:
+                raise ExprSyntaxError(f"unexpected character {text[pos]!r}", pos)
+            self.items.append((_KINDS[m.lastindex - 1], m.group(), pos))
+            pos = _SPACE.match(text, m.end()).end()
         self.index = 0
         self.depth = 0  # parentheses open at the current position
 

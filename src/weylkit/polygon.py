@@ -75,14 +75,6 @@ def weight_polynomial(x: WeylElement, w: Weight) -> BiPoly:
     return BiPoly({pt: x.coeff(*pt) for pt in points})
 
 
-def weight_term(x: WeylElement, w: Weight) -> WeylElement:
-    """The Weyl element collecting the leading-support terms."""
-    if x.is_zero():
-        raise ValueError("zero element has no weighted leading term")
-    points = weight_support(x, w)
-    return WeylElement({pt: x.coeff(*pt) for pt in points})
-
-
 @dataclass(frozen=True)
 class Edge:
     weight: Weight

@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable
 
-from .element import MonomialMap, as_scalar, format_monomial, format_terms
+from .element import MonomialMap, as_scalar, binary_power, format_monomial, format_terms
 
 
 class UniPoly:
@@ -104,17 +104,7 @@ class UniPoly:
         return UniPoly(tuple(c * v for v in self._coeffs))
 
     def __pow__(self, n: int) -> "UniPoly":
-        if n < 0:
-            raise ValueError("negative power")
-        result = UniPoly((1,))
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return binary_power(self, n, UniPoly((1,)))
 
     def __divmod__(self, other: "UniPoly") -> tuple["UniPoly", "UniPoly"]:
         if other.is_zero():
@@ -149,15 +139,13 @@ class UniPoly:
         lead = self._coeffs[-1]
         return UniPoly(tuple(c / lead for c in self._coeffs))
 
-    def compose(self, other: "UniPoly") -> "UniPoly":
+    def shift(self, k) -> "UniPoly":
+        """f(X + k), by Horner's scheme."""
+        x_plus_k = UniPoly((k, 1))
         acc = UniPoly()
         for c in reversed(self._coeffs):
-            acc = acc * other + UniPoly((c,))
+            acc = acc * x_plus_k + UniPoly((c,))
         return acc
-
-    def shift(self, k) -> "UniPoly":
-        """f(X + k)."""
-        return self.compose(UniPoly((k, 1)))
 
     def __str__(self) -> str:
         return format_terms(

@@ -21,15 +21,6 @@ from .polynomials import BiPoly, UniPoly, poly_gcd
 from .polygon import Weight
 
 
-def is_weighted_homogeneous(f: BiPoly, w: Weight) -> tuple[bool, int]:
-    """Whether all support points share the weighted degree; returns that
-    maximum degree either way."""
-    if f.is_zero():
-        raise ValueError("zero polynomial has no homogeneity type")
-    degrees = {w.degree_of(pt) for pt in f.support()}
-    return len(degrees) == 1, max(degrees)
-
-
 @dataclass(frozen=True)
 class HomogShape:
     """Factored shape of an axis-weight homogeneous polynomial:
@@ -65,11 +56,11 @@ def dehomogenize(f: BiPoly, w: Weight) -> HomogShape:
     roots are the remaining factors over the closure.
 
     Requires an axis weight: (n,1) works on the X side, (1,n) on the Y side
-    via exchanging the variables; (1,1) uses the X-side convention.
+    via exchanging the variables; (1,1) uses the X-side convention.  A
+    polynomial that is not homogeneous for w raises ValueError.
     """
-    homogeneous, _ = is_weighted_homogeneous(f, w)
-    if not homogeneous:
-        raise ValueError(f"polynomial is not ({w.rho},{w.sigma})-homogeneous")
+    if f.is_zero():
+        raise ValueError("zero polynomial has no homogeneous shape")
     if w.sigma == 1:
         a, b, core = _dehomogenize_x_axis(f, w.rho)
         return HomogShape(a, b, core, w)

@@ -97,24 +97,36 @@ class ElementProfile:
     def edge_indices(self) -> tuple[int | None, ...]:
         """Power index of each polygon edge; None at a non-axis weight."""
         return tuple(
-            self.leading(e.weight)[1] if e.weight.is_axis() else None
+            self._face(e.support, e.weight)[1] if e.weight.is_axis() else None
             for e in self.polygon.edges
         )
 
     def leading(self, w: Weight) -> tuple[BiPoly, int]:
         """The leading polynomial of x at the axis weight w and its power
-        index, computed once per exposed face.
+        index, computed once per exposed face."""
+        return self._face(weight_support(self.x, w), w)
+
+    def _face(self, face: frozenset[tuple[int, int]], w: Weight) -> tuple[BiPoly, int]:
+        """The leading polynomial and power index of a face exposed by w,
+        computed once per face.
 
         The face is a sound key: a face of two or more points is exposed by
         exactly one weight, and a one-point face X^a Y^b has power index
-        gcd(a, b) at every weight.
+        gcd(a, b) at every weight.  The polygon's edges already hold the
+        polynomial of every face of two or more points, so only a one-point
+        face has its polynomial built.
         """
-        face = weight_support(self.x, w)
         hit = self._faces.get(face)
         if hit is None:
-            poly = weight_polynomial(self.x, w)
-            hit = self._faces[face] = (poly, power_index(poly, w))
+            f = self._edge_polynomials.get(face)
+            if f is None:
+                f = weight_polynomial(self.x, w)
+            hit = self._faces[face] = (f, power_index(f, w))
         return hit
+
+    @cached_property
+    def _edge_polynomials(self) -> dict[frozenset[tuple[int, int]], BiPoly]:
+        return {e.support: e.polynomial for e in self.polygon.edges}
 
     @cached_property
     def dominates_unit(self) -> bool:
@@ -172,40 +184,21 @@ def witness_for_affine(x: WeylElement) -> WeylElement | None:
     return y
 
 
-def dominates_unit(x: WeylElement) -> bool:
-    """True iff the weighted degree of x is at least rho + sigma for every
-    coprime positive weight; decided from the polygon edges, see
-    ElementProfile.dominates_unit."""
-    if x.is_zero():
-        raise ValueError("zero element never dominates the unit")
-    return ElementProfile(x).dominates_unit
-
-
-def _integer_rows(rows: list[dict[int, int | Fraction]]) -> list[dict[int, int]]:
-    """Each row scaled by the lcm of its denominators, zeros dropped."""
-    out = []
-    for row in rows:
-        scale = lcm(*(c.denominator for c in row.values()))
-        out.append({t: int(c * scale) for t, c in row.items() if c})
-    return out
-
-
-def _solve_sparse(rows: list[dict[int, int | Fraction]], ncols: int) -> dict[int, Fraction] | None:
-    """Solve a sparse system exactly.  A row maps column indices to int or
-    Fraction coefficients, with its right-hand side under the key ncols.
+def _solve_sparse(rows: list[dict[int, int]], ncols: int) -> dict[int, Fraction] | None:
+    """Solve a sparse system exactly.  A row maps column indices to nonzero
+    int coefficients, with its right-hand side under the key ncols.
     Returns the solution on the pivot columns (free columns are zero), or
     None when the system is inconsistent.
 
-    Fraction-free elimination on integer rows, each scaled by the lcm of
-    its denominators.  Columns are taken in index order; the pivot is the
-    remaining row with a nonzero there and the fewest nonzeros, ties to the
-    earliest row, and every other row with that column becomes
+    Fraction-free elimination: columns are taken in index order; the pivot
+    is the remaining row with a nonzero there and the fewest nonzeros, ties
+    to the earliest row, and every other row with that column becomes
     lead * row - f * pivot divided by its content.  The pivot columns are
     the leftmost independent ones whatever rows are picked, and the
     solution supported on them is unique.  The box oracle calls it only
     through _solve_modular, as the exact fallback.
     """
-    remaining = _integer_rows(rows)
+    remaining = list(rows)
     pivots: list[tuple[int, dict[int, int]]] = []
     for col in range(ncols):
         hits = [k for k, row in enumerate(remaining) if col in row]
@@ -267,7 +260,7 @@ def _lift(v: dict[int, int]) -> tuple[int, dict[int, int]] | None:
     return d, {t: r * (d // s) for t, (r, s) in fracs}
 
 
-def _solve_modular(rows: list[dict[int, int | Fraction]], ncols: int) -> dict[int, Fraction] | None:
+def _solve_modular(rows: list[dict[int, int]], ncols: int) -> dict[int, Fraction] | None:
     """_solve_sparse's answer, found modulo the prime p = 2^61 - 1 and
     proved exactly; _solve_sparse itself runs only when a proof step fails.
 
@@ -283,11 +276,8 @@ def _solve_modular(rows: list[dict[int, int | Fraction]], ncols: int) -> dict[in
     - otherwise the reconstructed solution on the pivot columns, checked to
       satisfy A y = b, is the unique solution supported on them.
     """
-    # the box oracle's rows are integers already; copying them would cost a
-    # fifth of the time on its small systems
-    exact = rows if all(type(c) is int for row in rows for c in row.values()) else _integer_rows(rows)
     by_col: dict[int, list[tuple[int, int]]] = {}
-    for k, row in enumerate(exact):
+    for k, row in enumerate(rows):
         for t, c in row.items():
             by_col.setdefault(t, []).append((k, c))
     rhs = {k: c for k, c in by_col.pop(ncols, ()) if c}
@@ -307,7 +297,7 @@ def _solve_modular(rows: list[dict[int, int | Fraction]], ncols: int) -> dict[in
     # rows mod p in buckets by column: a row waits in a bucket at or left
     # of its leftmost column, and moves on to that column when its bucket
     # comes up without holding it
-    reduced = [{t: c % _PRIME for t, c in row.items() if c % _PRIME} for row in exact]
+    reduced = [{t: c % _PRIME for t, c in row.items() if c % _PRIME} for row in rows]
     waiting: dict[int, list[int]] = {}
     for k, row in enumerate(reduced):
         if row:
@@ -350,12 +340,12 @@ def _solve_modular(rows: list[dict[int, int | Fraction]], ncols: int) -> dict[in
 
     for f in sorted(by_col.keys() - {col for col, _ in pivots}):
         if not holds(_lift(back_substitute({f: 1}, f, True)), {}):
-            return _solve_sparse(exact, ncols)
+            return _solve_sparse(rows, ncols)
     if waiting:  # rows left hold only a nonzero right-hand side
         return None
     lifted = _lift(back_substitute({}, ncols, False))
     if not holds(lifted, rhs):
-        return _solve_sparse(exact, ncols)
+        return _solve_sparse(rows, ncols)
     d, num = lifted
     return {col: Fraction(num[col], d) for col, _ in reversed(pivots)}
 

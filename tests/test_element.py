@@ -16,7 +16,6 @@ from weylkit import (
     WeylElement,
     ad_power,
     commutator,
-    linear_combine,
     mul,
     normalize_qp,
     power,
@@ -124,14 +123,18 @@ class TestMul:
 
 
 class TestLinearCombine:
+    """Linear combinations written with scalar * and +, which keep the
+    canonical sparse form."""
+
     def test_cancellation(self):
-        assert linear_combine([(1, P), (-1, P)]) == WeylElement.zero()
+        combo = 1 * P + (-1) * P
+        assert combo == WeylElement.zero() and not combo.terms()
 
     def test_merge(self):
-        assert linear_combine([(2, Q), (3, Q)]) == W({(0, 1): 5})
+        assert 2 * Q + 3 * Q == W({(0, 1): 5})
 
     def test_mixed(self):
-        assert linear_combine([(1, H), (1, ONE)]) == W({(1, 1): 1, (0, 0): 1})
+        assert 1 * H + 1 * ONE == W({(1, 1): 1, (0, 0): 1})
 
 
 class TestCommutator:

@@ -107,6 +107,19 @@ class TestErrors:
         assert info.value.position == 4
         assert "byte 4" in str(info.value)
 
+    def test_spaces_then_bad_character_offset(self):
+        # the offset is the bad character's, not the whitespace before it
+        with pytest.raises(ExprSyntaxError) as info:
+            parse_expr("p +" + " \t" * 500 + "$ q")
+        assert info.value.position == 1003
+
+    def test_trailing_whitespace_ignored(self):
+        assert element_from_string("p + q \t\n  ") == P + Q
+        with pytest.raises(ExprSyntaxError) as info:
+            parse_expr("p +   ")
+        # the missing operand is reported at the end of the input
+        assert info.value.position == 6
+
     def test_negative_exponent_offset(self):
         with pytest.raises(ExprSyntaxError) as info:
             parse_expr("q^-1")

