@@ -20,9 +20,10 @@ from .element import (
     H,
     WeylElement,
     WeylInternalError,
-    commutator,
+    bracket_numerators,
     mul,
     normalize_qp,
+    numerators,
     substitute_poly,
 )
 from .polynomials import UniPoly
@@ -121,6 +122,11 @@ def exp_ad(g: WeylElement, x: WeylElement) -> WeylElement:
     sum_k (ad g)^k x / k! has finitely many nonzero terms; division by k!
     is exact over the rationals.  The result is an algebra automorphism
     image: products and commutators are preserved.
+
+    The series runs on integer numerators (see element.numerators): with
+    g = G/dg and x = X/dx, the k-th term is (ad G)^k X / (dx k! dg^k), so
+    each step takes bracket_numerators with G and the sum is kept over that
+    running denominator; each output term becomes one Fraction at the end.
     """
     support = g.support()
     on_q_axis = all(i == 0 for i, _ in support)
@@ -128,13 +134,19 @@ def exp_ad(g: WeylElement, x: WeylElement) -> WeylElement:
     if not (on_q_axis or on_p_axis):
         raise ValueError("exp-ad requires single-generator polynomial")
     cap = max(x.total_degree(), 0) + max(g.total_degree(), 0) + 2
-    out = x
-    term = x
+    dg, gs = numerators(g)
+    den, term = numerators(x)
+    acc = dict(term)
     for k in range(1, cap + 1):
-        term = commutator(g, term).scale(Fraction(1, k))
-        if term.is_zero():
-            return out
-        out = out + term
+        term = bracket_numerators(gs, term)
+        if not term:
+            return WeylElement._raw({key: Fraction(c, den) for key, c in acc.items() if c})
+        step = k * dg
+        den *= step
+        for key, c in acc.items():
+            acc[key] = c * step
+        for key, c in term.items():
+            acc[key] = acc.get(key, 0) + c
     raise WeylInternalError(
         f"exp-ad series did not terminate within {cap} steps; "
         "ad g should be locally nilpotent"

@@ -20,14 +20,7 @@ from math import gcd, isqrt, lcm
 
 from .element import WeylElement, WeylInternalError, bracket_numerators, commutator, numerators
 from .grading import GradeSpan, HForm, grade_span, to_h_form
-from .polygon import (
-    PolygonProfile,
-    Weight,
-    edges,
-    weight_degree,
-    weight_polynomial,
-    weight_support,
-)
+from .polygon import PolygonProfile, Weight, edges
 from .polynomials import BiPoly
 from .power_analysis import power_index
 
@@ -97,30 +90,40 @@ class ElementProfile:
     def edge_indices(self) -> tuple[int | None, ...]:
         """Power index of each polygon edge; None at a non-axis weight."""
         return tuple(
-            self._face(e.support, e.weight)[1] if e.weight.is_axis() else None
+            self.leading(e.support, e.weight)[1] if e.weight.is_axis() else None
             for e in self.polygon.edges
         )
 
-    def leading(self, w: Weight) -> tuple[BiPoly, int]:
-        """The leading polynomial of x at the axis weight w and its power
-        index, computed once per exposed face."""
-        return self._face(weight_support(self.x, w), w)
+    def exposed(self, w: Weight) -> tuple[int, frozenset[tuple[int, int]]]:
+        """The weighted degree v of x at w and the face of support points
+        where it is reached, from one scan of the support."""
+        rho, sigma = w.rho, w.sigma
+        v, face = -1, []
+        for pt in self.support:
+            d = pt[0] * rho + pt[1] * sigma
+            if d > v:
+                v, face = d, [pt]
+            elif d == v:
+                face.append(pt)
+        return v, frozenset(face)
 
-    def _face(self, face: frozenset[tuple[int, int]], w: Weight) -> tuple[BiPoly, int]:
+    def leading(self, face: frozenset[tuple[int, int]], w: Weight) -> tuple[BiPoly, int]:
         """The leading polynomial and power index of a face exposed by w,
         computed once per face.
 
         The face is a sound key: a face of two or more points is exposed by
         exactly one weight, and a one-point face X^a Y^b has power index
         gcd(a, b) at every weight.  The polygon's edges already hold the
-        polynomial of every face of two or more points, so only a one-point
-        face has its polynomial built.
+        polynomial of every face of two or more points, and a one-point
+        face's polynomial is its single term, so building one never scans
+        the support.
         """
         hit = self._faces.get(face)
         if hit is None:
             f = self._edge_polynomials.get(face)
             if f is None:
-                f = weight_polynomial(self.x, w)
+                (pt,) = face
+                f = BiPoly.monomial(*pt, self.x.coeff(*pt))
             hit = self._faces[face] = (f, power_index(f, w))
         return hit
 
@@ -358,10 +361,29 @@ def _check_box(box: int, cap: int) -> None:
 
 
 def _box_system(x: WeylElement, box: int) -> tuple[list[dict[int, int]], list[tuple[int, int]]]:
-    """The integer rows of [x, y] = 1 for y inside the box, and the
-    exponent pair of each column; see find_witness_box."""
-    columns = [(i, j) for i in range(box + 1) for j in range(box + 1)]
+    """The integer rows of [x, y] = 1 for y inside the box, restricted to
+    the columns that can reach the unit row, and the exponent pair of each
+    column; see find_witness_box.
+
+    The bracket of x with p^i q^j has its terms in the grades j - i + g
+    for g in the set G of grades of x's non-constant terms.  With g0 the
+    least of G and m the gcd of g - g0 over G, a column of grade class
+    j - i = c (mod m) meets only rows of class c + g0, so the system splits
+    into blocks with disjoint rows, one per class, and the unit row (grade
+    0) lies in the block of class -g0.  For homogeneous x, m = 0 and the
+    classes are the single grades, so that block is j - i = -g0.  Only its
+    columns are kept, in their box order.
+    """
     d, xs = numerators(x)
+    grades = [j - i for i, j in xs if i or j]
+    g0 = min(grades, default=0)
+    m = gcd(*(g - g0 for g in grades))
+    columns = [
+        (i, j)
+        for i in range(box + 1)
+        for j in range(box + 1)
+        if ((j - i + g0) % m if m else j - i + g0) == 0
+    ]
     system: dict[tuple[int, int], dict[int, int]] = {(0, 0): {len(columns): d}}
     for col, (i, j) in enumerate(columns):
         for key, c in bracket_numerators(xs, {(i, j): 1}).items():
@@ -383,10 +405,25 @@ def find_witness_box(x: WeylElement, box: int, cap: int = DEFAULT_BOX_CAP) -> We
     _solve_sparse).  _solve_modular finds it modulo a prime and certifies
     it exactly.  A returned witness is always verified.  None means only
     that no witness exists within the box.
+
+    Two exact reductions shrink the system and change no answer:
+    - the constant term of [x, y] is
+      sum_{a>=1} (-1)^a a! (x_{0a} y_{a0} - x_{a0} y_{0a}), with x_{ij} the
+      coefficient of p^i q^j.  If x has no term q^a or p^a with
+      1 <= a <= box, no y in the box reaches the unit: None, with nothing
+      built.  This covers a nonzero constant x too;
+    - only the grade class of the unit row is built (see _box_system).  Each
+      other block is homogeneous, so it is consistent and the solution
+      supported on its pivots is 0; column-order greedy independence splits
+      over blocks with disjoint rows, so the unit block's pivot columns are
+      the same as in the whole system.  Consistency and the witness are
+      therefore the unit block's.
     """
     _check_box(box, cap)
     if x.is_zero():
         raise ValueError("the zero element admits no witness")
+    if not any(0 < i + j <= box for i, j in x.support() if i == 0 or j == 0):
+        return None
     rows, columns = _box_system(x, box)
     solution = _solve_modular(rows, len(columns))
     if solution is None:
@@ -530,10 +567,10 @@ def analyze(
     attempted.append(RuleId.AXIS_POWER_INDEX_ONE)
     saw_power_index_above_one = False
     for w in _axis_weights(x):
-        v = weight_degree(x, w)
+        v, face = profile.exposed(w)
         if v < w.rho + w.sigma:
             continue
-        f, r = profile.leading(w)
+        f, r = profile.leading(face, w)
         if r == 1:
             return unsolvable(
                 RuleCitation(

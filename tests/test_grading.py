@@ -27,7 +27,7 @@ from weylkit import (
 )
 
 from oracles import series_exp_ad
-from strategies import unipolys, weyl_elements
+from strategies import coefficients, unipolys, weyl_elements
 
 SHOWCASE = WeylElement({(4, 0): 1, (3, 1): 1, (2, 2): 1, (0, 3): 1, (0, 1): 1})
 
@@ -174,6 +174,18 @@ class TestExpAd:
         out = exp_ad(g, P)
         assert out == P + power(Q, 2)
         assert out == series_exp_ad(g, P)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.booleans(),
+        st.dictionaries(st.integers(0, 3), coefficients(fractional=True), min_size=1, max_size=3),
+        weyl_elements(max_exp=3, max_terms=4, fractional=True),
+    )
+    def test_matches_series_on_fractional_elements(self, on_q, coeffs, x):
+        # the series runs over one running denominator built from both
+        # operands' denominators, so both carry fractions here
+        g = WeylElement({(0, k) if on_q else (k, 0): c for k, c in coeffs.items()})
+        assert exp_ad(g, x) == series_exp_ad(g, x)
 
     def test_fixes_q_for_any_q_polynomial(self):
         g = WeylElement({(0, 4): 2, (0, 1): -7, (0, 0): 3})

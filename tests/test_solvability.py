@@ -35,7 +35,7 @@ from weylkit import (
 from weylkit import solvability
 from weylkit.cli import build_report
 
-from oracles import all_coprime_weights, naive_box_witness
+from oracles import all_coprime_weights, naive_box_witness, reference_bracket
 from test_golden import corpus_inputs
 from strategies import coefficients, homogeneous_elements, weyl_elements
 
@@ -206,6 +206,100 @@ class TestFindWitnessBox:
     def test_deep_elements_match_naive_elimination(self, text):
         x = element_from_string(text)
         assert find_witness_box(x, 6) == naive_box_witness(x, 6)
+
+
+@st.composite
+def graded_elements(draw):
+    """Nonzero elements whose non-constant terms lie in one grade class
+    j - i = r (mod m), with m = 0 meaning the single grade r; fractional
+    coefficients and sometimes a constant term."""
+    m = draw(st.sampled_from([0, 2, 3]))
+    r = draw(st.integers(-3, 3))
+    pts = [(i, j) for i in range(5) for j in range(5)
+           if (i or j) and ((j - i - r) % m if m else j - i - r) == 0]
+    terms = draw(st.dictionaries(st.sampled_from(pts), coefficients(fractional=True), min_size=1, max_size=4))
+    if draw(st.booleans()):
+        terms[(0, 0)] = draw(coefficients(fractional=True))
+    return W(terms)
+
+
+def without_pure_powers():
+    """Nonzero elements with no term p^a or q^a, a >= 1: every term holds
+    both generators, or is the constant."""
+    return st.dictionaries(
+        st.sampled_from([(i, j) for i in range(4) for j in range(4) if i * j or i == j == 0]),
+        coefficients(fractional=True), min_size=1, max_size=4,
+    ).map(W)
+
+
+class TestBoxReductions:
+    """find_witness_box builds only the grade class of the unit row, and
+    builds nothing when no term p^a or q^a with a <= box reaches it."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.one_of(
+        weyl_elements(max_exp=3, max_terms=4, nonzero=True, fractional=True),
+        graded_elements(),
+        st.integers(-2, 2).flatmap(lambda g: homogeneous_elements(g, max_h_degree=2)),
+    ))
+    def test_dropped_columns_never_meet_kept_rows(self, x):
+        box = 3
+        _, kept = solvability._box_system(x, box)
+        rows = set()
+        for i, j in kept:
+            rows |= reference_bracket(x, W({(i, j): 1})).support()
+        for i in range(box + 1):
+            for j in range(box + 1):
+                if (i, j) not in kept:
+                    support = reference_bracket(x, W({(i, j): 1})).support()
+                    assert (0, 0) not in support and not support & rows, (str(x), (i, j))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.one_of(graded_elements(), without_pure_powers()))
+    def test_reduced_systems_match_naive_elimination(self, x):
+        for box in range(4):
+            assert find_witness_box(x, box) == naive_box_witness(x, box), (str(x), box)
+
+    @pytest.mark.parametrize("text", [
+        "q", "p", "p + q^2", "p + q^3", "3/2*q - 2/5*(p - 1/3*q^2)^2", "q + p^2 + 2*p^4*q",
+        "p^2*q^3 + 7", "h + q - p^2",
+    ])
+    def test_constructed_elements_match_naive_elimination(self, text):
+        x = element_from_string(text)
+        for box in range(4):
+            assert find_witness_box(x, box) == naive_box_witness(x, box), (text, box)
+
+    def test_edge_cases(self):
+        for box in (0, 4):
+            assert find_witness_box(W({(0, 0): Fraction(5, 3)}), box) is None
+        assert find_witness_box(P, 0) is None
+        assert find_witness_box(P, 1) == Q
+        assert find_witness_box(Q, 1) == -P
+        for x in (H, element_from_string("p^2*q^3")):
+            for box in range(4):
+                assert find_witness_box(x, box) is None
+
+    def test_kept_columns(self):
+        # homogeneous (m = 0): the single grade -g0; p + q^2 (m = 3): the
+        # class j - i = 1 (mod 3); p^3*q^2 + q^4 + p^2 (m = 1): every column
+        def kept(text, box):
+            return solvability._box_system(element_from_string(text), box)[1]
+
+        assert kept("q", 2) == [(1, 0), (2, 1)]
+        assert kept("p^2*q^3", 3) == [(1, 0), (2, 1), (3, 2)]
+        assert kept("h", 2) == [(0, 0), (1, 1), (2, 2)]
+        assert kept("p + q^2", 2) == [(0, 1), (1, 2), (2, 0)]
+        assert len(kept("p^3*q^2 + q^4 + p^2", 3)) == 16
+
+    def test_unreachable_unit_builds_nothing(self, monkeypatch):
+        def no_build(x, box):
+            raise AssertionError(f"built the system of {x} at box {box}")
+
+        monkeypatch.setattr(solvability, "_box_system", no_build)
+        for text in ("7", "h", "p^2*q^3 + p*q", "p^5 + q^5 + h"):
+            assert find_witness_box(element_from_string(text), 4) is None
+        with pytest.raises(AssertionError, match="box 5"):
+            find_witness_box(element_from_string("p^5 + q^5 + h"), 5)
 
 
 class TestSparseSolver:
