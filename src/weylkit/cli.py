@@ -312,8 +312,6 @@ def _cmd_analyze(args, cap: int) -> int:
 
 def _cmd_oracle(args, cap: int) -> int:
     x = element_from_string(args.expr)
-    if x.is_zero():
-        raise _UsageError("the zero element admits no witness")
     y = find_witness_box(x, args.box, cap=cap)
     payload = {
         "input": args.expr,

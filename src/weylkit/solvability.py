@@ -187,75 +187,36 @@ def witness_for_affine(x: WeylElement) -> WeylElement | None:
     return y
 
 
-def _solve_sparse(rows: list[dict[int, int]], ncols: int) -> dict[int, Fraction] | None:
-    """Solve a sparse system exactly.  A row maps column indices to nonzero
-    int coefficients, with its right-hand side under the key ncols.
-    Returns the solution on the pivot columns (free columns are zero), or
-    None when the system is inconsistent.
-
-    Fraction-free elimination: columns are taken in index order; the pivot
-    is the remaining row with a nonzero there and the fewest nonzeros, ties
-    to the earliest row, and every other row with that column becomes
-    lead * row - f * pivot divided by its content.  The pivot columns are
-    the leftmost independent ones whatever rows are picked, and the
-    solution supported on them is unique.  The box oracle calls it only
-    through _solve_modular, as the exact fallback.
-    """
-    remaining = list(rows)
-    pivots: list[tuple[int, dict[int, int]]] = []
-    for col in range(ncols):
-        hits = [k for k, row in enumerate(remaining) if col in row]
-        if not hits:
-            continue
-        pivot = remaining[min(hits, key=lambda k: len(remaining[k]))]
-        lead = pivot[col]
-        for k in hits:
-            row = remaining[k]
-            if row is not pivot:
-                f = row[col]
-                new = {t: lead * c for t, c in row.items()}
-                for t, c in pivot.items():
-                    new[t] = new.get(t, 0) - f * c
-                g = gcd(*new.values()) or 1
-                remaining[k] = {t: c // g for t, c in new.items() if c}
-        pivots.append((col, pivot))
-        remaining = [row for row in remaining if row and row is not pivot]
-    if any(remaining):  # rows left hold only a nonzero right-hand side
-        return None
-    solution: dict[int, Fraction] = {}
-    for col, row in reversed(pivots):
-        # a pivot row holds no column left of its own
-        acc = row.get(ncols, 0) - sum(c * solution.get(t, 0) for t, c in row.items() if col < t < ncols)
-        solution[col] = Fraction(acc) / row[col]
-    return solution
+# Mersenne exponents e, each about twice the one before, with 2^e - 1 prime
+_MERSENNE_EXPONENTS = (
+    61, 127, 521, 1279, 2203, 4423, 9689, 19937, 44497, 86243, 216091, 756839,
+    1257787, 2976221, 6972593, 13466917, 32582657, 74207281, 136279841,
+)
 
 
-_PRIME = 2**61 - 1
-_RECON_BOUND = isqrt(_PRIME // 2)
-
-
-def _reconstruct(u: int) -> tuple[int, int] | None:
-    """The fraction r/s = u mod _PRIME with |r|, s <= _RECON_BOUND, by the
+def _reconstruct(u: int, prime: int) -> tuple[int, int] | None:
+    """The fraction r/s = u mod prime with |r|, s <= sqrt(prime/2), by the
     half-extended Euclidean algorithm (Wang 1981); None if there is none.
     Such a fraction is unique when it exists."""
-    r0, s0, r1, s1 = _PRIME, 0, u, 1
-    while r1 > _RECON_BOUND:
+    bound = isqrt(prime // 2)
+    r0, s0, r1, s1 = prime, 0, u, 1
+    while r1 > bound:
         q = r0 // r1
         r0, r1 = r1, r0 - q * r1
         s0, s1 = s1, s0 - q * s1
     if s1 < 0:
         r1, s1 = -r1, -s1
-    if s1 > _RECON_BOUND or gcd(r1, s1) != 1:
+    if s1 > bound or gcd(r1, s1) != 1:
         return None
     return r1, s1
 
 
-def _lift(v: dict[int, int]) -> tuple[int, dict[int, int]] | None:
-    """A vector mod _PRIME reconstructed over Q, as a common denominator
+def _lift(v: dict[int, int], prime: int) -> tuple[int, dict[int, int]] | None:
+    """A vector mod prime reconstructed over Q, as a common denominator
     and integer numerators; None if some entry does not reconstruct."""
     fracs = []
     for t, u in v.items():
-        rs = _reconstruct(u)
+        rs = _reconstruct(u, prime)
         if rs is None:
             return None
         fracs.append((t, rs))
@@ -263,21 +224,76 @@ def _lift(v: dict[int, int]) -> tuple[int, dict[int, int]] | None:
     return d, {t: r * (d // s) for t, (r, s) in fracs}
 
 
-def _solve_modular(rows: list[dict[int, int]], ncols: int) -> dict[int, Fraction] | None:
-    """_solve_sparse's answer, found modulo the prime p = 2^61 - 1 and
-    proved exactly; _solve_sparse itself runs only when a proof step fails.
+def _eliminate(rows: list[dict[int, int]], ncols: int, prime: int) -> tuple[list[tuple[int, dict]], bool]:
+    """The monic pivot rows mod prime, each holding no column left of its
+    own, and whether a row was left holding only a right-hand side; see
+    _solve for the pivot rule."""
+    # rows mod prime in buckets by column: a row waits in a bucket at or
+    # left of its leftmost column, and moves on to that column when its
+    # bucket comes up without holding it
+    reduced = [{t: c % prime for t, c in row.items() if c % prime} for row in rows]
+    waiting: dict[int, list[int]] = {}
+    for k, row in enumerate(reduced):
+        if row:
+            waiting.setdefault(min(row), []).append(k)
+    pivots: list[tuple[int, dict[int, int]]] = []
+    for col in range(ncols):
+        hits = []
+        for k in waiting.pop(col, ()):
+            if col in reduced[k]:
+                hits.append(k)
+            else:
+                waiting.setdefault(min(reduced[k]), []).append(k)
+        if not hits:
+            continue
+        pk = min(hits, key=lambda k: (len(reduced[k]), k))
+        inv = pow(reduced[pk][col], -1, prime)
+        pivot = {t: c * inv % prime for t, c in reduced[pk].items()}
+        for k in hits:
+            if k != pk:
+                row = reduced[k]
+                f = row[col]
+                for t, c in pivot.items():
+                    c = (row.get(t, 0) - f * c) % prime
+                    if c:
+                        row[t] = c
+                    else:
+                        row.pop(t, None)
+                if row:
+                    waiting.setdefault(col + 1, []).append(k)
+        pivots.append((col, pivot))
+    return pivots, bool(waiting)
 
-    The elimination is _solve_sparse's, over GF(p).  The proof works on the
-    integer rows, in O(nnz) per vector:
-    - each mod-p free column f that some row holds gets the kernel vector
+
+def _solve(rows: list[dict[int, int]], ncols: int) -> dict[int, Fraction] | None:
+    """Solve a sparse system exactly.  A row maps column indices to nonzero
+    int coefficients, with its right-hand side under the key ncols.
+    Returns the solution on the pivot columns (free columns are zero), or
+    None when the system is inconsistent.
+
+    Columns are taken in index order; the pivot is the remaining row with a
+    nonzero there and the fewest nonzeros, ties to the earliest row.  The
+    pivot columns are the leftmost independent ones whatever rows are
+    picked, and the solution supported on them is unique.
+
+    The elimination runs over GF(P), P = 2^e - 1 for e in
+    _MERSENNE_EXPONENTS, and the answer is proved on the integer rows, in
+    O(nnz) per vector:
+    - each mod-P free column f that some row holds gets the kernel vector
       with y_f = 1 and the other free columns 0, reconstructed over Q and
       checked to satisfy A v = 0.  Then no free column is a rational
-      pivot, and columns independent mod p are independent over Q, so the
+      pivot, and columns independent mod P are independent over Q, so the
       two pivot sets are equal;
     - a row left holding only a right-hand side is then a nonzero minor of
       [A | b] beyond the rank, so the system is inconsistent: None;
     - otherwise the reconstructed solution on the pivot columns, checked to
       satisfy A y = b, is the unique solution supported on them.
+    A failed step moves on to the next prime.  With H the Hadamard bound
+    prod max(1, |row|_2) over the rows of [A | b], no nonzero minor
+    vanishes mod P once P > 2 H^2, and every kernel or solution entry is a
+    ratio of minors, each at most H, so within the reconstruction bound
+    sqrt(P/2): every step passes.  Only a system far too large to hold in
+    memory gets past the last prime, with ValueError.
     """
     by_col: dict[int, list[tuple[int, int]]] = {}
     for k, row in enumerate(rows):
@@ -297,60 +313,28 @@ def _solve_modular(rows: list[dict[int, int]], ncols: int) -> dict[int, Fraction
                     acc[k] = acc.get(k, 0) + a * c
         return {k: s for k, s in acc.items() if s} == {k: d * b for k, b in target.items()}
 
-    # rows mod p in buckets by column: a row waits in a bucket at or left
-    # of its leftmost column, and moves on to that column when its bucket
-    # comes up without holding it
-    reduced = [{t: c % _PRIME for t, c in row.items() if c % _PRIME} for row in rows]
-    waiting: dict[int, list[int]] = {}
-    for k, row in enumerate(reduced):
-        if row:
-            waiting.setdefault(min(row), []).append(k)
-    pivots: list[tuple[int, dict[int, int]]] = []
-    for col in range(ncols):
-        hits = []
-        for k in waiting.pop(col, ()):
-            if col in reduced[k]:
-                hits.append(k)
-            else:
-                waiting.setdefault(min(reduced[k]), []).append(k)
-        if not hits:
+    for e in _MERSENNE_EXPONENTS:
+        prime = 2**e - 1
+        pivots, inconsistent = _eliminate(rows, ncols, prime)
+
+        def back_substitute(y: dict[int, int], below: int, homogeneous: bool) -> dict[int, int]:
+            # pivot columns at or beyond `below` are zero
+            for col, row in reversed(pivots):
+                if col < below:
+                    acc = 0 if homogeneous else row.get(ncols, 0)
+                    y[col] = (acc - sum(c * y.get(t, 0) for t, c in row.items() if col < t < ncols)) % prime
+            return y
+
+        free = sorted(by_col.keys() - {col for col, _ in pivots})
+        if not all(holds(_lift(back_substitute({f: 1}, f, True), prime), {}) for f in free):
             continue
-        pk = min(hits, key=lambda k: (len(reduced[k]), k))
-        inv = pow(reduced[pk][col], -1, _PRIME)
-        pivot = {t: c * inv % _PRIME for t, c in reduced[pk].items()}
-        for k in hits:
-            if k != pk:
-                row = reduced[k]
-                f = row[col]
-                for t, c in pivot.items():
-                    c = (row.get(t, 0) - f * c) % _PRIME
-                    if c:
-                        row[t] = c
-                    else:
-                        row.pop(t, None)
-                if row:
-                    waiting.setdefault(col + 1, []).append(k)
-        pivots.append((col, pivot))
-
-    def back_substitute(y: dict[int, int], below: int, homogeneous: bool) -> dict[int, int]:
-        # monic pivot rows, each holding no column left of its own; pivot
-        # columns at or beyond `below` are zero
-        for col, row in reversed(pivots):
-            if col < below:
-                acc = 0 if homogeneous else row.get(ncols, 0)
-                y[col] = (acc - sum(c * y.get(t, 0) for t, c in row.items() if col < t < ncols)) % _PRIME
-        return y
-
-    for f in sorted(by_col.keys() - {col for col, _ in pivots}):
-        if not holds(_lift(back_substitute({f: 1}, f, True)), {}):
-            return _solve_sparse(rows, ncols)
-    if waiting:  # rows left hold only a nonzero right-hand side
-        return None
-    lifted = _lift(back_substitute({}, ncols, False))
-    if not holds(lifted, rhs):
-        return _solve_sparse(rows, ncols)
-    d, num = lifted
-    return {col: Fraction(num[col], d) for col, _ in reversed(pivots)}
+        if inconsistent:
+            return None
+        lifted = _lift(back_substitute({}, ncols, False), prime)
+        if holds(lifted, rhs):
+            d, num = lifted
+            return {col: Fraction(num[col], d) for col, _ in reversed(pivots)}
+    raise ValueError("the box system's coefficients are too large to certify")
 
 
 def _check_box(box: int, cap: int) -> None:
@@ -402,9 +386,9 @@ def find_witness_box(x: WeylElement, box: int, cap: int = DEFAULT_BOX_CAP) -> We
     [X, y] = d exactly when [x, y] = 1.  Each row is d times the row of the
     rational system, so the nonzeros, the pivots and the witness are the
     same: the one supported on the leftmost independent columns (see
-    _solve_sparse).  _solve_modular finds it modulo a prime and certifies
-    it exactly.  A returned witness is always verified.  None means only
-    that no witness exists within the box.
+    _solve), found modulo a prime and certified exactly.  A returned
+    witness is always verified.  None means only that no witness exists
+    within the box.
 
     Two exact reductions shrink the system and change no answer:
     - the constant term of [x, y] is
@@ -425,7 +409,7 @@ def find_witness_box(x: WeylElement, box: int, cap: int = DEFAULT_BOX_CAP) -> We
     if not any(0 < i + j <= box for i, j in x.support() if i == 0 or j == 0):
         return None
     rows, columns = _box_system(x, box)
-    solution = _solve_modular(rows, len(columns))
+    solution = _solve(rows, len(columns))
     if solution is None:
         return None
     y = WeylElement({columns[col]: c for col, c in solution.items() if c})

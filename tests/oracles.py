@@ -117,22 +117,15 @@ def series_exp_ad(g: WeylElement, x: WeylElement, cap: int = 64) -> WeylElement:
     raise AssertionError("series did not terminate")
 
 
-def naive_box_witness(x: WeylElement, box: int) -> WeylElement | None:
-    """Plain rational Gauss-Jordan elimination for the linear system
-    [x, y] = 1 over box-supported y, with every bracket taken from
-    reference_bracket, so that it rests on neither the library's mul nor
-    its commutator.  Columns are pivoted left to right and free variables
-    set to zero, so the witness it returns is the one find_witness_box must
-    return: the solution supported on the leftmost independent columns is
-    unique."""
-    columns = [(i, j) for i in range(box + 1) for j in range(box + 1)]
-    brackets = [reference_bracket(x, WeylElement.monomial(i, j)) for i, j in columns]
-    row_keys = sorted({pt for br in brackets for pt in br.support()} | {(0, 0)})
-    mat = [
-        [br.coeff(*key) for br in brackets] + [Fraction(1 if key == (0, 0) else 0)]
-        for key in row_keys
-    ]
-    ncols = len(columns)
+def naive_solve(rows: list[dict], ncols: int) -> dict[int, Fraction] | None:
+    """Plain rational Gauss-Jordan elimination on a dense copy of a sparse
+    system: a row maps column indices to coefficients, with its right-hand
+    side under the key ncols.  Columns are pivoted left to right and free
+    variables set to zero; returns the solution on the pivot columns, or
+    None when the system is inconsistent.  The solution supported on the
+    leftmost independent columns is unique, so it is the one the library's
+    solver must return."""
+    mat = [[Fraction(row.get(t, 0)) for t in range(ncols + 1)] for row in rows]
     r = 0
     pivots = []
     for col in range(ncols):
@@ -148,13 +141,29 @@ def naive_box_witness(x: WeylElement, box: int) -> WeylElement | None:
                 mat[k] = [a - factor * b for a, b in zip(mat[k], mat[r])]
         pivots.append((r, col))
         r += 1
-    for k in range(r, len(mat)):
-        if mat[k][ncols]:
-            return None
-    solution = [Fraction(0)] * ncols
-    for row, col in pivots:
-        solution[col] = mat[row][ncols]
-    y = WeylElement({key: c for key, c in zip(columns, solution) if c})
+    if any(mat[k][ncols] for k in range(r, len(mat))):
+        return None
+    return {col: mat[row][ncols] for row, col in pivots}
+
+
+def naive_box_witness(x: WeylElement, box: int) -> WeylElement | None:
+    """naive_solve on the linear system [x, y] = 1 over box-supported y,
+    with every bracket taken from reference_bracket, so that it rests on
+    neither the library's mul nor its commutator.  Every column of the box
+    is built, so the witness it returns is the one find_witness_box must
+    return."""
+    columns = [(i, j) for i in range(box + 1) for j in range(box + 1)]
+    brackets = [reference_bracket(x, WeylElement.monomial(i, j)) for i, j in columns]
+    row_keys = sorted({pt for br in brackets for pt in br.support()} | {(0, 0)})
+    rows = [
+        {col: br.coeff(*key) for col, br in enumerate(brackets) if br.coeff(*key)}
+        for key in row_keys
+    ]
+    rows[row_keys.index((0, 0))][len(columns)] = Fraction(1)
+    solution = naive_solve(rows, len(columns))
+    if solution is None:
+        return None
+    y = WeylElement({columns[col]: c for col, c in solution.items() if c})
     assert reference_bracket(x, y) == WeylElement.one()
     return y
 

@@ -187,6 +187,12 @@ class TestOracle:
         assert code == 1
         assert "cap 2" in err
 
+    def test_zero_rejected(self, capsys):
+        code, out, err = run_cli(capsys, "oracle", "--box", "4", "--", "0")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "zero element" in err and err.count("\n") == 1
+
 
 class TestBoxBound:
     """The box bound is checked before any rule runs, so a structural

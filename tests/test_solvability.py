@@ -35,7 +35,7 @@ from weylkit import (
 from weylkit import solvability
 from weylkit.cli import build_report
 
-from oracles import all_coprime_weights, naive_box_witness, reference_bracket
+from oracles import all_coprime_weights, naive_box_witness, naive_solve, reference_bracket
 from test_golden import corpus_inputs
 from strategies import coefficients, homogeneous_elements, weyl_elements
 
@@ -302,11 +302,37 @@ class TestBoxReductions:
             find_witness_box(element_from_string("p^5 + q^5 + h"), 5)
 
 
-class TestSparseSolver:
-    """_solve_sparse on hand-built systems; the right-hand side of a row
-    sits under the key ncols."""
+# the element of orbit seed 11 whose box-4 system defeats a proof step at
+# 2^61 - 1: a kernel certificate has entries beyond sqrt(P/2)
+ORBIT_RETRY = (
+    "22667121*p^4 - 23652648*p^3*q + 9255384*p^2*q^2 - 1609632*p*q^3 + 104976*q^4"
+    " + 36316908*p^3 - 28422342*p^2*q + 7414632*p*q^2 - 644760*q^3 + 57286093*p^2"
+    " - 29888728*p*q + 3898573*q^2 + 34238692*p - 8932007*q + 10898078"
+)
 
-    solve = staticmethod(solvability._solve_sparse)
+
+class TestModularSolver:
+    """_solve on hand-built systems, whose right-hand side sits under the
+    key ncols, then on systems built to defeat a proof step at the first
+    prime P = 2^61 - 1, which must certify at 2^127 - 1 after one retry."""
+
+    solve = staticmethod(solvability._solve)
+    PRIME = 2**61 - 1
+    NEXT = 2**127 - 1
+
+    @pytest.fixture
+    def fallbacks(self, monkeypatch):
+        # the primes other than 2^61 - 1 that an elimination ran at
+        calls = []
+        eliminate = solvability._eliminate
+
+        def counted(rows, ncols, prime):
+            if prime != self.PRIME:
+                calls.append(prime)
+            return eliminate(rows, ncols, prime)
+
+        monkeypatch.setattr(solvability, "_eliminate", counted)
+        return calls
 
     def test_unique_solution(self):
         # x0 + x1 = 3, 2 x0 - 2 x1 = 1
@@ -337,82 +363,80 @@ class TestSparseSolver:
         rows = [{0: 1, 2: 1, 3: 1}, {2: 1, 3: 2}]
         assert self.solve(rows, 3) == {0: Fraction(-1), 2: Fraction(2)}
 
-
-class TestModularSolver(TestSparseSolver):
-    """_solve_modular: the hand-built systems above, then systems built to
-    defeat each step of its certificate, which must reach the exact solver
-    and still return _solve_sparse's answer."""
-
-    solve = staticmethod(solvability._solve_modular)
-    PRIME = solvability._PRIME
-
-    @pytest.fixture
-    def fallbacks(self, monkeypatch):
-        calls = []
-        exact = solvability._solve_sparse
-
-        def counted(rows, ncols):
-            calls.append(ncols)
-            return exact(rows, ncols)
-
-        monkeypatch.setattr(solvability, "_solve_sparse", counted)
-        return calls
-
     def test_column_of_prime_multiples_is_a_pivot_over_q(self, fallbacks):
         # P x0 + x1 = 1: mod P column 0 vanishes and x1 = 1 solves, but over
         # Q column 0 is the leftmost independent one, so x0 = 1/P
         rows = [{0: self.PRIME, 1: 1, 2: 1}]
         assert self.solve(rows, 2) == {0: Fraction(1, self.PRIME)}
-        assert fallbacks == [2]
+        assert fallbacks == [self.NEXT]
 
     def test_inconsistent_mod_prime_only(self, fallbacks):
         # P x0 + x1 = 0 and x1 = 1 leave 0 = 1 mod P, yet x0 = -1/P solves
         rows = [{0: self.PRIME, 1: 1}, {1: 1, 2: 1}]
         assert self.solve(rows, 2) == {0: Fraction(-1, self.PRIME), 1: Fraction(1)}
-        assert fallbacks == [2]
+        assert fallbacks == [self.NEXT]
 
     def test_consistent_mod_prime_only(self, fallbacks):
         # x0 = 0 and x0 = P agree mod P but not over Q
         rows = [{0: 1}, {0: 1, 1: self.PRIME}]
         assert self.solve(rows, 1) is None
-        assert fallbacks == [1]
+        assert fallbacks == [self.NEXT]
 
     def test_coefficient_beyond_reconstruction(self, fallbacks):
         big = 2**31 + 1
-        assert solvability._reconstruct(big) is None
+        assert solvability._reconstruct(big, self.PRIME) is None
+        assert solvability._reconstruct(big, self.NEXT) == (big, 1)
         assert self.solve([{0: 1, 1: big}], 1) == {0: Fraction(big)}
-        assert fallbacks == [1]
+        assert fallbacks == [self.NEXT]
+
+    def test_past_the_last_prime(self, monkeypatch):
+        monkeypatch.setattr(solvability, "_MERSENNE_EXPONENTS", (61,))
+        with pytest.raises(ValueError, match="too large"):
+            self.solve([{0: 1, 1: 2**31 + 1}], 1)
 
     def test_deep_box_systems_certified_without_fallback(self, fallbacks, monkeypatch):
         # the centralizers of these elements meet the box (x, x^2, powers of
         # p + q^2, powers of h), so several kernel certificates are checked
         lifts = []
         lift = solvability._lift
-        monkeypatch.setattr(solvability, "_lift", lambda v: lifts.append(v) or lift(v))
+        monkeypatch.setattr(solvability, "_lift", lambda v, prime: lifts.append(v) or lift(v, prime))
         for text in ("p^3*q^2+q^4+p^2", "(p+q^2)^2", "p+q^2", "h"):
             for box in (10, 12):
                 rows, columns = solvability._box_system(element_from_string(text), box)
-                expected = solvability._solve_sparse(rows, len(columns))
                 fallbacks.clear()
                 lifts.clear()
-                assert self.solve(rows, len(columns)) == expected
+                self.solve(rows, len(columns))
                 assert not fallbacks, (text, box)
                 # every p^i q^i is a polynomial in h, so h's centralizer
                 # columns are zero and need no certificate
                 assert len([v for v in lifts if len(v) > 1]) >= 2 or text == "h", (text, box)
+
+    def test_box_24_certifies_after_one_retry(self, fallbacks):
+        # the sixth kernel certificate at 2^61 - 1 has entries beyond sqrt(P/2)
+        x = element_from_string("p^3*q^2+q^4+p^2")
+        assert find_witness_box(x, 24, cap=24) is None
+        assert fallbacks == [self.NEXT]
+
+    def test_orbit_element_certifies_after_one_retry(self, fallbacks):
+        x = element_from_string(ORBIT_RETRY)
+        y = find_witness_box(x, 4)
+        assert fallbacks == [self.NEXT]
+        assert y == naive_box_witness(x, 4)
 
 
 @st.composite
 def sparse_systems(draw):
     """Small sparse integer systems, often rank-deficient or inconsistent:
     extra rows are combinations of the first ones, with the right-hand side
-    sometimes shifted.  Some entries are multiples of the prime or too
-    large to reconstruct, so the exact fallback is exercised too.  Zero
-    entries are left out, as the solvers require."""
+    sometimes shifted.  Some entries are multiples of a tabulated prime or
+    too large to reconstruct at it, so some draws escalate to the second or
+    third prime.  Zero entries are left out, as the solver requires."""
     ncols = draw(st.integers(1, 6))
     small = st.integers(-9, 9).filter(bool)
     rows = draw(st.lists(st.dictionaries(st.integers(0, ncols), small, max_size=ncols + 1), min_size=1, max_size=6))
-    big = st.sampled_from([solvability._PRIME, -2 * solvability._PRIME, 2**40 + 3])
+    big = st.sampled_from([
+        2**61 - 1, -2 * (2**61 - 1), 2**40 + 3, 2**127 - 1, 3 * (2**127 - 1), 2**200 + 7,
+    ])
     spoiler = st.tuples(st.integers(0, len(rows) - 1), st.integers(0, ncols), big)
     for k, t, c in draw(st.lists(spoiler, max_size=1)):
         rows[k][t] = c
@@ -429,9 +453,11 @@ def sparse_systems(draw):
 class TestModularMatchesExact:
     @settings(max_examples=600, deadline=None)
     @given(sparse_systems())
+    # defeats a proof step at 2^61 - 1 and at 2^127 - 1, certifies at 2^521 - 1
+    @example(([{0: 2**127 - 1, 1: 1, 2: 1}], 2))
     def test_random_systems(self, system):
         rows, ncols = system
-        assert solvability._solve_modular(rows, ncols) == solvability._solve_sparse(rows, ncols)
+        assert solvability._solve(rows, ncols) == naive_solve(rows, ncols)
 
 
 class TestLadderVerdicts:
