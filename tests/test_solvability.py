@@ -311,28 +311,12 @@ ORBIT_RETRY = (
 )
 
 
-class TestModularSolver:
-    """_solve on hand-built systems, whose right-hand side sits under the
-    key ncols, then on systems built to defeat a proof step at the first
-    prime P = 2^61 - 1, which must certify at 2^127 - 1 after one retry."""
+class TestSparseSolver:
+    """naive_solve, the exact reference that _solve is checked against, on
+    hand-built systems; the right-hand side of a row sits under the key
+    ncols."""
 
-    solve = staticmethod(solvability._solve)
-    PRIME = 2**61 - 1
-    NEXT = 2**127 - 1
-
-    @pytest.fixture
-    def fallbacks(self, monkeypatch):
-        # the primes other than 2^61 - 1 that an elimination ran at
-        calls = []
-        eliminate = solvability._eliminate
-
-        def counted(rows, ncols, prime):
-            if prime != self.PRIME:
-                calls.append(prime)
-            return eliminate(rows, ncols, prime)
-
-        monkeypatch.setattr(solvability, "_eliminate", counted)
-        return calls
+    solve = staticmethod(naive_solve)
 
     def test_unique_solution(self):
         # x0 + x1 = 3, 2 x0 - 2 x1 = 1
@@ -362,6 +346,30 @@ class TestModularSolver:
         # x0 + x2 = 1 and x2 = 2; column 1 appears in no row
         rows = [{0: 1, 2: 1, 3: 1}, {2: 1, 3: 2}]
         assert self.solve(rows, 3) == {0: Fraction(-1), 2: Fraction(2)}
+
+
+class TestModularSolver(TestSparseSolver):
+    """_solve: the hand-built systems above, then systems built to defeat a
+    proof step at the first prime P = 2^61 - 1, which must certify at
+    2^127 - 1 after one retry."""
+
+    solve = staticmethod(solvability._solve)
+    PRIME = 2**61 - 1
+    NEXT = 2**127 - 1
+
+    @pytest.fixture
+    def fallbacks(self, monkeypatch):
+        # the primes other than 2^61 - 1 that an elimination ran at
+        calls = []
+        eliminate = solvability._eliminate
+
+        def counted(rows, ncols, prime):
+            if prime != self.PRIME:
+                calls.append(prime)
+            return eliminate(rows, ncols, prime)
+
+        monkeypatch.setattr(solvability, "_eliminate", counted)
+        return calls
 
     def test_column_of_prime_multiples_is_a_pivot_over_q(self, fallbacks):
         # P x0 + x1 = 1: mod P column 0 vanishes and x1 = 1 solves, but over
