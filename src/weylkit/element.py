@@ -9,6 +9,7 @@ their coefficient maps are equal.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, Mapping
@@ -30,17 +31,17 @@ def as_scalar(value) -> Fraction:
     raise TypeError(f"expected an int or Fraction, got {type(value).__name__}")
 
 
-def binary_power(base, n: int, one):
-    """base^n by binary powering on base's own product; base^0 = one."""
+def binary_power(base, n: int, one, times=operator.mul):
+    """base^n by binary powering on times (default: base's own *); base^0 = one."""
     if n < 0:
         raise ValueError("negative powers are not defined")
     result = one
     while n:
         if n & 1:
-            result = result * base
+            result = times(result, base)
         n >>= 1
         if n:
-            base = base * base
+            base = times(base, base)
     return result
 
 
@@ -215,13 +216,10 @@ def numerators(x: WeylElement) -> tuple[int, dict[ExponentPair, int]]:
     return d, {key: c.numerator * (d // c.denominator) for key, c in x._terms.items()}
 
 
-def mul(x: WeylElement, y: WeylElement) -> WeylElement:
-    """Product in the Weyl algebra, returned in canonical sparse form.
-
-    The k-recurrence runs on the integer numerators of dx*x and dy*y; each
-    output coefficient becomes one Fraction over dx*dy."""
-    dx, xs = numerators(x)
-    dy, ys = numerators(y)
+def mul_numerators(xs: Mapping[ExponentPair, int],
+                   ys: Mapping[ExponentPair, int]) -> dict[ExponentPair, int]:
+    """x y on integer coefficient maps, zero terms pruned: p^a q^b p^c q^d is
+    sum_k (-1)^k k! C(b,k) C(c,k) p^(a+c-k) q^(b+d-k), by a recurrence in k."""
     acc: dict[ExponentPair, int] = {}
     for (a, b), cx in xs.items():
         for (c, d), cy in ys.items():
@@ -232,8 +230,16 @@ def mul(x: WeylElement, y: WeylElement) -> WeylElement:
                     coef = -(coef * (b - k + 1) * (c - k + 1)) // k
                 key = (a + c - k, b + d - k)
                 acc[key] = acc.get(key, 0) + cxy * coef
+    return {key: c for key, c in acc.items() if c}
+
+
+def mul(x: WeylElement, y: WeylElement) -> WeylElement:
+    """Product in the Weyl algebra, in canonical sparse form: mul_numerators
+    on the integer numerators of dx*x and dy*y, one Fraction over dx*dy per term."""
+    dx, xs = numerators(x)
+    dy, ys = numerators(y)
     den = dx * dy
-    return WeylElement._raw({key: Fraction(c, den) for key, c in acc.items() if c})
+    return WeylElement._raw({key: Fraction(c, den) for key, c in mul_numerators(xs, ys).items()})
 
 
 def bracket_numerators(xs: Mapping[ExponentPair, int],

@@ -66,32 +66,29 @@ def grade_span(x: WeylElement) -> GradeSpan:
     return GradeSpan(min(grades), max(grades))
 
 
-def _rising_factorial(k: int, offset: int = 0) -> UniPoly:
-    """(X + offset)(X + offset + 1)...(X + offset + k - 1); equals p^k q^k
-    at X = h when offset = 0."""
-    out = UniPoly((1,))
-    for t in range(k):
-        out = out * UniPoly((offset + t, 1))
-    return out
-
-
 def to_h_form(x: WeylElement) -> HForm:
-    parts: dict[int, UniPoly] = {}
-    for s, comp in grade_components(x).items():
-        f = UniPoly()
-        if s >= 0:
-            # component is sum_i a_i p^i q^(i+s) = (sum_i a_i p^i q^i) q^s
-            for (i, _j), c in comp.terms().items():
-                f = f + c * _rising_factorial(i)
-        else:
-            # component is sum_j a_j p^(j+m) q^j = p^m g(h) with m = -s,
-            # and f(h) p^m = p^m f(h - m) forces f(X) = g(X + m)
-            m = -s
-            for (_i, j), c in comp.terms().items():
-                f = f + c * _rising_factorial(j, offset=m)
-        if not f.is_zero():
-            parts[s] = f
-    return HForm(parts)
+    """f_s for each grade s of x.  A term c p^i q^j is p^m (p^k q^k) q^n with
+    k = min(i, j), m = max(0, i - j), n = max(0, j - i); p^k q^k is
+    h(h+1)...(h+k-1), and f(h) p^m = p^m f(h - m), so the term adds c times
+    (X+m)(X+m+1)...(X+m+k-1) to f_s.  The sums run on the integer numerators
+    of x (see element.numerators); each coefficient becomes one Fraction."""
+    d, xs = numerators(x)
+    rows: dict[int, list[int]] = {}
+    for (i, j), c in xs.items():
+        k, m = min(i, j), max(0, i - j)
+        rising = [1]
+        for a in range(m, m + k):
+            # times (X + a), in place from the top coefficient down
+            rising.append(rising[-1])
+            for r in range(len(rising) - 2, 0, -1):
+                rising[r] = rising[r - 1] + a * rising[r]
+            rising[0] *= a
+        row = rows.setdefault(j - i, [])
+        row.extend([0] * (k + 1 - len(row)))
+        for r, v in enumerate(rising):
+            row[r] += c * v
+    # the terms of a grade differ in k, so no f_s is zero
+    return HForm({s: UniPoly([Fraction(v, d) for v in rows[s]]) for s in sorted(rows)})
 
 
 def from_h_form(hf: HForm) -> WeylElement:

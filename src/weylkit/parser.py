@@ -18,8 +18,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
-from .element import WeylElement, H, P, Q, mul, power
+from .element import ExponentPair, WeylElement, binary_power, mul_numerators
 
 
 class ExprSyntaxError(ValueError):
@@ -62,6 +63,7 @@ class Sum:
 
 
 ExprAst = Num | Var | Pow | Prod | Neg | Sum
+_Numerators = tuple[int, dict[ExponentPair, int]]
 
 #: Deepest parenthesis nesting accepted; bounds the recursion of the parser.
 MAX_NESTING = 100
@@ -181,27 +183,52 @@ def _parse_atom(tokens: _Tokens) -> ExprAst:
     raise ExprSyntaxError(f"unexpected {value!r}", offset)
 
 
-def eval_ast(ast: ExprAst) -> WeylElement:
-    """Fold the tree into a normal-ordered element."""
+_VAR_KEYS = {"p": (1, 0), "q": (0, 1), "h": (1, 1)}  # h = p*q is normal ordered
+
+
+def _times(x: _Numerators, y: _Numerators) -> _Numerators:
+    return x[0] * y[0], mul_numerators(x[1], y[1])
+
+
+def _fold(ast: ExprAst) -> _Numerators:
+    """(d, terms of d*x) for the element x that ast denotes: d > 0 and every
+    coefficient an integer (d need not be the least such), zeros pruned."""
     if isinstance(ast, Num):
-        return WeylElement.monomial(0, 0, ast.value)
+        v = ast.value
+        return v.denominator, {(0, 0): v.numerator} if v else {}
     if isinstance(ast, Var):
-        return {"p": P, "q": Q, "h": H}[ast.name]
+        return 1, {_VAR_KEYS[ast.name]: 1}
     if isinstance(ast, Pow):
-        return power(eval_ast(ast.base), ast.exponent)
+        # divide out d's common factor with the base, or (2*(1/2))^n carries 2^n in d
+        d, xs = _fold(ast.base)
+        g = gcd(d, *xs.values())
+        base = d // g, {key: c // g for key, c in xs.items()}
+        return binary_power(base, ast.exponent, (1, {(0, 0): 1}), _times)
     if isinstance(ast, Prod):
-        out = WeylElement.one()
-        for factor in ast.factors:
-            out = mul(out, eval_ast(factor))
+        out = _fold(ast.factors[0])
+        for factor in ast.factors[1:]:
+            out = _times(out, _fold(factor))
         return out
     if isinstance(ast, Neg):
-        return -eval_ast(ast.child)
+        d, xs = _fold(ast.child)
+        return d, {key: -c for key, c in xs.items()}
     if isinstance(ast, Sum):
-        out = WeylElement.zero()
-        for part in ast.parts:
-            out = out + eval_ast(part)
-        return out
+        parts = [_fold(part) for part in ast.parts]
+        d = lcm(*(e for e, _ in parts))
+        acc: dict[ExponentPair, int] = {}
+        for e, ys in parts:
+            for key, c in ys.items():
+                acc[key] = acc.get(key, 0) + c * (d // e)
+        return d, {key: c for key, c in acc.items() if c}
     raise TypeError(f"not an expression node: {ast!r}")
+
+
+def eval_ast(ast: ExprAst) -> WeylElement:
+    """Fold the tree into a normal-ordered element.  The fold runs on
+    integer numerators over one denominator (see element.numerators), and
+    each output term becomes one Fraction at the end."""
+    d, xs = _fold(ast)
+    return WeylElement._raw({key: Fraction(c, d) for key, c in xs.items()})
 
 
 def element_from_string(text: str) -> WeylElement:

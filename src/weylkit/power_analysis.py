@@ -132,6 +132,8 @@ def power_index(f: BiPoly, w: Weight) -> int:
     in the rationals.
     """
     shape = dehomogenize(f, w)
+    if gcd(shape.x_mult, shape.y_mult) == 1:
+        return 1  # the gcd with the core multiplicities stays 1: skip Yun
     values = [shape.x_mult, shape.y_mult]
     if shape.core.degree() > 0:
         values.extend(mult for _, mult in squarefree_decompose(shape.core).factors)

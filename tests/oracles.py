@@ -14,7 +14,21 @@ from fractions import Fraction
 from functools import cache
 from math import gcd
 
-from weylkit import BiPoly, WeylElement, Weight, ad_power
+from weylkit import (
+    H,
+    P,
+    Q,
+    BiPoly,
+    HForm,
+    UniPoly,
+    WeylElement,
+    Weight,
+    ad_power,
+    grade_components,
+    mul,
+    power,
+)
+from weylkit.parser import Neg, Num, Pow, Prod, Sum, Var
 
 
 def rewrite_normal_qp(m: int, n: int) -> WeylElement:
@@ -76,6 +90,54 @@ def reference_mul(x: WeylElement, y: WeylElement) -> WeylElement:
 def reference_bracket(x: WeylElement, y: WeylElement) -> WeylElement:
     """[x, y] as reference_mul(x, y) - reference_mul(y, x)."""
     return reference_mul(x, y) - reference_mul(y, x)
+
+
+def naive_eval(ast) -> WeylElement:
+    """The parse tree folded on WeylElement values with mul, power and +,
+    so every intermediate coefficient is a reduced Fraction."""
+    if isinstance(ast, Num):
+        return WeylElement.monomial(0, 0, ast.value)
+    if isinstance(ast, Var):
+        return {"p": P, "q": Q, "h": H}[ast.name]
+    if isinstance(ast, Pow):
+        return power(naive_eval(ast.base), ast.exponent)
+    if isinstance(ast, Prod):
+        out = WeylElement.one()
+        for factor in ast.factors:
+            out = mul(out, naive_eval(factor))
+        return out
+    if isinstance(ast, Neg):
+        return -naive_eval(ast.child)
+    if isinstance(ast, Sum):
+        out = WeylElement.zero()
+        for part in ast.parts:
+            out = out + naive_eval(part)
+        return out
+    raise TypeError(f"not an expression node: {ast!r}")
+
+
+def _rising_factorial(k: int, offset: int) -> UniPoly:
+    """(X + offset)(X + offset + 1)...(X + offset + k - 1) as a product of
+    UniPolys."""
+    out = UniPoly((1,))
+    for t in range(k):
+        out = out * UniPoly((offset + t, 1))
+    return out
+
+
+def naive_h_form(x: WeylElement) -> HForm:
+    """The h-form summed grade by grade as UniPolys of Fractions: grade s >= 0
+    holds sum_i a_i p^i q^i q^s, so f_s = sum_i a_i X(X+1)...(X+i-1); grade
+    s = -m < 0 holds p^m sum_j a_j p^j q^j, and f(h) p^m = p^m f(h - m)
+    shifts each rising factorial to start at X + m."""
+    parts: dict[int, UniPoly] = {}
+    for s, comp in grade_components(x).items():
+        f = UniPoly()
+        for (i, j), c in comp.terms().items():
+            f = f + c * (_rising_factorial(i, 0) if s >= 0 else _rising_factorial(j, -s))
+        if not f.is_zero():
+            parts[s] = f
+    return HForm(parts)
 
 
 def all_coprime_weights(bound: int) -> list[Weight]:

@@ -5,6 +5,7 @@ from fractions import Fraction
 import hypothesis.strategies as st
 
 from weylkit import BiPoly, UniPoly, Weight, WeylElement, from_h_form, HForm
+from weylkit.parser import Neg, Num, Pow, Prod, Sum, Var
 
 SMALL_WEIGHTS = [Weight(1, 1), Weight(1, 2), Weight(2, 1), Weight(1, 3), Weight(3, 2)]
 
@@ -56,3 +57,40 @@ def bipolys(max_exp=4, max_terms=5, nonzero=False):
 
 def weights():
     return st.sampled_from(SMALL_WEIGHTS)
+
+
+def expr_asts(depth=3, max_exponent=3):
+    """Parse trees at most depth levels deep: nonnegative fractions and
+    p, q, h at the leaves; powers, products, negations and sums above."""
+    leaves = st.one_of(
+        st.builds(Num, st.fractions(min_value=0, max_value=5, max_denominator=4)),
+        st.sampled_from([Var("p"), Var("q"), Var("h")]),
+    )
+    if depth == 0:
+        return leaves
+    sub = expr_asts(depth - 1, max_exponent)
+    children = st.lists(sub, min_size=2, max_size=3).map(tuple)
+    return st.one_of(
+        leaves,
+        st.builds(Pow, sub, st.integers(0, max_exponent)),
+        children.map(Prod),
+        st.builds(Neg, sub),
+        children.map(Sum),
+    )
+
+
+def ast_text(ast) -> str:
+    """Source text that parses back to an element equal to ast's, with every
+    child in its own parentheses."""
+    if isinstance(ast, Num):
+        v = ast.value
+        return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
+    if isinstance(ast, Var):
+        return ast.name
+    if isinstance(ast, Pow):
+        return f"({ast_text(ast.base)})^{ast.exponent}"
+    if isinstance(ast, Prod):
+        return "*".join(f"({ast_text(f)})" for f in ast.factors)
+    if isinstance(ast, Neg):
+        return f"-({ast_text(ast.child)})"
+    return " + ".join(f"({ast_text(part)})" for part in ast.parts)

@@ -26,7 +26,7 @@ from weylkit import (
     to_h_form,
 )
 
-from oracles import series_exp_ad
+from oracles import naive_h_form, series_exp_ad
 from strategies import coefficients, unipolys, weyl_elements
 
 SHOWCASE = WeylElement({(4, 0): 1, (3, 1): 1, (2, 2): 1, (0, 3): 1, (0, 1): 1})
@@ -113,6 +113,16 @@ class TestHForm:
     @given(weyl_elements(max_exp=4, max_terms=5, nonzero=True, fractional=True))
     def test_round_trip(self, x):
         assert from_h_form(to_h_form(x)) == x
+
+    def test_negative_grade_with_fractions(self):
+        # 1/2 p^3 q + 2/3 p^2 = p^2 (1/2 h + 2/3): f(X) = 1/2 (X + 2) + 2/3
+        x = WeylElement({(3, 1): Fraction(1, 2), (2, 0): Fraction(2, 3)})
+        assert to_h_form(x) == HForm({-2: UniPoly((Fraction(5, 3), Fraction(1, 2)))})
+
+    @settings(max_examples=200, deadline=None)
+    @given(weyl_elements(max_exp=5, max_terms=6, fractional=True))
+    def test_matches_fraction_sum(self, x):
+        assert to_h_form(x) == naive_h_form(x)
 
 
 class TestShiftIdentities:

@@ -18,9 +18,10 @@ from weylkit import (
     parse_expr,
     power,
 )
-from weylkit.parser import Neg, Pow, Prod, Sum, Var
+from weylkit.parser import Neg, Pow, Prod, Sum, Var, _fold
 
-from strategies import weyl_elements
+from oracles import naive_eval
+from strategies import ast_text, expr_asts, weyl_elements
 
 SHOWCASE_TEXT = "p^4 + p^3*q + p^2*q^2 + q^3 + q"
 
@@ -65,6 +66,41 @@ class TestEval:
 
     def test_scalar_only(self):
         assert element_from_string("3/4") == WeylElement({(0, 0): Fraction(3, 4)})
+
+    @pytest.mark.parametrize("text, expected", [
+        ("p*q - q*p - 1", "0"),
+        ("0/3*p", "0"),
+        ("p - p", "0"),
+        ("(1/2*p + q)^2 - 1/4*p^2", "p*q + q^2 - 1/2"),
+        ("(2/3*h - q*p)^2 * 3/2", "1/6*p^2*q^2 - 7/6*p*q + 3/2"),
+    ])
+    def test_canonical_form(self, text, expected):
+        # cancellation in the integer fold stores no zero coefficient and
+        # leaves each Fraction reduced
+        x = element_from_string(text)
+        assert format_element(x) == expected
+        assert all(x.terms().values())
+        canonical = WeylElement(x.terms())
+        assert x == canonical and hash(x) == hash(canonical)
+
+    def test_power_of_content_shared_with_denominator(self):
+        assert element_from_string("(2*(1/2)*p)^20000") == WeylElement({(20000, 0): 1})
+        # the base is reduced before powering, so no 2^64 rides along in d
+        assert _fold(parse_expr("((2*(1/2)*p)^8)^8")) == (1, {(64, 0): 1})
+
+    def test_power_of_fractional_sum(self):
+        text = "(1/3*p+1/5*q)^30"
+        assert element_from_string(text) == naive_eval(parse_expr(text))
+
+    @settings(max_examples=150, deadline=None)
+    @given(expr_asts())
+    def test_matches_fraction_fold(self, ast):
+        assert eval_ast(ast) == naive_eval(ast)
+
+    @settings(max_examples=100, deadline=None)
+    @given(expr_asts())
+    def test_text_matches_fraction_fold(self, ast):
+        assert element_from_string(ast_text(ast)) == naive_eval(ast)
 
 
 BAD_INPUTS = [

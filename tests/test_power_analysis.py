@@ -1,5 +1,7 @@
 """Weighted-homogeneous factor shapes, squarefree decomposition, power index."""
 
+from math import gcd
+
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
@@ -148,6 +150,19 @@ class TestPowerIndex:
     def test_constant_rejected(self):
         with pytest.raises(ValueError):
             power_index(B({(0, 0): 3}), Weight(1, 1))
+
+    @settings(max_examples=100, deadline=None)
+    @given(axis_homogeneous(max_mult=3), st.booleans())
+    def test_matches_gcd_over_full_decomposition(self, fw, mirrored):
+        # power_index returns 1 before Yun when gcd(x_mult, y_mult) == 1
+        f, w = fw
+        if mirrored:
+            f, w = f.swap_vars(), Weight(w.sigma, w.rho)
+        shape = dehomogenize(f, w)
+        values = [shape.x_mult, shape.y_mult]
+        if shape.core.degree() > 0:
+            values.extend(mult for _, mult in squarefree_decompose(shape.core).factors)
+        assert power_index(f, w) == gcd(*values)
 
     @settings(max_examples=60, deadline=None)
     @given(axis_homogeneous(), st.integers(1, 4))
