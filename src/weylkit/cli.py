@@ -197,7 +197,7 @@ def _emit(payload, as_json: bool, text_lines):
             print(line)
 
 
-def _cmd_normalize(args, cap: int) -> int:
+def _cmd_normalize(args) -> int:
     x = element_from_string(args.expr)
     _emit(
         {"input": args.expr, "normal_form": format_element(x)},
@@ -207,7 +207,7 @@ def _cmd_normalize(args, cap: int) -> int:
     return 0
 
 
-def _cmd_commutator(args, cap: int) -> int:
+def _cmd_commutator(args) -> int:
     x = element_from_string(args.left)
     y = element_from_string(args.right)
     result = commutator(x, y)
@@ -219,7 +219,7 @@ def _cmd_commutator(args, cap: int) -> int:
     return 0
 
 
-def _cmd_grade(args, cap: int) -> int:
+def _cmd_grade(args) -> int:
     x = element_from_string(args.expr)
     if x.is_zero():
         raise _UsageError("the zero element has no grading data")
@@ -254,7 +254,7 @@ def _cmd_grade(args, cap: int) -> int:
     return 0
 
 
-def _cmd_polygon(args, cap: int) -> int:
+def _cmd_polygon(args) -> int:
     x = element_from_string(args.expr)
     if x.is_zero():
         raise _UsageError("the zero element has no support polygon")
@@ -288,9 +288,9 @@ def _cmd_polygon(args, cap: int) -> int:
     return 0
 
 
-def _cmd_analyze(args, cap: int) -> int:
+def _cmd_analyze(args) -> int:
     x = element_from_string(args.expr)
-    report = build_report(args.expr, x, box=args.box, cap=cap)
+    report = build_report(args.expr, x, box=args.box, cap=_box_cap())
     verdict = report.verdict
     lines = [
         f"normal form : {report.normal_form}",
@@ -310,9 +310,9 @@ def _cmd_analyze(args, cap: int) -> int:
     return 0
 
 
-def _cmd_oracle(args, cap: int) -> int:
+def _cmd_oracle(args) -> int:
     x = element_from_string(args.expr)
-    y = find_witness_box(x, args.box, cap=cap)
+    y = find_witness_box(x, args.box, cap=_box_cap())
     payload = {
         "input": args.expr,
         "box": args.box,
@@ -370,8 +370,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        cap = _box_cap()
-        code = args.func(args, cap)
+        code = args.func(args)
         sys.stdout.flush()  # a reader that went away shows here, not at exit
         return code
     except BrokenPipeError:

@@ -200,13 +200,7 @@ def normalize_qp(m: int, n: int) -> WeylElement:
     """
     if m < 0 or n < 0:
         raise ValueError("exponents must be nonnegative")
-    data: dict[ExponentPair, Fraction] = {}
-    coef = 1
-    for k in range(min(m, n) + 1):
-        if k:
-            coef = -(coef * (m - k + 1) * (n - k + 1)) // k
-        data[(n - k, m - k)] = Fraction(coef)
-    return WeylElement._raw(data)
+    return WeylElement._raw({key: Fraction(c) for key, c in mul_numerators({(0, m): 1}, {(n, 0): 1}).items()})
 
 
 def numerators(x: WeylElement) -> tuple[int, dict[ExponentPair, int]]:

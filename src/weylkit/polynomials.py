@@ -48,9 +48,6 @@ class UniPoly:
     def constant_term(self) -> Fraction:
         return self._coeffs[0] if self._coeffs else Fraction(0)
 
-    def coeff(self, k: int) -> Fraction:
-        return self._coeffs[k] if 0 <= k < len(self._coeffs) else Fraction(0)
-
     def __bool__(self) -> bool:
         return bool(self._coeffs)
 
@@ -96,12 +93,7 @@ class UniPoly:
             return NotImplemented
         return UniPoly(tuple(c * v for v in self._coeffs))
 
-    def __rmul__(self, other) -> "UniPoly":
-        try:
-            c = as_scalar(other)
-        except TypeError:
-            return NotImplemented
-        return UniPoly(tuple(c * v for v in self._coeffs))
+    __rmul__ = __mul__  # only a scalar reaches it
 
     def __pow__(self, n: int) -> "UniPoly":
         return binary_power(self, n, UniPoly((1,)))

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, isqrt, lcm
+from typing import Iterator
 
 from .element import WeylElement, WeylInternalError, bracket_numerators, commutator, numerators
 from .grading import GradeSpan, HForm, grade_span, to_h_form
@@ -68,7 +69,6 @@ class ElementProfile:
 
     def __init__(self, x: WeylElement):
         self.x = x
-        self._faces: dict[frozenset[tuple[int, int]], tuple[BiPoly, int]] = {}
 
     @cached_property
     def support(self) -> frozenset[tuple[int, int]]:
@@ -90,7 +90,7 @@ class ElementProfile:
     def edge_indices(self) -> tuple[int | None, ...]:
         """Power index of each polygon edge; None at a non-axis weight."""
         return tuple(
-            self.leading(e.support, e.weight)[1] if e.weight.is_axis() else None
+            power_index(e.polynomial, e.weight) if e.weight.is_axis() else None
             for e in self.polygon.edges
         )
 
@@ -107,29 +107,22 @@ class ElementProfile:
                 face.append(pt)
         return v, frozenset(face)
 
-    def leading(self, face: frozenset[tuple[int, int]], w: Weight) -> tuple[BiPoly, int]:
-        """The leading polynomial and power index of a face exposed by w,
-        computed once per face.
+    def leading(self, face: frozenset[tuple[int, int]]) -> tuple[BiPoly, int]:
+        """The leading polynomial and power index of a face exposed by an
+        axis weight, from facts the profile already holds.
 
-        The face is a sound key: a face of two or more points is exposed by
-        exactly one weight, and a one-point face X^a Y^b has power index
-        gcd(a, b) at every weight.  The polygon's edges already hold the
-        polynomial of every face of two or more points, and a one-point
-        face's polynomial is its single term, so building one never scans
-        the support.
+        A one-point face X^a Y^b is its single term, of power index
+        gcd(a, b) at every weight.  A face of two or more points is exposed
+        by exactly one weight, so it is the polygon edge with that support,
+        whose index edge_indices holds.
         """
-        hit = self._faces.get(face)
-        if hit is None:
-            f = self._edge_polynomials.get(face)
-            if f is None:
-                (pt,) = face
-                f = BiPoly.monomial(*pt, self.x.coeff(*pt))
-            hit = self._faces[face] = (f, power_index(f, w))
-        return hit
-
-    @cached_property
-    def _edge_polynomials(self) -> dict[frozenset[tuple[int, int]], BiPoly]:
-        return {e.support: e.polynomial for e in self.polygon.edges}
+        if len(face) == 1:
+            (pt,) = face
+            return BiPoly.monomial(*pt, self.x.coeff(*pt)), gcd(*pt)
+        for e, r in zip(self.polygon.edges, self.edge_indices):
+            if e.support == face:
+                return e.polynomial, r
+        raise WeylInternalError(f"face {sorted(face)} is no edge of the polygon")
 
     @cached_property
     def dominates_unit(self) -> bool:
@@ -418,23 +411,14 @@ def find_witness_box(x: WeylElement, box: int, cap: int = DEFAULT_BOX_CAP) -> We
     return y
 
 
-def _axis_weights(x: WeylElement) -> list[Weight]:
-    """Finite list of axis weights that covers every distinct leading
-    support an axis direction can expose on x.
-
-    Slopes of hull segments are bounded by the exponent spans, so beyond
-    max exponent + 1 the exposed face is stable and one representative
-    suffices.
-    """
-    n_max = max(max(i, j) for i, j in x.support()) + 1
-    seen: set[tuple[int, int]] = set()
-    out: list[Weight] = []
-    for n in range(1, n_max + 1):
-        for rho, sigma in ((n, 1), (1, n)):
-            if (rho, sigma) not in seen:
-                seen.add((rho, sigma))
-                out.append(Weight(rho, sigma))
-    return out
+def _axis_weights(x: WeylElement) -> Iterator[Weight]:
+    """(1,1), then (n,1) and (1,n) for n up to max exponent + 1: every face
+    an axis direction can expose on x.  Hull slopes are bounded by the
+    exponent spans, so beyond that the exposed face is stable."""
+    yield Weight(1, 1)
+    for n in range(2, max(max(pt) for pt in x.support()) + 2):
+        yield Weight(n, 1)
+        yield Weight(1, n)
 
 
 def analyze(
@@ -502,7 +486,8 @@ def analyze(
     elif all(j == 0 for _, j in pts):
         gen, deg = "p", max(i for i, _ in pts)
     elif span.min_grade == span.max_grade == 0:
-        gen, deg = "h", profile.h_form.parts[0].degree()
+        # p^k q^k = h(h+1)...(h+k-1) has degree k in h
+        gen, deg = "h", max(i for i, _ in pts)
     else:
         gen, deg = None, 0
     # degree 1 (a*q + c, a*p + c) falls through to affine-family
@@ -554,7 +539,7 @@ def analyze(
         v, face = profile.exposed(w)
         if v < w.rho + w.sigma:
             continue
-        f, r = profile.leading(face, w)
+        f, r = profile.leading(face)
         if r == 1:
             return unsolvable(
                 RuleCitation(

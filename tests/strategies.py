@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import hypothesis.strategies as st
 
-from weylkit import BiPoly, UniPoly, Weight, WeylElement, from_h_form, HForm
+from weylkit import BiPoly, UniPoly, Weight, WeylElement, exp_ad, from_h_form, HForm, omega
 from weylkit.parser import Neg, Num, Pow, Prod, Sum, Var
 
 SMALL_WEIGHTS = [Weight(1, 1), Weight(1, 2), Weight(2, 1), Weight(1, 3), Weight(3, 2)]
@@ -44,6 +44,28 @@ def homogeneous_elements(grade, max_h_degree=3):
         unipolys(max_degree=max_h_degree, nonzero=True)
         .map(lambda f: from_h_form(HForm({grade: f})))
     )
+
+
+def tame_words(max_maps=3):
+    """Words of 1 to max_maps tame automorphisms, first map first: each is
+    "omega" or the g of exp_ad(g), a polynomial of degree 2 or 3 in q alone
+    or p alone with coefficients in [-2, 2] (see apply_word)."""
+    g = st.builds(
+        lambda axis, low, lead: WeylElement({
+            (k, 0) if axis == "p" else (0, k): c for k, c in enumerate(low + [lead], start=1)
+        }),
+        st.sampled_from("pq"),
+        st.integers(1, 2).flatmap(lambda n: st.lists(st.integers(-2, 2), min_size=n, max_size=n)),
+        st.integers(-2, 2).filter(bool),
+    )
+    return st.lists(st.one_of(st.just("omega"), g), min_size=1, max_size=max_maps).map(tuple)
+
+
+def apply_word(word, x):
+    """The image of x under a tame_words word."""
+    for g in word:
+        x = omega(x) if g == "omega" else exp_ad(g, x)
+    return x
 
 
 def bipolys(max_exp=4, max_terms=5, nonzero=False):

@@ -215,6 +215,20 @@ class TestBoxBound:
         monkeypatch.setenv("WEYL_BOX_CAP", "-3")
         self.assert_usage_error(capsys, "analyze", "q^3", "--json")
 
+    @pytest.mark.parametrize("argv", [("analyze", "q^3"), ("oracle", "--box", "2", "--", "q^3")])
+    def test_malformed_env_cap(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("WEYL_BOX_CAP", "abc")
+        self.assert_usage_error(capsys, *argv)
+
+    @pytest.mark.parametrize("argv", [("normalize", "p"), ("commutator", "p", "q"),
+                                      ("grade", "h"), ("polygon", "p*q + q^3")])
+    def test_malformed_env_cap_ignored_where_unused(self, capsys, monkeypatch, argv):
+        # only analyze and oracle read the cap
+        monkeypatch.setenv("WEYL_BOX_CAP", "abc")
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0
+        assert out and err == ""
+
 
 class TestExitCodes:
     @pytest.mark.parametrize("text", BAD_INPUTS)
@@ -236,7 +250,7 @@ class TestExitCodes:
         assert code == 0
 
     def test_unexpected_exception_exits_two_without_traceback(self, capsys, monkeypatch):
-        def broken(args, cap):
+        def broken(args):
             raise ZeroDivisionError("division by zero")
 
         monkeypatch.setattr(cli, "_cmd_normalize", broken)

@@ -30,6 +30,7 @@ from weylkit import (
     to_h_form,
     verify_witness,
     weight_degree,
+    weight_polynomial,
     witness_for_affine,
 )
 from weylkit import solvability
@@ -37,7 +38,7 @@ from weylkit.cli import build_report
 
 from oracles import all_coprime_weights, naive_box_witness, naive_solve, reference_bracket
 from test_golden import corpus_inputs
-from strategies import coefficients, homogeneous_elements, weyl_elements
+from strategies import apply_word, coefficients, homogeneous_elements, tame_words, weyl_elements
 
 
 def rules_of(verdict):
@@ -628,6 +629,26 @@ class TestElementProfile:
             for e in polygon.edges
         )
 
+    @settings(max_examples=80, deadline=None)
+    @given(weyl_elements(max_exp=4, max_terms=5, nonzero=True, fractional=True))
+    def test_leading_matches_weight_polynomial(self, x):
+        # the faces the axis-power-index-one sweep reads
+        profile = ElementProfile(x)
+        for w in solvability._axis_weights(x):
+            v, face = profile.exposed(w)
+            if v >= w.rho + w.sigma:
+                f = weight_polynomial(x, w)
+                assert profile.leading(face) == (f, power_index(f, w))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.dictionaries(st.integers(0, 5).map(lambda k: (k, k)), coefficients(fractional=True),
+                           min_size=1, max_size=4).map(W))
+    def test_h_degree_is_largest_diagonal_exponent(self, x):
+        d = to_h_form(x).parts[0].degree()
+        cited = [cit.params["degree"] for cit in analyze(x).reasons
+                 if cit.rule == RuleId.POLYNOMIAL_IN_GENERATOR]
+        assert cited == ([d] if d >= 2 else [])
+
     def test_verdict_carries_profile_outside_equality(self):
         a, b = analyze(H), analyze(H)
         assert a.profile is not None and a.profile is not b.profile
@@ -729,3 +750,26 @@ class TestAttemptedBookkeeping:
         else:
             k = ladder.index(verdict.reasons[0].rule)
             assert verdict.attempted == ladder[:k + 1]
+
+
+class TestTameAutomorphisms:
+    """Tame automorphisms (words in omega and exp_ad) preserve solvability,
+    so no verdict on an image may contradict what is known of the
+    preimage."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(tame_words())
+    def test_image_of_p_is_never_unsolvable(self, word):
+        assert analyze(apply_word(word, P), box=3).outcome != Outcome.UNSOLVABLE
+
+    @settings(max_examples=150, deadline=None)
+    @given(tame_words(), st.sampled_from([2, 3]))
+    def test_image_of_polynomial_in_q_is_never_solvable(self, word, k):
+        x = apply_word(word, power(Q, k) + Q)
+        assert analyze(x, box=3).outcome != Outcome.SOLVABLE
+
+    @settings(max_examples=150, deadline=None)
+    @given(tame_words(), weyl_elements(max_exp=2, max_terms=3, nonzero=True))
+    def test_image_never_contradicts_preimage(self, word, x):
+        outcomes = {analyze(x, box=3).outcome, analyze(apply_word(word, x), box=3).outcome}
+        assert outcomes != {Outcome.SOLVABLE, Outcome.UNSOLVABLE}
