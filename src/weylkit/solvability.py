@@ -269,8 +269,17 @@ def _solve(rows: list[dict[int, int]], ncols: int) -> dict[int, Fraction] | None
     pivot columns are the leftmost independent ones whatever rows are
     picked, and the solution supported on them is unique.
 
-    The elimination runs over GF(P), P = 2^e - 1 for e in
-    _MERSENNE_EXPONENTS, and the answer is proved on the integer rows, in
+    An exact peel comes first.  A row whose one nonzero a_rt has right-hand
+    side 0 forces y_t = 0 in every solution.  Every other column is 0 at
+    row r, so column t lies outside the span of all the others: it is a
+    pivot column in every column order, and deleting column t and row r
+    changes neither the dependencies among the other columns nor the
+    solutions on them.  So t is returned as a pivot entry 0, deleted from
+    every row, and by induction the rows this leaves with one entry are
+    peeled in turn.  A row left holding only b != 0 reads 0 = b: None.
+
+    The rows that remain are eliminated over GF(P), P = 2^e - 1 for e in
+    _MERSENNE_EXPONENTS, and the answer is proved on their integer rows, in
     O(nnz) per vector:
     - each mod-P free column f that some row holds gets the kernel vector
       with y_f = 1 and the other free columns 0, reconstructed over Q and
@@ -288,11 +297,26 @@ def _solve(rows: list[dict[int, int]], ncols: int) -> dict[int, Fraction] | None
     sqrt(P/2): every step passes.  Only a system far too large to hold in
     memory gets past the last prime, with ValueError.
     """
+    rows = [{t: c for t, c in row.items() if c} for row in rows]
     by_col: dict[int, list[tuple[int, int]]] = {}
     for k, row in enumerate(rows):
         for t, c in row.items():
             by_col.setdefault(t, []).append((k, c))
-    rhs = {k: c for k, c in by_col.pop(ncols, ()) if c}
+    peeled: dict[int, Fraction] = {}
+    singles = [k for k, row in enumerate(rows) if len(row) == 1]
+    while singles:
+        row = rows[singles.pop()]
+        if not row:  # another row peeled its column first
+            continue
+        (t,) = row
+        if t == ncols:
+            return None
+        peeled[t] = Fraction(0)
+        for k, _ in by_col.pop(t):
+            del rows[k][t]
+            if len(rows[k]) == 1:
+                singles.append(k)
+    rhs = dict(by_col.pop(ncols, ()))
 
     def holds(lifted: tuple[int, dict[int, int]] | None, target: dict[int, int]) -> bool:
         # A v = target exactly, for v = numerators / d, in O(nnz of v's columns)
@@ -326,7 +350,7 @@ def _solve(rows: list[dict[int, int]], ncols: int) -> dict[int, Fraction] | None
         lifted = _lift(back_substitute({}, ncols, False), prime)
         if holds(lifted, rhs):
             d, num = lifted
-            return {col: Fraction(num[col], d) for col, _ in reversed(pivots)}
+            return peeled | {col: Fraction(num[col], d) for col, _ in reversed(pivots)}
     raise ValueError("the box system's coefficients are too large to certify")
 
 
@@ -383,7 +407,7 @@ def find_witness_box(x: WeylElement, box: int, cap: int = DEFAULT_BOX_CAP) -> We
     witness is always verified.  None means only that no witness exists
     within the box.
 
-    Two exact reductions shrink the system and change no answer:
+    Three exact reductions shrink the system and change no answer:
     - the constant term of [x, y] is
       sum_{a>=1} (-1)^a a! (x_{0a} y_{a0} - x_{a0} y_{0a}), with x_{ij} the
       coefficient of p^i q^j.  If x has no term q^a or p^a with
@@ -394,7 +418,10 @@ def find_witness_box(x: WeylElement, box: int, cap: int = DEFAULT_BOX_CAP) -> We
       supported on its pivots is 0; column-order greedy independence splits
       over blocks with disjoint rows, so the unit block's pivot columns are
       the same as in the whole system.  Consistency and the witness are
-      therefore the unit block's.
+      therefore the unit block's;
+    - _solve first peels, in a cascade, each column that a one-entry row
+      forces to 0; a row left holding only its right-hand side gives None
+      with no prime involved.
     """
     _check_box(box, cap)
     if x.is_zero():

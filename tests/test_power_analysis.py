@@ -1,5 +1,6 @@
 """Weighted-homogeneous factor shapes, squarefree decomposition, power index."""
 
+from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -11,6 +12,7 @@ from weylkit import (
     UniPoly,
     Weight,
     dehomogenize,
+    edges,
     poly_gcd,
     power_index,
     rehomogenize,
@@ -18,7 +20,7 @@ from weylkit import (
 )
 
 from oracles import bipoly_nth_root, rational_nth_root
-from strategies import coefficients
+from strategies import coefficients, weyl_elements
 
 
 def B(terms):
@@ -195,6 +197,60 @@ class TestPowerIndex:
         assert power_index(f, Weight(1, 1)) == 1
         for m in range(2, 4):
             assert bipoly_nth_root(f, m) is None
+
+
+def sympy_sqf(terms):
+    """sympy.sqf_list of sum c Z^k over (k, c) in terms, as its unit and
+    its monic factors, each a tuple of Fractions from the constant term
+    up, with multiplicities."""
+    sympy = pytest.importorskip("sympy")
+    z = sympy.Symbol("z")
+    f = sympy.Poly(sum(sympy.Rational(c.numerator, c.denominator) * z**k for k, c in terms), z, domain="QQ")
+    coeff, factors = f.sqf_list()
+    unit = Fraction(str(coeff))
+    monic = set()
+    for g, m in factors:
+        unit *= Fraction(str(g.LC())) ** m
+        monic.add((tuple(Fraction(str(c)) for c in reversed(g.monic().all_coeffs())), m))
+    return unit, monic
+
+
+class TestSympyCrossChecks:
+    """squarefree_decompose and power_index against sympy's squarefree
+    factorization (skipped where sympy is not installed)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.lists(coefficients(max_abs=4), min_size=1, max_size=3), st.integers(1, 3)),
+                    max_size=3),
+           coefficients(max_abs=5))
+    def test_squarefree_decompose_matches_sqf_list(self, factors, unit):
+        f = UniPoly((unit,))
+        for low, e in factors:
+            f = f * UniPoly(tuple(low) + (1,)) ** e
+        out = squarefree_decompose(f)
+        ours = {(factor.coeffs(), mult) for factor, mult in out.factors}
+        assert (out.unit, ours) == sympy_sqf(enumerate(f.coeffs()))
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.one_of(
+        st.tuples(axis_homogeneous(max_mult=3), st.booleans()),
+        weyl_elements(max_exp=5, max_terms=5, nonzero=True).map(lambda x: (x, None)),
+    ))
+    def test_power_index_matches_sqf_list_multiplicities(self, case):
+        # dehomogenized at Y = 1 (X = 1 for (1, n)), an axis edge polynomial
+        # is Z^a core(Z); with b the least exponent of the other variable,
+        # its power index is gcd(b, multiplicities of Z^a core(Z))
+        if case[1] is None:
+            faces = [(e.polynomial, e.weight) for e in edges(case[0]).edges if e.weight.is_axis()]
+        else:
+            (f, w), mirrored = case
+            faces = [(f.swap_vars(), Weight(w.sigma, w.rho)) if mirrored else (f, w)]
+        for f, w in faces:
+            side = 0 if w.sigma == 1 else 1
+            terms = {pt[side]: c for pt, c in f.terms().items()}
+            b = min(pt[1 - side] for pt in f.support())
+            _, factors = sympy_sqf(terms.items())
+            assert power_index(f, w) == gcd(b, *(m for _, m in factors))
 
 
 class TestPowerProportionalityDivision:

@@ -348,6 +348,29 @@ class TestSparseSolver:
         rows = [{0: 1, 2: 1, 3: 1}, {2: 1, 3: 2}]
         assert self.solve(rows, 3) == {0: Fraction(-1), 2: Fraction(2)}
 
+    def test_cascade_of_one_entry_rows(self):
+        # 2 x0 = 0 forces x0 = 0, which leaves 5 x1 = 0, then 4 x2 = 0,
+        # then 2 x3 = 6
+        rows = [{0: 2}, {0: 3, 1: 5}, {1: 1, 2: 4}, {2: 1, 3: 2, 4: 6}]
+        assert self.solve(rows, 4) == {0: 0, 1: 0, 2: 0, 3: Fraction(3)}
+        assert rows == [{0: 2}, {0: 3, 1: 5}, {1: 1, 2: 4}, {2: 1, 3: 2, 4: 6}]
+
+    def test_cascade_leaves_only_a_right_hand_side(self):
+        # 3 x1 = 0 forces x1 = 0, which leaves 0 = 5
+        rows = [{0: 1, 1: 1}, {1: 3}, {1: 2, 2: 5}]
+        assert self.solve(rows, 2) is None
+
+    def test_forced_zero_left_of_a_free_column(self):
+        # 3 x0 = 0 and x0 + x1 + x2 = 2: x0 is a pivot entry 0, x2 is free
+        rows = [{0: 3}, {0: 1, 1: 1, 2: 1, 3: 2}]
+        assert self.solve(rows, 3) == {0: 0, 1: Fraction(2)}
+
+    def test_one_entry_row_of_a_prime(self):
+        # (2^61 - 1) x0 = 0 forces x0 = 0 over Q, though the row vanishes
+        # mod 2^61 - 1
+        rows = [{0: 2**61 - 1}, {0: 1, 1: 1, 2: 1}]
+        assert self.solve(rows, 2) == {0: 0, 1: Fraction(1)}
+
 
 class TestModularSolver(TestSparseSolver):
     """_solve: the hand-built systems above, then systems built to defeat a
@@ -386,10 +409,23 @@ class TestModularSolver(TestSparseSolver):
         assert fallbacks == [self.NEXT]
 
     def test_consistent_mod_prime_only(self, fallbacks):
-        # x0 = 0 and x0 = P agree mod P but not over Q
-        rows = [{0: 1}, {0: 1, 1: self.PRIME}]
-        assert self.solve(rows, 1) is None
+        # x0 + x1 = 0 and x0 + x1 = P agree mod P but not over Q; no row
+        # has one entry, so the peel leaves both to the elimination
+        rows = [{0: 1, 1: 1}, {0: 1, 1: 1, 2: self.PRIME}]
+        assert self.solve(rows, 2) is None
         assert fallbacks == [self.NEXT]
+
+    def test_peel_decides_without_elimination(self, monkeypatch):
+        primes = []
+        eliminate = solvability._eliminate
+        monkeypatch.setattr(solvability, "_eliminate",
+                            lambda rows, ncols, prime: primes.append(prime) or eliminate(rows, ncols, prime))
+        assert self.solve([{0: 1, 1: 1}, {1: 3}, {1: 2, 2: 5}], 2) is None
+        assert self.solve([{0: 2}, {1: 4}], 1) is None
+        assert not primes
+        # the row of P is peeled over Q, so the rest certifies at P, no retry
+        assert self.solve([{0: 2**61 - 1}, {0: 1, 1: 1, 2: 1}], 2) == {0: 0, 1: 1}
+        assert primes == [self.PRIME]
 
     def test_coefficient_beyond_reconstruction(self, fallbacks):
         big = 2**31 + 1
@@ -464,6 +500,8 @@ class TestModularMatchesExact:
     @given(sparse_systems())
     # defeats a proof step at 2^61 - 1 and at 2^127 - 1, certifies at 2^521 - 1
     @example(([{0: 2**127 - 1, 1: 1, 2: 1}], 2))
+    # a cascade of one-entry rows from a prime multiple: x2 = 0, then x1 = 0
+    @example(([{2: 2**61 - 1}, {1: 3, 2: 1}, {0: 1, 1: 1, 3: 1}, {0: 2, 1: -1, 2: 5, 3: 2}], 3))
     def test_random_systems(self, system):
         rows, ncols = system
         assert solvability._solve(rows, ncols) == naive_solve(rows, ncols)
@@ -761,6 +799,16 @@ class TestTameAutomorphisms:
     @given(tame_words())
     def test_image_of_p_is_never_unsolvable(self, word):
         assert analyze(apply_word(word, P), box=3).outcome != Outcome.UNSOLVABLE
+
+    @settings(max_examples=150, deadline=None)
+    @given(tame_words())
+    def test_oracle_finds_the_image_of_q(self, word):
+        # [phi(p), phi(q)] = [p, q] = 1, so phi(q) is a witness for phi(p),
+        # and the box oracle must find one whenever phi(q) fits in its box
+        x, y = apply_word(word, P), apply_word(word, Q)
+        assert reference_bracket(x, y) == ONE
+        if all(max(pt) <= 3 for pt in y.support()):
+            assert find_witness_box(x, 3) is not None
 
     @settings(max_examples=150, deadline=None)
     @given(tame_words(), st.sampled_from([2, 3]))
