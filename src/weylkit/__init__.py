@@ -42,15 +42,8 @@ from .polygon import (
     weight_polynomial,
     weight_support,
 )
-from .polynomials import BiPoly, UniPoly, poly_gcd
-from .power_analysis import (
-    HomogShape,
-    SquarefreeDecomp,
-    dehomogenize,
-    power_index,
-    rehomogenize,
-    squarefree_decompose,
-)
+from .polynomials import BiPoly, UniPoly
+from .power_analysis import HomogShape, dehomogenize, power_index, rehomogenize
 from .solvability import (
     DEFAULT_BOX_BOUND,
     DEFAULT_BOX_CAP,

@@ -40,11 +40,6 @@ class UniPoly:
     def is_zero(self) -> bool:
         return not self._coeffs
 
-    def leading(self) -> Fraction:
-        if not self._coeffs:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self._coeffs[-1]
-
     def constant_term(self) -> Fraction:
         return self._coeffs[0] if self._coeffs else Fraction(0)
 
@@ -55,9 +50,6 @@ class UniPoly:
         if isinstance(other, UniPoly):
             return self._coeffs == other._coeffs
         return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._coeffs)
 
     def __add__(self, other) -> "UniPoly":
         if not isinstance(other, UniPoly):
@@ -70,60 +62,19 @@ class UniPoly:
             out[k] += c
         return UniPoly(out)
 
-    def __neg__(self) -> "UniPoly":
-        return UniPoly(tuple(-c for c in self._coeffs))
-
-    def __sub__(self, other) -> "UniPoly":
+    def __mul__(self, other) -> "UniPoly":
         if not isinstance(other, UniPoly):
             return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other) -> "UniPoly":
-        if isinstance(other, UniPoly):
-            if not self._coeffs or not other._coeffs:
-                return UniPoly()
-            out = [Fraction(0)] * (len(self._coeffs) + len(other._coeffs) - 1)
-            for i, a in enumerate(self._coeffs):
-                for j, b in enumerate(other._coeffs):
-                    out[i + j] += a * b
-            return UniPoly(out)
-        try:
-            c = as_scalar(other)
-        except TypeError:
-            return NotImplemented
-        return UniPoly(tuple(c * v for v in self._coeffs))
-
-    __rmul__ = __mul__  # only a scalar reaches it
+        if not self._coeffs or not other._coeffs:
+            return UniPoly()
+        out = [Fraction(0)] * (len(self._coeffs) + len(other._coeffs) - 1)
+        for i, a in enumerate(self._coeffs):
+            for j, b in enumerate(other._coeffs):
+                out[i + j] += a * b
+        return UniPoly(out)
 
     def __pow__(self, n: int) -> "UniPoly":
         return binary_power(self, n, UniPoly((1,)))
-
-    def __divmod__(self, other: "UniPoly") -> tuple["UniPoly", "UniPoly"]:
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self._coeffs)
-        den = other._coeffs
-        dq = len(rem) - len(den)
-        if dq < 0:
-            return UniPoly(), self
-        quo = [Fraction(0)] * (dq + 1)
-        inv_lead = 1 / den[-1]
-        for k in range(dq, -1, -1):
-            c = rem[k + len(den) - 1] * inv_lead
-            quo[k] = c
-            if c:
-                for t, d in enumerate(den):
-                    rem[k + t] -= c * d
-        return UniPoly(quo), UniPoly(rem)
-
-    def __floordiv__(self, other: "UniPoly") -> "UniPoly":
-        q, r = divmod(self, other)
-        if not r.is_zero():
-            raise ValueError("inexact polynomial division")
-        return q
-
-    def derivative(self) -> "UniPoly":
-        return UniPoly(tuple(k * c for k, c in enumerate(self._coeffs) if k))
 
     def monic(self) -> "UniPoly":
         if self.is_zero():
@@ -146,16 +97,6 @@ class UniPoly:
 
     def __repr__(self) -> str:
         return f"UniPoly({str(self)!r})"
-
-
-def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
-    """Monic greatest common divisor over the rationals."""
-    while not b.is_zero():
-        _, r = divmod(a, b)
-        a, b = b, r
-    if a.is_zero():
-        return a
-    return a.monic()
 
 
 class BiPoly(MonomialMap):

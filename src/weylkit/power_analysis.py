@@ -4,10 +4,13 @@ A polynomial that is homogeneous for an axis weight (n,1) factors over the
 algebraic closure as c * X^a * Y^b * prod (X - mu_i Y^n)^(s_i); the core
 univariate polynomial in Z = X/Y^n carries the roots mu_i with their
 multiplicities.  The power index is the largest m such that the polynomial
-is an m-th power over the closure, computed as gcd(a, b, s_1, ..., s_k).
-Multiplicity structure is preserved under field extension in
-characteristic zero, so rational squarefree decomposition suffices; index
-1 certifies "not a proper power" over the closure and hence over the
+is an m-th power over the closure, which is gcd(a, b, S) with S the gcd of
+the s_i.  The r for which the core is an r-th power over the closure are
+exactly the divisors of S, and S divides deg core = sum s_i, so the index
+is the largest divisor r of gcd(a, b, deg core) for which the monic core
+is an r-th power.  That test is exact over the rationals: a monic r-th
+root is unique, and monic_root's recurrence shows it is rational.  Index 1
+certifies "not a proper power" over the closure and hence over the
 rationals.
 """
 
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .polynomials import BiPoly, UniPoly, poly_gcd
+from .polynomials import BiPoly, UniPoly
 from .polygon import Weight
 
 
@@ -88,43 +91,35 @@ def rehomogenize(shape: HomogShape) -> BiPoly:
     return BiPoly(terms)
 
 
-@dataclass(frozen=True)
-class SquarefreeDecomp:
-    """unit * prod(factor^multiplicity) with monic, squarefree, pairwise
-    coprime factors."""
+def monic_root(f: UniPoly, r: int) -> UniPoly | None:
+    """The monic h with h**r == f, or None when f is no r-th power.
 
-    unit: Fraction
-    factors: tuple[tuple[UniPoly, int], ...]
+    f is monic of degree n and r >= 1 divides n.  With F(t) = t^n f(1/t),
+    so F(0) = 1, suppose f = h^r with h monic.  Then the reversal G of h is
+    the unique power series with G(0) = 1 and G^r = F, and F G' = (1/r) F' G
+    gives its coefficients:
 
+        G_k = (1/k) sum_{j=1..k} (j/r - (k - j)) F_j G_{k-j}.
 
-def squarefree_decompose(g: UniPoly) -> SquarefreeDecomp:
-    """Yun's algorithm over the rationals (characteristic zero)."""
-    if g.is_zero():
-        raise ValueError("cannot decompose the zero polynomial")
-    unit = g.leading()
-    f = g.monic()
-    if f.degree() == 0:
-        return SquarefreeDecomp(unit, ())
-    factors: list[tuple[UniPoly, int]] = []
-    d = poly_gcd(f, f.derivative())
-    b = f // d
-    c = f.derivative() // d
-    z = c - b.derivative()
-    i = 1
-    while b.degree() > 0:
-        a = poly_gcd(b, z)
-        if a.degree() > 0:
-            factors.append((a, i))
-        b = b // a
-        c = z // a
-        z = c - b.derivative()
-        i += 1
-    return SquarefreeDecomp(unit, tuple(factors))
+    They are rational, so h is built from G_0 ... G_{n/r} and returned
+    exactly when h^r == f.  The test over the rationals is exact: a monic
+    r-th root over the closure is unique, and the recurrence makes it
+    rational.  At r = n the root is linear, Z - mu, exactly when
+    f = (Z - mu)^n.
+    """
+    F = f.coeffs()[::-1]
+    G = [Fraction(1)]
+    for k in range(1, f.degree() // r + 1):
+        G.append(sum((j - r * (k - j)) * F[j] * G[k - j] for j in range(1, k + 1)) / (r * k))
+    h = UniPoly(G[::-1])
+    return h if h ** r == f else None
 
 
 def power_index(f: BiPoly, w: Weight) -> int:
-    """Largest m such that f is an m-th power over the algebraic closure:
-    the gcd of the axis multiplicities and the core root multiplicities.
+    """Largest m such that f is an m-th power over the algebraic closure.
+
+    With g = gcd(x_mult, y_mult, deg core), this is the largest divisor r
+    of g for which the monic core has a monic r-th root (monic_root).
 
     Index 1 certifies f is not a proper power over the closure, hence not
     over the rationals either.  An index above 1 guarantees a root over the
@@ -132,12 +127,13 @@ def power_index(f: BiPoly, w: Weight) -> int:
     in the rationals.
     """
     shape = dehomogenize(f, w)
-    if gcd(shape.x_mult, shape.y_mult) == 1:
-        return 1  # the gcd with the core multiplicities stays 1: skip Yun
-    values = [shape.x_mult, shape.y_mult]
-    if shape.core.degree() > 0:
-        values.extend(mult for _, mult in squarefree_decompose(shape.core).factors)
-    r = gcd(*values)
-    if r == 0:
+    g = gcd(shape.x_mult, shape.y_mult, shape.core.degree())
+    if g == 0:
         raise ValueError("power index is undefined for constant polynomials")
-    return r
+    if g == 1:
+        return 1
+    core = shape.core.monic()
+    for r in range(g, 1, -1):
+        if g % r == 0 and monic_root(core, r) is not None:
+            return r
+    return 1

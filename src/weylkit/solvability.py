@@ -42,6 +42,9 @@ class Outcome(enum.Enum):
 
 
 class RuleId(enum.Enum):
+    """The ladder's rules in the order analyze runs them, which is what a
+    verdict's attempted tuple is read from."""
+
     CONSTANT_ELEMENT = "constant-element"
     LOW_GRADE_BAND = "low-grade-band"
     POLYNOMIAL_IN_GENERATOR = "polynomial-in-generator"
@@ -469,17 +472,17 @@ def analyze(
     """
     _check_box(box, cap)
     profile = ElementProfile(x)
-    attempted: list[RuleId] = []
     notes: list[str] = []
 
     def verdict(outcome: Outcome, *reasons: RuleCitation, witness=None) -> Verdict:
-        return Verdict(outcome, witness=witness, reasons=reasons, attempted=tuple(attempted),
+        ladder = tuple(RuleId)
+        attempted = ladder[:ladder.index(reasons[0].rule) + 1] if reasons else ladder
+        return Verdict(outcome, witness=witness, reasons=reasons, attempted=attempted,
                        box_bound=box, notes=tuple(notes), profile=profile)
 
     def unsolvable(cit: RuleCitation) -> Verdict:
         return verdict(Outcome.UNSOLVABLE, cit)
 
-    attempted.append(RuleId.CONSTANT_ELEMENT)
     if all(pt == (0, 0) for pt in profile.support):
         return unsolvable(
             RuleCitation(
@@ -491,7 +494,6 @@ def analyze(
 
     span = profile.span
 
-    attempted.append(RuleId.LOW_GRADE_BAND)
     if span.min_grade >= 2 or span.max_grade <= -2:
         side = "min" if span.min_grade >= 2 else "max"
         return unsolvable(
@@ -506,7 +508,6 @@ def analyze(
     # x = f(h)*q or f(h)*p with deg f >= 1 needs no rule of its own:
     # axis-power-index-one decides it at (1,1), where the leading term is
     # the monomial X^d Y^(d+1) (or its mirror) of power index 1
-    attempted.append(RuleId.POLYNOMIAL_IN_GENERATOR)
     pts = profile.support
     if all(i == 0 for i, _ in pts):
         gen, deg = "q", max(j for _, j in pts)
@@ -531,7 +532,6 @@ def analyze(
             )
         )
 
-    attempted.append(RuleId.AFFINE_FAMILY)
     witness = witness_for_affine(x)
     if witness is not None:
         return verdict(
@@ -547,7 +547,6 @@ def analyze(
 
     polygon = profile.polygon
 
-    attempted.append(RuleId.NON_AXIS_EDGE)
     for e in polygon.edges:
         if e.weight.rho >= 2 and e.weight.sigma >= 2 and e.degree > e.weight.rho + e.weight.sigma:
             return unsolvable(
@@ -560,7 +559,6 @@ def analyze(
                 )
             )
 
-    attempted.append(RuleId.AXIS_POWER_INDEX_ONE)
     saw_power_index_above_one = False
     for w in _axis_weights(x):
         v, face = profile.exposed(w)
@@ -582,7 +580,6 @@ def analyze(
     if saw_power_index_above_one:
         notes.append(_CLOSURE_NOTE)
 
-    attempted.append(RuleId.EDGE_GCD_ONE)
     if len(polygon.edges) >= 2 and all(e.weight.is_axis() for e in polygon.edges) and profile.dominates_unit:
         indices = list(profile.edge_indices)
         if gcd(*indices) == 1:
@@ -598,7 +595,6 @@ def analyze(
                 )
             )
 
-    attempted.append(RuleId.ORACLE_WITNESS)
     y = find_witness_box(x, box, cap)
     if y is not None:
         return verdict(

@@ -134,7 +134,7 @@ def naive_h_form(x: WeylElement) -> HForm:
     for s, comp in grade_components(x).items():
         f = UniPoly()
         for (i, j), c in comp.terms().items():
-            f = f + c * (_rising_factorial(i, 0) if s >= 0 else _rising_factorial(j, -s))
+            f = f + UniPoly((c,)) * (_rising_factorial(i, 0) if s >= 0 else _rising_factorial(j, -s))
         if not f.is_zero():
             parts[s] = f
     return HForm(parts)

@@ -1,4 +1,4 @@
-"""Weighted-homogeneous factor shapes, squarefree decomposition, power index."""
+"""Weighted-homogeneous factor shapes, monic r-th roots, power index."""
 
 from fractions import Fraction
 from math import gcd
@@ -13,11 +13,10 @@ from weylkit import (
     Weight,
     dehomogenize,
     edges,
-    poly_gcd,
     power_index,
     rehomogenize,
-    squarefree_decompose,
 )
+from weylkit.power_analysis import monic_root
 
 from oracles import bipoly_nth_root, rational_nth_root
 from strategies import coefficients, weyl_elements
@@ -30,7 +29,8 @@ def B(terms):
 @st.composite
 def axis_homogeneous(draw, max_factors=2, max_mult=2):
     """c * X^a * Y^b * prod (X + c_i Y^n)^(e_i) expanded, for a random
-    axis weight (n, 1); never a constant."""
+    axis weight (n, 1), with its factors (a, b, ((c_i, e_i), ...)); never a
+    constant.  A c_i may repeat or be 0."""
     n = draw(st.integers(1, 3))
     a = draw(st.integers(0, 2))
     b = draw(st.integers(0, 2))
@@ -38,11 +38,22 @@ def axis_homogeneous(draw, max_factors=2, max_mult=2):
     if a == 0 and b == 0 and n_factors == 0:
         a = 1
     f = BiPoly.monomial(a, b, draw(coefficients(max_abs=5)))
+    factors = []
     for _ in range(n_factors):
-        c = draw(coefficients(max_abs=3))
+        c = draw(st.integers(-3, 3))
         e = draw(st.integers(1, max_mult))
         f = f * (B({(1, 0): 1, (0, n): c}) ** e)
-    return f, Weight(n, 1)
+        factors.append((c, e))
+    return f, Weight(n, 1), (a, b, tuple(factors))
+
+
+def index_by_construction(a, b, factors):
+    """gcd of the axis exponents and the root multiplicities of
+    X^a Y^b prod (X + c_i Y^n)^(e_i): equal c_i merge, and c_i = 0 joins X."""
+    mults = {}
+    for c, e in factors:
+        mults[c] = mults.get(c, 0) + e
+    return gcd(a + mults.pop(0, 0), b, *mults.values())
 
 
 class TestDehomogenize:
@@ -79,13 +90,13 @@ class TestDehomogenize:
     @settings(max_examples=80, deadline=None)
     @given(axis_homogeneous())
     def test_reconstruction_round_trip(self, fw):
-        f, w = fw
+        f, w, _ = fw
         assert rehomogenize(dehomogenize(f, w)) == f
 
     @settings(max_examples=40, deadline=None)
     @given(axis_homogeneous())
     def test_mirrored_weight_round_trip(self, fw):
-        f, w = fw
+        f, w, _ = fw
         mirrored = f.swap_vars()
         assert rehomogenize(dehomogenize(mirrored, Weight(w.sigma, w.rho))) == mirrored
 
@@ -93,46 +104,7 @@ class TestDehomogenize:
         f = B({(3, 0): 2, (1, 2): -4})  # 2 X (X - sqrt2 Y)(X + sqrt2 Y) shape
         shape = dehomogenize(f, Weight(1, 1))
         assert shape.core.constant_term() != 0
-        assert shape.core.leading() != 0
-
-
-class TestSquarefreeDecompose:
-    def test_double_root(self):
-        out = squarefree_decompose(UniPoly((1, 2, 1)))
-        assert out.unit == 1
-        assert out.factors == ((UniPoly((1, 1)), 2),)
-
-    def test_already_squarefree(self):
-        f = UniPoly((0, -1, 0, 1))  # Z^3 - Z
-        out = squarefree_decompose(f)
-        assert out.factors == ((f, 1),)
-
-    def test_mixed_multiplicities(self):
-        f = (UniPoly((-1, 1)) ** 2) * (UniPoly((2, 1)) ** 3)
-        out = squarefree_decompose(f)
-        assert out.factors == ((UniPoly((-1, 1)), 2), (UniPoly((2, 1)), 3))
-
-    def test_unit_carries_leading_coefficient(self):
-        f = 6 * (UniPoly((1, 1)) ** 2)
-        out = squarefree_decompose(f)
-        assert out.unit == 6
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.lists(st.tuples(st.integers(-3, 3), st.integers(1, 3)), min_size=0, max_size=3),
-           coefficients(max_abs=5))
-    def test_reconstruction_and_squarefreeness(self, roots, unit):
-        f = UniPoly((unit,))
-        for r, e in roots:
-            f = f * (UniPoly((r, 1)) ** e)
-        out = squarefree_decompose(f)
-        rebuilt = UniPoly((out.unit,))
-        for factor, mult in out.factors:
-            rebuilt = rebuilt * factor ** mult
-            assert poly_gcd(factor, factor.derivative()).degree() <= 0
-        assert rebuilt == f
-        for a in range(len(out.factors)):
-            for b in range(a + 1, len(out.factors)):
-                assert poly_gcd(out.factors[a][0], out.factors[b][0]).degree() <= 0
+        assert shape.core.coeffs()[-1] != 0
 
 
 class TestPowerIndex:
@@ -154,22 +126,34 @@ class TestPowerIndex:
             power_index(B({(0, 0): 3}), Weight(1, 1))
 
     @settings(max_examples=100, deadline=None)
-    @given(axis_homogeneous(max_mult=3), st.booleans())
+    @given(axis_homogeneous(max_mult=6), st.booleans())
     def test_matches_gcd_over_full_decomposition(self, fw, mirrored):
-        # power_index returns 1 before Yun when gcd(x_mult, y_mult) == 1
-        f, w = fw
+        # the factorization is known by construction, so the index is too
+        f, w, (a, b, factors) = fw
         if mirrored:
             f, w = f.swap_vars(), Weight(w.sigma, w.rho)
-        shape = dehomogenize(f, w)
-        values = [shape.x_mult, shape.y_mult]
-        if shape.core.degree() > 0:
-            values.extend(mult for _, mult in squarefree_decompose(shape.core).factors)
-        assert power_index(f, w) == gcd(*values)
+        assert power_index(f, w) == index_by_construction(a, b, factors)
+
+    @pytest.mark.parametrize("a, b, mults, expected", [
+        (6, 6, (4, 8), 2),  # g = 6: 6 and 3 fail, 2 passes
+        (12, 12, (8, 16), 4),  # g = 12: 12 and 6 fail, 4 passes
+        (0, 0, (6,), 6),  # g = deg core
+        (0, 0, (2, 4), 2),
+        (0, 0, (3, 2), 1),
+        (6, 9, (), 3),  # constant core: gcd(a, b)
+        (4, 6, (), 2),
+    ])
+    def test_composite_divisors(self, a, b, mults, expected):
+        # X^a Y^b prod (X + c Y)^e over distinct c
+        f = B({(a, b): 3})
+        for c, e in enumerate(mults, start=1):
+            f = f * B({(1, 0): 1, (0, 1): c}) ** e
+        assert power_index(f, Weight(1, 1)) == expected
 
     @settings(max_examples=60, deadline=None)
     @given(axis_homogeneous(), st.integers(1, 4))
     def test_scaling_under_powers(self, fw, m):
-        f, w = fw
+        f, w, _ = fw
         assert power_index(f ** m, w) == m * power_index(f, w)
 
     @settings(max_examples=60, deadline=None)
@@ -177,10 +161,10 @@ class TestPowerIndex:
     def test_root_oracle_agreement(self, fw):
         # when the leading unit is an r-th power in the rationals the
         # undetermined-coefficient oracle must exhibit an exact root
-        f, w = fw
+        f, w, _ = fw
         r = power_index(f, w)
         shape = dehomogenize(f, w)
-        unit = shape.core.leading()
+        unit = shape.core.coeffs()[-1]
         if rational_nth_root(unit, r) is not None:
             root = bipoly_nth_root(f, r)
             assert root is not None
@@ -216,20 +200,8 @@ def sympy_sqf(terms):
 
 
 class TestSympyCrossChecks:
-    """squarefree_decompose and power_index against sympy's squarefree
-    factorization (skipped where sympy is not installed)."""
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.lists(st.tuples(st.lists(coefficients(max_abs=4), min_size=1, max_size=3), st.integers(1, 3)),
-                    max_size=3),
-           coefficients(max_abs=5))
-    def test_squarefree_decompose_matches_sqf_list(self, factors, unit):
-        f = UniPoly((unit,))
-        for low, e in factors:
-            f = f * UniPoly(tuple(low) + (1,)) ** e
-        out = squarefree_decompose(f)
-        ours = {(factor.coeffs(), mult) for factor, mult in out.factors}
-        assert (out.unit, ours) == sympy_sqf(enumerate(f.coeffs()))
+    """power_index against sympy's squarefree factorization (skipped where
+    sympy is not installed)."""
 
     @settings(max_examples=80, deadline=None)
     @given(st.one_of(
@@ -243,7 +215,7 @@ class TestSympyCrossChecks:
         if case[1] is None:
             faces = [(e.polynomial, e.weight) for e in edges(case[0]).edges if e.weight.is_axis()]
         else:
-            (f, w), mirrored = case
+            (f, w, _), mirrored = case
             faces = [(f.swap_vars(), Weight(w.sigma, w.rho)) if mirrored else (f, w)]
         for f, w in faces:
             side = 0 if w.sigma == 1 else 1
@@ -253,13 +225,43 @@ class TestSympyCrossChecks:
             assert power_index(f, w) == gcd(b, *(m for _, m in factors))
 
 
+monic_unipolys = st.lists(coefficients(fractional=True) | st.just(Fraction(0)), max_size=4).map(
+    lambda low: UniPoly(tuple(low) + (1,)))
+
+
+class TestMonicRoot:
+    @settings(max_examples=100, deadline=None)
+    @given(monic_unipolys, st.integers(1, 6))
+    def test_recovers_the_root(self, h, r):
+        assert monic_root(h ** r, r) == h
+
+    @settings(max_examples=100, deadline=None)
+    @given(monic_unipolys, st.integers(2, 6), coefficients(fractional=True), coefficients(fractional=True))
+    def test_rejects_a_non_power(self, h, r, c, d):
+        # the root c of h^r (Z - c)^(r-1) (Z - d) has a multiplicity r does not divide
+        if c == d:
+            return
+        q = UniPoly((-c, 1)) ** (r - 1) * UniPoly((-d, 1))
+        assert monic_root(h ** r * q, r) is None
+
+    @settings(max_examples=60, deadline=None)
+    @given(monic_unipolys)
+    def test_first_root_is_the_polynomial_itself(self, f):
+        assert monic_root(f, 1) == f
+
+    def test_single_root_read_off(self):
+        # lead (Z - mu)^k is read from the linear root Z - mu at r = k
+        assert monic_root(UniPoly((Fraction(-1, 2), 1)) ** 5, 5) == UniPoly((Fraction(-1, 2), 1))
+        assert monic_root(UniPoly((1, 1)) ** 2 * UniPoly((2, 1)), 3) is None
+
+
 class TestPowerProportionalityDivision:
     @settings(max_examples=30, deadline=None)
     @given(axis_homogeneous(), st.integers(1, 3))
     def test_power_identity_forces_divisibility(self, fw, k):
         # if g^(deg f) = c f^(deg g) and f has power index 1, then
         # deg f divides deg g and g is a scalar multiple of a power of f
-        f, w = fw
+        f, w, _ = fw
         if power_index(f, w) != 1:
             return
         deg_f = max(w.degree_of(pt) for pt in f.support())

@@ -18,10 +18,9 @@ PUBLIC_NAMES = {
     "NEG_INF", "Edge", "PolygonProfile", "Vertex", "Weight", "convex_hull", "edges",
     "leading_split", "separating_weight", "weight_degree", "weight_polynomial", "weight_support",
     # polynomials
-    "BiPoly", "UniPoly", "poly_gcd",
+    "BiPoly", "UniPoly",
     # power_analysis
-    "HomogShape", "SquarefreeDecomp", "dehomogenize", "power_index", "rehomogenize",
-    "squarefree_decompose",
+    "HomogShape", "dehomogenize", "power_index", "rehomogenize",
     # solvability
     "DEFAULT_BOX_BOUND", "DEFAULT_BOX_CAP", "ElementProfile", "Outcome", "RuleCitation",
     "RuleId", "Verdict", "analyze", "find_witness_box", "verify_witness", "witness_for_affine",
@@ -29,5 +28,5 @@ PUBLIC_NAMES = {
 
 
 def test_public_names_are_pinned():
-    assert len(PUBLIC_NAMES) == 65
+    assert len(PUBLIC_NAMES) == 62
     assert set(weylkit.__all__) == PUBLIC_NAMES
