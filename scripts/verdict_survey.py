@@ -9,6 +9,7 @@ import argparse
 import random
 import time
 from collections import Counter
+from math import ceil
 
 from weylkit import Outcome, WeylElement, analyze
 
@@ -20,6 +21,13 @@ def random_element(rng, max_exp, max_terms, coeff_bound):
         if c:
             terms[(rng.randint(0, max_exp), rng.randint(0, max_exp))] = c
     return WeylElement(terms)
+
+
+def percentile(values, q):
+    """Nearest-rank percentile: the smallest value with at least q% of the
+    values at or below it."""
+    ranked = sorted(values)
+    return ranked[max(ceil(q * len(ranked) / 100) - 1, 0)]
 
 
 def main():
@@ -35,10 +43,13 @@ def main():
     rng = random.Random(args.seed)
     outcomes = Counter()
     deciding_rule = Counter()
+    times_ms = []
     started = time.perf_counter()
     for _ in range(args.count):
         x = random_element(rng, args.max_exp, args.max_terms, args.coeff_bound)
+        t0 = time.perf_counter()
         verdict = analyze(x, box=args.box)
+        times_ms.append(1000 * (time.perf_counter() - t0))
         outcomes[verdict.outcome] += 1
         if verdict.reasons:
             deciding_rule[verdict.reasons[0].rule.value] += 1
@@ -48,6 +59,8 @@ def main():
 
     print(f"{args.count} elements, exponents <= {args.max_exp}, box {args.box}, "
           f"{elapsed:.2f}s ({1000 * elapsed / args.count:.1f} ms/element)")
+    print(f"analyze per element: p50 {percentile(times_ms, 50):.3f} ms, "
+          f"p95 {percentile(times_ms, 95):.3f} ms")
     print()
     print("outcomes:")
     for outcome in Outcome:
@@ -55,7 +68,7 @@ def main():
     print()
     print("deciding rule:")
     for rule, n in deciding_rule.most_common():
-        print(f"  {rule:<26} {n}")
+        print(f"  {rule:<26} {n}  {n / args.count:6.1%}")
 
 
 if __name__ == "__main__":

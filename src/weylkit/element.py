@@ -236,26 +236,48 @@ def mul(x: WeylElement, y: WeylElement) -> WeylElement:
     return WeylElement._raw({key: Fraction(c, den) for key, c in mul_numerators(xs, ys).items()})
 
 
+def power_bracket(xs: Mapping[ExponentPair, int], n: int, on_q: bool) -> dict[ExponentPair, int]:
+    """[X, q^n] if on_q else [X, p^n] on integer coefficient maps, by the
+    recurrence of mul; zeros where terms of X cancel are left to the sums:
+
+        [p^a q^b, p^n] =  sum_{k>=1} (-1)^k k! C(b,k) C(n,k) p^(a+n-k) q^(b-k),
+        [p^a q^b, q^n] = -sum_{k>=1} (-1)^k k! C(a,k) C(n,k) p^(a-k) q^(b+n-k)."""
+    acc: dict[ExponentPair, int] = {}
+    for (a, b), coef in xs.items():
+        if on_q:
+            m, coef, b = a, -coef, b + n
+        else:
+            m, a = b, a + n
+        for k in range(1, min(m, n) + 1):
+            coef = -(coef * (m - k + 1) * (n - k + 1)) // k
+            key = (a - k, b - k)
+            acc[key] = acc.get(key, 0) + coef
+    return acc
+
+
 def bracket_numerators(xs: Mapping[ExponentPair, int],
                        ys: Mapping[ExponentPair, int]) -> dict[ExponentPair, int]:
-    """[x, y] on integer coefficient maps, zero terms pruned:
-
-        [p^a q^b, p^c q^d] = sum_{k>=1} (-1)^k k! (C(b,k) C(c,k) - C(d,k) C(a,k))
-                             p^(a+c-k) q^(b+d-k).
-
-    The k = 0 terms of the two orders cancel; each coefficient follows the
-    integer recurrence of mul."""
+    """[x, y] on integer coefficient maps, zero terms pruned.  ad x is a
+    derivation, [x, p^c q^d] = [x, p^c] q^d + p^c [x, q^d], and in the
+    p-before-q order both products only shift exponents.  So one
+    power_bracket is taken per distinct exponent c >= 1 of p and d >= 1 of
+    q in y, and each term cy p^c q^d adds cy times its two shifted copies."""
+    left, right = {}, {}  # power_bracket by exponent of p, of q
+    for c, d in ys:
+        if c and c not in left:
+            left[c] = power_bracket(xs, c, False)
+        if d and d not in right:
+            right[d] = power_bracket(xs, d, True)
     acc: dict[ExponentPair, int] = {}
-    for (a, b), cx in xs.items():
-        for (c, d), cy in ys.items():
-            cxy = cx * cy
-            left = right = 1
-            for k in range(1, max(min(b, c), min(d, a)) + 1):
-                left = -(left * (b - k + 1) * (c - k + 1)) // k
-                right = -(right * (d - k + 1) * (a - k + 1)) // k
-                if left != right:
-                    key = (a + c - k, b + d - k)
-                    acc[key] = acc.get(key, 0) + cxy * (left - right)
+    for (c, d), cy in ys.items():
+        if c:
+            for (i, j), v in left[c].items():
+                key = (i, j + d)
+                acc[key] = acc.get(key, 0) + cy * v
+        if d:
+            for (i, j), v in right[d].items():
+                key = (i + c, j)
+                acc[key] = acc.get(key, 0) + cy * v
     return {key: c for key, c in acc.items() if c}
 
 
@@ -263,7 +285,8 @@ def commutator(x: WeylElement, y: WeylElement) -> WeylElement:
     """[x, y] = x y - y x in canonical sparse form, summed directly rather
     than as two products: with dx and dy the common denominators of x and
     y (see numerators), bracket_numerators takes the integer bracket of
-    dx*x and dy*y, and each of its terms becomes one Fraction over dx*dy."""
+    dx*x and dy*y by the Leibniz rule, one pure-power bracket per distinct
+    exponent of y, and each of its terms becomes one Fraction over dx*dy."""
     dx, xs = numerators(x)
     dy, ys = numerators(y)
     den = dx * dy

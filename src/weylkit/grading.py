@@ -124,6 +124,8 @@ def exp_ad(g: WeylElement, x: WeylElement) -> WeylElement:
     g = G/dg and x = X/dx, the k-th term is (ad G)^k X / (dx k! dg^k), so
     each step takes bracket_numerators with G and the sum is kept over that
     running denominator; each output term becomes one Fraction at the end.
+    For G in Q[q], [G, q^d] = 0, so a step shifts one [G, p^c] per distinct
+    exponent c of p in the term (mirrored for G in Q[p]).
     """
     support = g.support()
     on_q_axis = all(i == 0 for i, _ in support)

@@ -19,7 +19,7 @@ from functools import cached_property
 from math import gcd, isqrt, lcm
 from typing import Iterator
 
-from .element import WeylElement, WeylInternalError, bracket_numerators, commutator, numerators
+from .element import WeylElement, WeylInternalError, commutator, numerators, power_bracket
 from .grading import GradeSpan, HForm, grade_span, to_h_form
 from .polygon import PolygonProfile, Weight, edges
 from .polynomials import BiPoly
@@ -377,6 +377,9 @@ def _box_system(x: WeylElement, box: int) -> tuple[list[dict[int, int]], list[tu
     0) lies in the block of class -g0.  For homogeneous x, m = 0 and the
     classes are the single grades, so that block is j - i = -g0.  Only its
     columns are kept, in their box order.
+
+    [X, p^i] and [X, q^j] are taken once for i, j <= box, and column (i, j)
+    sums the shifts [X, p^i] q^j + p^i [X, q^j] (element.bracket_numerators).
     """
     d, xs = numerators(x)
     grades = [j - i for i, j in xs if i or j]
@@ -388,10 +391,16 @@ def _box_system(x: WeylElement, box: int) -> tuple[list[dict[int, int]], list[tu
         for j in range(box + 1)
         if ((j - i + g0) % m if m else j - i + g0) == 0
     ]
+    left = [power_bracket(xs, i, False) for i in range(box + 1)]
+    right = [power_bracket(xs, j, True) for j in range(box + 1)]
     system: dict[tuple[int, int], dict[int, int]] = {(0, 0): {len(columns): d}}
     for col, (i, j) in enumerate(columns):
-        for key, c in bracket_numerators(xs, {(i, j): 1}).items():
-            system.setdefault(key, {})[col] = c
+        entry = {(a, b + j): c for (a, b), c in left[i].items()}
+        for (a, b), c in right[j].items():
+            entry[(a + i, b)] = entry.get((a + i, b), 0) + c
+        for key, c in entry.items():
+            if c:
+                system.setdefault(key, {})[col] = c
     return [system[key] for key in sorted(system)], columns
 
 
@@ -400,15 +409,15 @@ def find_witness_box(x: WeylElement, box: int, cap: int = DEFAULT_BOX_CAP) -> We
 
     The commutator is linear in y, so the search is an exact linear solve.
     It runs on integers: with d the common denominator of x and X = d*x,
-    column (i, j) is the bracket [X, p^i q^j] taken on X's integer
-    numerators (element.bracket_numerators), stored as sparse rows keyed
-    by monomial, and the right-hand side is d at (0, 0), because
-    [X, y] = d exactly when [x, y] = 1.  Each row is d times the row of the
-    rational system, so the nonzeros, the pivots and the witness are the
-    same: the one supported on the leftmost independent columns (see
-    _solve), found modulo a prime and certified exactly.  A returned
-    witness is always verified.  None means only that no witness exists
-    within the box.
+    column (i, j) is the bracket [X, p^i q^j] = [X, p^i] q^j + p^i [X, q^j]
+    on X's integer numerators, shifted from 2(box + 1) pure-power brackets
+    (see _box_system) and stored as sparse rows keyed by monomial, and the
+    right-hand side is d at (0, 0), because [X, y] = d exactly when
+    [x, y] = 1.  Each row is d times the row of the rational system, so the
+    nonzeros, the pivots and the witness are the same: the one supported
+    on the leftmost independent columns (see _solve), found modulo a prime
+    and certified exactly.  A returned witness is always verified.  None
+    means only that no witness exists within the box.
 
     Three exact reductions shrink the system and change no answer:
     - the constant term of [x, y] is

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import gcd
+from math import gcd, lcm
 
 from weylkit import (
     H,
@@ -206,6 +206,23 @@ def naive_solve(rows: list[dict], ncols: int) -> dict[int, Fraction] | None:
     if any(mat[k][ncols] for k in range(r, len(mat))):
         return None
     return {col: mat[row][ncols] for row, col in pivots}
+
+
+def reference_box_rows(x: WeylElement, box: int, columns: list[tuple[int, int]]) -> list[dict[int, int]]:
+    """The integer rows _box_system must return for the given columns: with
+    d the common denominator of x, column t is d * reference_bracket(x,
+    p^i q^j) for (i, j) = columns[t], and the right-hand side is d at
+    (0, 0).  One row per monomial met, sorted, holding only its nonzero
+    entries.  box only bounds the columns."""
+    assert all(i <= box and j <= box for i, j in columns)
+    d = lcm(*(c.denominator for c in x.terms().values()))
+    brackets = [reference_bracket(x, WeylElement.monomial(i, j)) for i, j in columns]
+    rows: dict[tuple[int, int], dict[int, int]] = {(0, 0): {len(columns): d}}
+    for col, br in enumerate(brackets):
+        for key, c in br.terms().items():
+            assert (d * c).denominator == 1
+            rows.setdefault(key, {})[col] = int(d * c)
+    return [rows[key] for key in sorted(rows)]
 
 
 def naive_box_witness(x: WeylElement, box: int) -> WeylElement | None:

@@ -182,6 +182,58 @@ class TestCommutator:
         assert total.is_zero()
 
 
+# y with many terms on a 3 x 3 grid of exponents, so that its terms share
+# p- and q-exponents; sometimes with a constant term and pure powers on
+# either axis
+shared_exponents = st.dictionaries(
+    exponent_pairs(2).map(lambda t: (2 * t[0], t[1] + 1)),
+    coefficients(fractional=True),
+    min_size=2,
+    max_size=9,
+).map(WeylElement)
+with_axis_terms = st.tuples(
+    shared_exponents,
+    st.sampled_from([0, 1, 3]),
+    st.sampled_from([0, 2, 4]),
+    coefficients(fractional=True),
+).map(lambda t: t[0] + W({(0, 0): t[3]}) + W({(t[1], 0): 1}) + W({(0, t[2]): -t[3]}))
+
+
+class TestLeibnizBracket:
+    """commutator takes one bracket per pure power of y and shifts it: the
+    result must not depend on how y's exponents repeat or on which axes
+    its terms lie."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(operands, shared_exponents)
+    def test_shared_exponents_match_reference(self, x, y):
+        assert commutator(x, y) == reference_bracket(x, y)
+
+    @settings(max_examples=200, deadline=None)
+    @given(operands, with_axis_terms)
+    def test_constant_and_pure_powers_match_reference(self, x, y):
+        assert commutator(x, y) == reference_bracket(x, y)
+
+    @pytest.mark.parametrize("y", [
+        W({(0, 0): 5}), W({(3, 0): 1}), W({(0, 3): 1}), W({(2, 0): 1, (0, 2): -1, (0, 0): 7}),
+        W({(1, 1): 1, (1, 2): 2, (2, 1): 3, (2, 2): 4}),
+    ])
+    def test_hand_cases_match_reference(self, y):
+        for terms in ({(2, 3): 1, (1, 0): Fraction(1, 2)}, {(0, 4): 3, (3, 0): -1, (1, 1): 2}):
+            x = W(terms)
+            assert commutator(x, y) == reference_bracket(x, y)
+
+    @settings(max_examples=60, deadline=None)
+    @given(operands)
+    def test_leibniz_identity(self, x):
+        for i in range(5):
+            for j in range(5):
+                pi, qj = power(P, i), power(Q, j)
+                assert commutator(x, mul(pi, qj)) == (
+                    mul(commutator(x, pi), qj) + mul(pi, commutator(x, qj))
+                ), (str(x), i, j)
+
+
 class TestAdPower:
     def test_p_twice_on_q(self):
         assert ad_power(P, Q, 2) == WeylElement.zero()
