@@ -7,6 +7,7 @@ Run with:  python scripts/verdict_survey.py --count 300 --max-exp 4 --seed 7
 
 import argparse
 import random
+import sys
 import time
 from collections import Counter
 from math import ceil
@@ -39,6 +40,9 @@ def main():
     ap.add_argument("--box", type=int, default=4)
     ap.add_argument("--seed", type=int, default=7)
     args = ap.parse_args()
+    if args.count < 1:
+        print(f"error: --count must be at least 1, got {args.count}", file=sys.stderr)
+        return 1
 
     rng = random.Random(args.seed)
     outcomes = Counter()
@@ -72,4 +76,4 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -255,13 +255,16 @@ def power_bracket(xs: Mapping[ExponentPair, int], n: int, on_q: bool) -> dict[Ex
     return acc
 
 
-def bracket_numerators(xs: Mapping[ExponentPair, int],
-                       ys: Mapping[ExponentPair, int]) -> dict[ExponentPair, int]:
-    """[x, y] on integer coefficient maps, zero terms pruned.  ad x is a
-    derivation, [x, p^c q^d] = [x, p^c] q^d + p^c [x, q^d], and in the
-    p-before-q order both products only shift exponents.  So one
-    power_bracket is taken per distinct exponent c >= 1 of p and d >= 1 of
-    q in y, and each term cy p^c q^d adds cy times its two shifted copies."""
+def commutator(x: WeylElement, y: WeylElement) -> WeylElement:
+    """[x, y] = x y - y x in canonical sparse form, summed directly rather
+    than as two products, on the integer numerators X = dx*x and Y = dy*y
+    (see numerators).  ad X is a derivation, [X, p^c q^d] = [X, p^c] q^d +
+    p^c [X, q^d], and in the p-before-q order both products only shift
+    exponents.  So one power_bracket is taken per distinct exponent c >= 1
+    of p and d >= 1 of q in Y, each term cy p^c q^d adds cy times its two
+    shifted copies, and each nonzero sum becomes one Fraction over dx*dy."""
+    dx, xs = numerators(x)
+    dy, ys = numerators(y)
     left, right = {}, {}  # power_bracket by exponent of p, of q
     for c, d in ys:
         if c and c not in left:
@@ -278,19 +281,8 @@ def bracket_numerators(xs: Mapping[ExponentPair, int],
             for (i, j), v in right[d].items():
                 key = (i + c, j)
                 acc[key] = acc.get(key, 0) + cy * v
-    return {key: c for key, c in acc.items() if c}
-
-
-def commutator(x: WeylElement, y: WeylElement) -> WeylElement:
-    """[x, y] = x y - y x in canonical sparse form, summed directly rather
-    than as two products: with dx and dy the common denominators of x and
-    y (see numerators), bracket_numerators takes the integer bracket of
-    dx*x and dy*y by the Leibniz rule, one pure-power bracket per distinct
-    exponent of y, and each of its terms becomes one Fraction over dx*dy."""
-    dx, xs = numerators(x)
-    dy, ys = numerators(y)
     den = dx * dy
-    return WeylElement._raw({key: Fraction(c, den) for key, c in bracket_numerators(xs, ys).items()})
+    return WeylElement._raw({key: Fraction(c, den) for key, c in acc.items() if c})
 
 
 def ad_power(x: WeylElement, y: WeylElement, n: int) -> WeylElement:

@@ -9,6 +9,9 @@ shifting identities are
     f(h) p^n = p^n f(h - n),      f(h) q^n = q^n f(h + n),
 
 and p^k q^k = h (h+1) ... (h+k-1), both exercised directly by the tests.
+
+omega and exp_ad apply an automorphism through the images of p and q, which
+fix it: x with p and q replaced by their images, summed on integers.
 """
 
 from __future__ import annotations
@@ -19,10 +22,8 @@ from fractions import Fraction
 from .element import (
     H,
     WeylElement,
-    WeylInternalError,
-    bracket_numerators,
     mul,
-    normalize_qp,
+    mul_numerators,
     numerators,
     substitute_poly,
 )
@@ -104,49 +105,49 @@ def from_h_form(hf: HForm) -> WeylElement:
 
 
 def omega(x: WeylElement) -> WeylElement:
-    """The automorphism p -> -q, q -> p; it swaps grades s and -s."""
-    out = WeylElement.zero()
-    for (i, j), c in x.terms().items():
-        sign = -c if i % 2 else c
-        out = out + normalize_qp(i, j).scale(sign)
-    return out
+    """The automorphism p -> -q, q -> p; it swaps grades s and -s.  Each
+    term c p^i q^j of the integer numerators d*x adds the normal-ordered
+    (-1)^i c q^i p^j to one integer sum, made a Fraction over d at the end."""
+    d, xs = numerators(x)
+    acc: dict[tuple[int, int], int] = {}
+    for (i, j), c in xs.items():
+        for key, v in mul_numerators({(0, i): -c if i % 2 else c}, {(j, 0): 1}).items():
+            acc[key] = acc.get(key, 0) + v
+    return WeylElement._raw({key: Fraction(c, d) for key, c in acc.items() if c})
 
 
 def exp_ad(g: WeylElement, x: WeylElement) -> WeylElement:
     """exp(ad g) applied to x, for g a polynomial in q alone or p alone.
 
-    ad g is locally nilpotent for such g, so the series
-    sum_k (ad g)^k x / k! has finitely many nonzero terms; division by k!
-    is exact over the rationals.  The result is an algebra automorphism
-    image: products and commutators are preserved.
+    For g in Q[q], ad g sends p to -g'(q), which ad g kills, and kills q,
+    so exp(ad g) is p -> p - g'(q), q -> q (Dixmier 1968); for g in Q[p]
+    it is q -> q + g'(p), p -> p.  On integer numerators g = G/dg and
+    x = X/d with X = sum_i p^i f_i(q), the moved generator times dg is
+    P = dg*p - G'(q), and by Horner's rule, with F_k = dg^(top-k) f_k,
 
-    The series runs on integer numerators (see element.numerators): with
-    g = G/dg and x = X/dx, the k-th term is (ad G)^k X / (dx k! dg^k), so
-    each step takes bracket_numerators with G and the sum is kept over that
-    running denominator; each output term becomes one Fraction at the end.
-    For G in Q[q], [G, q^d] = 0, so a step shifts one [G, p^c] per distinct
-    exponent c of p in the term (mirrored for G in Q[p]).
+        d dg^top exp(ad g) x = F_0 + P (F_1 + P (F_2 + ... + P F_top)).
+
+    For G in Q[p], X = sum_j e_j(p) q^j and the steps multiply on the
+    right by Q = dg*q + G'(p).  Each output term becomes one Fraction.
     """
-    support = g.support()
-    on_q_axis = all(i == 0 for i, _ in support)
-    on_p_axis = all(j == 0 for _, j in support)
-    if not (on_q_axis or on_p_axis):
-        raise ValueError("exp-ad requires single-generator polynomial")
-    cap = max(x.total_degree(), 0) + max(g.total_degree(), 0) + 2
     dg, gs = numerators(g)
-    den, term = numerators(x)
-    acc = dict(term)
-    for k in range(1, cap + 1):
-        term = bracket_numerators(gs, term)
-        if not term:
-            return WeylElement._raw({key: Fraction(c, den) for key, c in acc.items() if c})
-        step = k * dg
-        den *= step
-        for key, c in acc.items():
-            acc[key] = c * step
-        for key, c in term.items():
-            acc[key] = acc.get(key, 0) + c
-    raise WeylInternalError(
-        f"exp-ad series did not terminate within {cap} steps; "
-        "ad g should be locally nilpotent"
-    )
+    on_q_axis = all(i == 0 for i, _ in gs)
+    if not (on_q_axis or all(j == 0 for _, j in gs)):
+        raise ValueError("exp-ad requires single-generator polynomial")
+    d, xs = numerators(x)
+    if on_q_axis:  # P = dg*p - G'(q)
+        moved = {(1, 0): dg, **{(0, j - 1): -j * c for (_, j), c in gs.items() if j}}
+    else:  # Q = dg*q + G'(p)
+        moved = {(0, 1): dg, **{(i - 1, 0): i * c for (i, _), c in gs.items() if i}}
+    rows: dict[int, dict[tuple[int, int], int]] = {}  # f_i, or e_j
+    for (i, j), c in xs.items():
+        rows.setdefault(i if on_q_axis else j, {})[(0, j) if on_q_axis else (i, 0)] = c
+    top = max(rows, default=0)
+    acc, scale = rows.get(top, {}), 1
+    for k in range(top - 1, -1, -1):
+        acc = mul_numerators(moved, acc) if on_q_axis else mul_numerators(acc, moved)
+        scale *= dg
+        for key, c in rows.get(k, {}).items():
+            acc[key] = acc.get(key, 0) + scale * c
+    den = d * scale
+    return WeylElement._raw({key: Fraction(c, den) for key, c in acc.items() if c})

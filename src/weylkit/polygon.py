@@ -53,18 +53,29 @@ class Weight:
         return f"({self.rho},{self.sigma})"
 
 
+def exposed_face(support, w: Weight) -> tuple[int, frozenset[tuple[int, int]]]:
+    """The weighted degree v at w of a support and the face of points where
+    it is reached, from one scan; v is -1 and the face empty for no points."""
+    rho, sigma = w.rho, w.sigma
+    v, face = -1, []
+    for pt in support:
+        d = pt[0] * rho + pt[1] * sigma
+        if d > v:
+            v, face = d, [pt]
+        elif d == v:
+            face.append(pt)
+    return v, frozenset(face)
+
+
 def weight_degree(x: WeylElement, w: Weight):
     """max(i*rho + j*sigma) over the support; NEG_INF for the zero element."""
-    if x.is_zero():
-        return NEG_INF
-    return max(w.degree_of(pt) for pt in x.support())
+    return exposed_face(x.support(), w)[0] if x else NEG_INF
 
 
 def weight_support(x: WeylElement, w: Weight) -> frozenset[tuple[int, int]]:
     if x.is_zero():
         raise ValueError("zero element has no weighted support")
-    v = weight_degree(x, w)
-    return frozenset(pt for pt in x.support() if w.degree_of(pt) == v)
+    return exposed_face(x.support(), w)[1]
 
 
 def weight_polynomial(x: WeylElement, w: Weight) -> BiPoly:
@@ -142,7 +153,8 @@ def edges(x: WeylElement) -> PolygonProfile:
     """
     if x.is_zero():
         raise ValueError("zero element has no edges")
-    hull = convex_hull(x.support())
+    support = x.support()
+    hull = convex_hull(support)
     weights: list[Weight] = []
     if len(hull) >= 2:
         for k in range(len(hull)):
@@ -159,11 +171,11 @@ def edges(x: WeylElement) -> PolygonProfile:
 
     edge_list: list[Edge] = []
     for w in weights:
-        sup = weight_support(x, w)
+        v, sup = exposed_face(support, w)
         if len(sup) < 2:
             raise WeylInternalError(f"hull segment at weight {w} exposes a single point")
         polynomial = BiPoly({pt: x.coeff(*pt) for pt in sup})
-        edge_list.append(Edge(w, sup, polynomial, w.degree_of(next(iter(sup)))))
+        edge_list.append(Edge(w, sup, polynomial, v))
 
     vertex_list: list[Vertex] = []
     for e1, e2 in zip(edge_list, edge_list[1:]):
@@ -174,7 +186,7 @@ def edges(x: WeylElement) -> PolygonProfile:
             )
         point = next(iter(shared))
         sw = separating_weight(e1.weight, e2.weight)
-        if weight_support(x, sw) != shared:
+        if exposed_face(support, sw)[1] != shared:
             raise WeylInternalError(
                 f"separating weight {sw} does not expose the joining vertex {point}"
             )

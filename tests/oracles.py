@@ -54,6 +54,15 @@ def rewrite_normal_qp(m: int, n: int) -> WeylElement:
     return WeylElement(terms)
 
 
+def naive_omega(x: WeylElement) -> WeylElement:
+    """omega(x) as sum c (-1)^i (q^i p^j), each word normal ordered by
+    rewrite_normal_qp."""
+    out = WeylElement.zero()
+    for (i, j), c in x.terms().items():
+        out = out + rewrite_normal_qp(i, j).scale(-c if i % 2 else c)
+    return out
+
+
 @cache
 def swap_normal_qp(m: int, n: int) -> dict[tuple[int, int], int]:
     """Normal form of q^m p^n as {(i, j): coefficient of p^i q^j}.

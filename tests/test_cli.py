@@ -272,3 +272,15 @@ class TestExitCodes:
             os.close(write_end)
         assert proc.returncode == 1
         assert proc.stderr == ""
+
+
+class TestVerdictSurveyScript:
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_count_below_one_exits_one_with_one_line(self, count):
+        script = Path(__file__).resolve().parents[1] / "scripts" / "verdict_survey.py"
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        proc = subprocess.run([sys.executable, str(script), "--count", count],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == f"error: --count must be at least 1, got {count}\n"

@@ -26,8 +26,8 @@ from weylkit import (
     to_h_form,
 )
 
-from oracles import naive_h_form, series_exp_ad
-from strategies import coefficients, unipolys, weyl_elements
+from oracles import naive_h_form, naive_omega, series_exp_ad
+from strategies import apply_word, coefficients, tame_words, unipolys, weyl_elements
 
 SHOWCASE = WeylElement({(4, 0): 1, (3, 1): 1, (2, 2): 1, (0, 3): 1, (0, 1): 1})
 
@@ -171,6 +171,11 @@ class TestOmega:
         span = grade_span(omega(SHOWCASE))
         assert (span.min_grade, span.max_grade) == (-3, 4)
 
+    @settings(max_examples=80, deadline=None)
+    @given(weyl_elements(max_exp=4, max_terms=5, fractional=True))
+    def test_matches_single_swap_rewriting(self, x):
+        assert omega(x) == naive_omega(x)
+
 
 class TestExpAd:
     def test_linear_q_shifts_p(self):
@@ -224,3 +229,62 @@ class TestExpAd:
     def test_multiplicative_for_p_cubed(self, x, y):
         g = WeylElement.monomial(3, 0, Fraction(1, 2))
         assert exp_ad(g, mul(x, y)) == mul(exp_ad(g, x), exp_ad(g, y))
+
+
+class TestExpAdAgainstSeries:
+    """exp_ad substitutes the image of the moved generator; the series
+    sum_k (ad g)^k x / k! is the definition it must agree with."""
+
+    CASES = [
+        WeylElement.zero(),
+        ONE,
+        P,
+        Q,
+        SHOWCASE,
+        WeylElement({(3, 2): 1, (0, 1): 1}),  # p^3*q^2 + q: rows 1, 2 and 0, 1 missing
+        WeylElement({(2, 3): Fraction(1, 2), (1, 0): -3}),
+        WeylElement({(0, 4): Fraction(2, 3), (0, 1): 1, (0, 0): 5}),  # only q
+        WeylElement({(3, 0): Fraction(-1, 4), (1, 0): 2}),  # only p
+    ]
+    GENERATORS = [
+        WeylElement.zero(),
+        WeylElement.monomial(0, 0, Fraction(7, 3)),
+        WeylElement({(0, 1): Fraction(-2, 5), (0, 0): 1}),
+        WeylElement({(1, 0): Fraction(3, 2), (0, 0): -4}),
+        WeylElement({(0, 3): Fraction(1, 3), (0, 1): 2}),
+        WeylElement({(2, 0): Fraction(-1, 2), (1, 0): 1}),
+    ]
+
+    @pytest.mark.parametrize("g", GENERATORS, ids=str)
+    @pytest.mark.parametrize("x", CASES, ids=str)
+    def test_matches_series(self, g, x):
+        assert exp_ad(g, x) == series_exp_ad(g, x)
+
+    @pytest.mark.parametrize("g", GENERATORS[:2], ids=str)
+    @pytest.mark.parametrize("x", CASES, ids=str)
+    def test_zero_and_constant_g_fix_everything(self, g, x):
+        assert exp_ad(g, x) == x
+
+    def test_fixed_generator_only(self):
+        g = WeylElement({(0, 2): 3, (0, 1): -1})
+        x = WeylElement({(0, 4): Fraction(2, 3), (0, 1): 1})
+        assert exp_ad(g, x) == x
+        g = WeylElement({(3, 0): Fraction(1, 2)})
+        x = WeylElement({(3, 0): Fraction(-1, 4), (1, 0): 2})
+        assert exp_ad(g, x) == x
+
+    def test_rows_with_gaps(self):
+        # p -> p - 2q under g = q^2; rows p^3 q^2 and q skip the powers 0, 1, 2 of p
+        x = WeylElement({(3, 2): 1, (0, 1): 1})
+        g = power(Q, 2)
+        shifted = P - Q.scale(2)
+        assert exp_ad(g, x) == mul(power(shifted, 3), power(Q, 2)) + Q
+        assert exp_ad(g, x) == series_exp_ad(g, x)
+
+    @settings(max_examples=60, deadline=None)
+    @given(tame_words(), weyl_elements(max_exp=2, max_terms=3, fractional=True))
+    def test_words_match_series(self, word, x):
+        expected = x
+        for g in word:
+            expected = omega(expected) if g == "omega" else series_exp_ad(g, expected)
+        assert apply_word(word, x) == expected
