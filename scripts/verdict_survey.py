@@ -47,6 +47,7 @@ def main():
     rng = random.Random(args.seed)
     outcomes = Counter()
     deciding_rule = Counter()
+    step_counts = []
     times_ms = []
     started = time.perf_counter()
     for _ in range(args.count):
@@ -57,6 +58,8 @@ def main():
         outcomes[verdict.outcome] += 1
         if verdict.reasons:
             deciding_rule[verdict.reasons[0].rule.value] += 1
+            if "steps" in verdict.reasons[0].params:
+                step_counts.append(len(verdict.reasons[0].params["steps"]))
         else:
             deciding_rule["(none: unknown)"] += 1
     elapsed = time.perf_counter() - started
@@ -69,6 +72,9 @@ def main():
     print("outcomes:")
     for outcome in Outcome:
         print(f"  {outcome.value:<12} {outcomes.get(outcome, 0)}")
+    print()
+    print(f"reduced by automorphism steps: {len(step_counts)} verdicts, "
+          f"at most {max(step_counts, default=0)} steps")
     print()
     print("deciding rule:")
     for rule, n in deciding_rule.most_common():

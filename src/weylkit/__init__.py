@@ -43,7 +43,7 @@ from .polygon import (
     weight_support,
 )
 from .polynomials import BiPoly, UniPoly
-from .power_analysis import HomogShape, dehomogenize, power_index, rehomogenize
+from .power_analysis import HomogShape, dehomogenize, power_index
 from .solvability import (
     DEFAULT_BOX_BOUND,
     DEFAULT_BOX_CAP,

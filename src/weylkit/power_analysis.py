@@ -34,6 +34,22 @@ class HomogShape:
     core: UniPoly
     weight: Weight
 
+    def power_index(self) -> int:
+        """Largest m such that the shape is an m-th power over the algebraic
+        closure: with g = gcd(x_mult, y_mult, deg core), the largest
+        divisor r of g for which the monic core has a monic r-th root
+        (monic_root)."""
+        g = gcd(self.x_mult, self.y_mult, self.core.degree())
+        if g == 0:
+            raise ValueError("power index is undefined for constant polynomials")
+        if g == 1:
+            return 1
+        core = self.core.monic()
+        for r in range(g, 1, -1):
+            if g % r == 0 and monic_root(core, r) is not None:
+                return r
+        return 1
+
 
 def _dehomogenize_x_axis(f: BiPoly, n: int) -> tuple[int, int, UniPoly]:
     """Shape for weight (n, 1): core in Z = X / Y^n."""
@@ -73,24 +89,6 @@ def dehomogenize(f: BiPoly, w: Weight) -> HomogShape:
     raise ValueError("requires axis weight")
 
 
-def rehomogenize(shape: HomogShape) -> BiPoly:
-    """Inverse of dehomogenize: rebuild the bivariate polynomial."""
-    w = shape.weight
-    deg = shape.core.degree()
-    terms: dict[tuple[int, int], Fraction] = {}
-    if w.sigma == 1:
-        n = w.rho
-        for t, c in enumerate(shape.core.coeffs()):
-            if c:
-                terms[(shape.x_mult + t, shape.y_mult + n * (deg - t))] = c
-    else:
-        n = w.sigma
-        for t, c in enumerate(shape.core.coeffs()):
-            if c:
-                terms[(shape.x_mult + n * (deg - t), shape.y_mult + t)] = c
-    return BiPoly(terms)
-
-
 def monic_root(f: UniPoly, r: int) -> UniPoly | None:
     """The monic h with h**r == f, or None when f is no r-th power.
 
@@ -101,39 +99,37 @@ def monic_root(f: UniPoly, r: int) -> UniPoly | None:
 
         G_k = (1/k) sum_{j=1..k} (j/r - (k - j)) F_j G_{k-j}.
 
-    They are rational, so h is built from G_0 ... G_{n/r} and returned
-    exactly when h^r == f.  The test over the rationals is exact: a monic
-    r-th root over the closure is unique, and the recurrence makes it
-    rational.  At r = n the root is linear, Z - mu, exactly when
-    f = (Z - mu)^n.
+    They are rational.  If f = h^r, G is a polynomial of degree m = n/r,
+    so G_k = 0 for m < k <= n.  Conversely, if those G_k vanish, the
+    truncation H = G_0 + ... + G_m t^m has H^r = F mod t^(n+1), and both
+    sides have degree at most n, so H^r = F and the reversal of H is a
+    monic r-th root of f.  So the recurrence runs to k = n, with the sum
+    over j >= k - m (the G beyond m are zero), and stops at the first
+    nonzero G_k past m: O(n m) operations and no power of h.  The test over
+    the rationals is exact: a monic r-th root over the closure is unique,
+    and the recurrence makes it rational.  At r = n the root is linear,
+    Z - mu, exactly when f = (Z - mu)^n.
     """
+    n = f.degree()
+    m = n // r
     F = f.coeffs()[::-1]
     G = [Fraction(1)]
-    for k in range(1, f.degree() // r + 1):
-        G.append(sum((j - r * (k - j)) * F[j] * G[k - j] for j in range(1, k + 1)) / (r * k))
-    h = UniPoly(G[::-1])
-    return h if h ** r == f else None
+    for k in range(1, n + 1):
+        g = sum((j - r * (k - j)) * F[j] * G[k - j] for j in range(max(1, k - m), k + 1)) / (r * k)
+        if k <= m:
+            G.append(g)
+        elif g:
+            return None
+    return UniPoly(G[::-1])
 
 
 def power_index(f: BiPoly, w: Weight) -> int:
-    """Largest m such that f is an m-th power over the algebraic closure.
-
-    With g = gcd(x_mult, y_mult, deg core), this is the largest divisor r
-    of g for which the monic core has a monic r-th root (monic_root).
+    """Largest m such that f is an m-th power over the algebraic closure
+    (HomogShape.power_index of its shape at w).
 
     Index 1 certifies f is not a proper power over the closure, hence not
     over the rationals either.  An index above 1 guarantees a root over the
     closure only; a rational root may require the unit to be an m-th power
     in the rationals.
     """
-    shape = dehomogenize(f, w)
-    g = gcd(shape.x_mult, shape.y_mult, shape.core.degree())
-    if g == 0:
-        raise ValueError("power index is undefined for constant polynomials")
-    if g == 1:
-        return 1
-    core = shape.core.monic()
-    for r in range(g, 1, -1):
-        if g % r == 0 and monic_root(core, r) is not None:
-            return r
-    return 1
+    return dehomogenize(f, w).power_index()

@@ -20,10 +20,10 @@ from math import gcd, isqrt, lcm
 from typing import Iterator
 
 from .element import WeylElement, WeylInternalError, commutator, numerators, power_bracket
-from .grading import GradeSpan, HForm, grade_span, to_h_form
+from .grading import GradeSpan, HForm, exp_ad, grade_span, to_h_form
 from .polygon import PolygonProfile, Weight, edges, exposed_face
 from .polynomials import BiPoly
-from .power_analysis import power_index
+from .power_analysis import HomogShape, dehomogenize, monic_root
 
 DEFAULT_BOX_BOUND = 4
 DEFAULT_BOX_CAP = 8
@@ -90,12 +90,17 @@ class ElementProfile:
         return edges(self.x)
 
     @cached_property
-    def edge_indices(self) -> tuple[int | None, ...]:
-        """Power index of each polygon edge; None at a non-axis weight."""
+    def edge_shapes(self) -> tuple[HomogShape | None, ...]:
+        """Factored shape of each polygon edge; None at a non-axis weight."""
         return tuple(
-            power_index(e.polynomial, e.weight) if e.weight.is_axis() else None
+            dehomogenize(e.polynomial, e.weight) if e.weight.is_axis() else None
             for e in self.polygon.edges
         )
+
+    @cached_property
+    def edge_indices(self) -> tuple[int | None, ...]:
+        """Power index of each polygon edge; None at a non-axis weight."""
+        return tuple(s.power_index() if s else None for s in self.edge_shapes)
 
     def exposed(self, w: Weight) -> tuple[int, frozenset[tuple[int, int]]]:
         """The weighted degree v of x at w and the face of support points
@@ -454,59 +459,32 @@ def _axis_weights(support) -> Iterator[Weight]:
         yield Weight(1, n)
 
 
-def analyze(
-    x: WeylElement,
-    box: int = DEFAULT_BOX_BOUND,
-    cap: int = DEFAULT_BOX_CAP,
-) -> Verdict:
-    """Run the decision ladder on x.
+_Found = tuple[RuleCitation, WeylElement | None]
 
-    Rule order: constant element, low grade band (and its mirror),
-    polynomial of degree at least 2 in a single generator or in h, affine
-    family (solvable), non-axis edge, axis power index one, edge gcd one,
-    box oracle (solvable), unknown.  Cheap structural rules come first; the
-    first matching unsolvability rule wins, and solvable outcomes always
-    carry a verified witness, so the order cannot make a verdict unsound.
-    Every witness is checked once, by the function that builds it
-    (witness_for_affine, find_witness_box), which raises WeylInternalError
-    rather than return one that fails.  The verdict carries the element's
-    profile, so the facts the rules derived can be reported without
-    computing them again.
-    """
-    _check_box(box, cap)
-    profile = ElementProfile(x)
-    notes: list[str] = []
 
-    def verdict(outcome: Outcome, *reasons: RuleCitation, witness=None) -> Verdict:
-        ladder = tuple(RuleId)
-        attempted = ladder[:ladder.index(reasons[0].rule) + 1] if reasons else ladder
-        return Verdict(outcome, witness=witness, reasons=reasons, attempted=attempted,
-                       box_bound=box, notes=tuple(notes), profile=profile)
-
-    def unsolvable(cit: RuleCitation) -> Verdict:
-        return verdict(Outcome.UNSOLVABLE, cit)
-
+def _rules(profile: ElementProfile, notes: list[str]) -> _Found | None:
+    """The structural rules on one profile, in RuleId order: the first
+    citation that fires, with its witness for affine-family and None for an
+    unsolvability rule; None when no rule fires.  An axis leading
+    polynomial of power index above 1 puts the closure note on notes."""
+    x = profile.x
     if all(pt == (0, 0) for pt in profile.support):
-        return unsolvable(
-            RuleCitation(
-                RuleId.CONSTANT_ELEMENT,
-                {"value": str(x)},
-                "scalars commute with everything, so [x, y] = 0 can never reach 1",
-            )
-        )
+        return RuleCitation(
+            RuleId.CONSTANT_ELEMENT,
+            {"value": str(x)},
+            "scalars commute with everything, so [x, y] = 0 can never reach 1",
+        ), None
 
     span = profile.span
 
     if span.min_grade >= 2 or span.max_grade <= -2:
         side = "min" if span.min_grade >= 2 else "max"
-        return unsolvable(
-            RuleCitation(
-                RuleId.LOW_GRADE_BAND,
-                {"min_grade": span.min_grade, "max_grade": span.max_grade, "side": side},
-                "every graded component of x sits beyond grade +-1, so no bracket "
-                "with x can produce a grade-0 unit",
-            )
-        )
+        return RuleCitation(
+            RuleId.LOW_GRADE_BAND,
+            {"min_grade": span.min_grade, "max_grade": span.max_grade, "side": side},
+            "every graded component of x sits beyond grade +-1, so no bracket "
+            "with x can produce a grade-0 unit",
+        ), None
 
     # x = f(h)*q or f(h)*p with deg f >= 1 needs no rule of its own:
     # axis-power-index-one decides it at (1,1), where the leading term is
@@ -527,40 +505,32 @@ def analyze(
             shape = f"x = f(h) with deg f = {deg}"
         else:
             shape = f"x is a polynomial of degree {deg} in {gen}"
-        return unsolvable(
-            RuleCitation(
-                RuleId.POLYNOMIAL_IN_GENERATOR,
-                {"generator": gen, "degree": deg},
-                f"{shape}; a solvable polynomial in a single element must have degree 1",
-            )
-        )
+        return RuleCitation(
+            RuleId.POLYNOMIAL_IN_GENERATOR,
+            {"generator": gen, "degree": deg},
+            f"{shape}; a solvable polynomial in a single element must have degree 1",
+        ), None
 
     witness = witness_for_affine(x)
     if witness is not None:
-        return verdict(
-            Outcome.SOLVABLE,
-            RuleCitation(
-                RuleId.AFFINE_FAMILY,
-                {"witness": str(witness)},
-                "x = a*p + g(q) (or its mirror) is conjugate to a*p by an "
-                "exp-ad automorphism; the scaled opposite generator is a witness",
-            ),
-            witness=witness,
-        )
+        return RuleCitation(
+            RuleId.AFFINE_FAMILY,
+            {"witness": str(witness)},
+            "x = a*p + g(q) (or its mirror) is conjugate to a*p by an "
+            "exp-ad automorphism; the scaled opposite generator is a witness",
+        ), witness
 
     polygon = profile.polygon
 
     for e in polygon.edges:
         if e.weight.rho >= 2 and e.weight.sigma >= 2 and e.degree > e.weight.rho + e.weight.sigma:
-            return unsolvable(
-                RuleCitation(
-                    RuleId.NON_AXIS_EDGE,
-                    {"weight": str(e.weight), "degree": e.degree},
-                    "x has an edge at a weight with both components at least 2 and "
-                    "weighted degree above rho + sigma; such elements admit no "
-                    "nilpotent adjoint action, ruling out [x, y] = 1",
-                )
-            )
+            return RuleCitation(
+                RuleId.NON_AXIS_EDGE,
+                {"weight": str(e.weight), "degree": e.degree},
+                "x has an edge at a weight with both components at least 2 and "
+                "weighted degree above rho + sigma; such elements admit no "
+                "nilpotent adjoint action, ruling out [x, y] = 1",
+            ), None
 
     saw_power_index_above_one = False
     for w in _axis_weights(profile.support):
@@ -569,45 +539,169 @@ def analyze(
             continue
         f, r = profile.leading(face)
         if r == 1:
-            return unsolvable(
-                RuleCitation(
-                    RuleId.AXIS_POWER_INDEX_ONE,
-                    {"weight": str(w), "weighted_degree": v,
-                     "leading_polynomial": str(f)},
-                    "the leading polynomial at an axis weight with weighted degree "
-                    "at least rho + sigma is not a proper power; a witness would "
-                    "force an impossible leading-polynomial proportionality",
-                )
-            )
+            return RuleCitation(
+                RuleId.AXIS_POWER_INDEX_ONE,
+                {"weight": str(w), "weighted_degree": v,
+                 "leading_polynomial": str(f)},
+                "the leading polynomial at an axis weight with weighted degree "
+                "at least rho + sigma is not a proper power; a witness would "
+                "force an impossible leading-polynomial proportionality",
+            ), None
         saw_power_index_above_one = True
-    if saw_power_index_above_one:
+    if saw_power_index_above_one and _CLOSURE_NOTE not in notes:
         notes.append(_CLOSURE_NOTE)
 
     if len(polygon.edges) >= 2 and all(e.weight.is_axis() for e in polygon.edges) and profile.dominates_unit:
         indices = list(profile.edge_indices)
         if gcd(*indices) == 1:
-            return unsolvable(
-                RuleCitation(
-                    RuleId.EDGE_GCD_ONE,
-                    {"weights": [str(e.weight) for e in polygon.edges],
-                     "power_indices": indices},
-                    "x dominates the unit and all its edges sit at axis weights "
-                    "(required for the rule to apply), yet the edge power indices "
-                    "share no common factor; adjacent edges of a solvable element "
-                    "must have power indices with gcd above 1",
-                )
-            )
+            return RuleCitation(
+                RuleId.EDGE_GCD_ONE,
+                {"weights": [str(e.weight) for e in polygon.edges],
+                 "power_indices": indices},
+                "x dominates the unit and all its edges sit at axis weights "
+                "(required for the rule to apply), yet the edge power indices "
+                "share no common factor; adjacent edges of a solvable element "
+                "must have power indices with gcd above 1",
+            ), None
+    return None
 
+
+def _size(profile: ElementProfile) -> tuple[int, int]:
+    """(total degree, support size), the measure a reduction step lowers."""
+    return max(i + j for i, j in profile.support), len(profile.support)
+
+
+def _reduction_step(profile: ElementProfile) -> tuple[WeylElement, ElementProfile] | None:
+    """The g of the first map exp(ad g) that an axis edge of x suggests and
+    that strictly lowers (total degree, support size) in lexicographic
+    order, with the profile of the image; None when no edge gives a drop.
+
+    An edge at (n,1), n >= 1, has the shape X^a Y^b core(X/Y^n).  When
+    the core is lead*(Z - mu)^k with k = deg core, exactly when its monic
+    k-th root is linear (monic_root), the edge is lead X^a Y^b (X - mu Y^n)^k,
+    and p -> p + mu q^n, which is exp(ad g) for g = -mu/(n+1) q^(n+1),
+    turns its last factor into X^k.  At (1,n), n >= 2, the core is in
+    Y/X^n and the map is q -> q + mu p^n, g = mu/(n+1) p^(n+1).
+
+    The map is homogeneous at the edge weight, so the image's leading form
+    there is lead (X + mu Y^n)^a Y^b X^k, all of whose terms are in the
+    image; its term X^k Y^(b + n a) has total degree k + b + n a (at
+    (1,n), with the roles of X and Y exchanged).  A step for which that
+    exceeds the total degree of x cannot drop, and is skipped without
+    computing the image.
+    """
+    before = _size(profile)
+    for e, shape in zip(profile.polygon.edges, profile.edge_shapes):
+        if shape is None:
+            continue
+        k, w = shape.core.degree(), e.weight
+        if w.sigma == 1:
+            a, b, n = shape.x_mult, shape.y_mult, w.rho
+        else:
+            a, b, n = shape.y_mult, shape.x_mult, w.sigma
+        if k + b + n * a > before[0]:
+            continue
+        root = monic_root(shape.core.monic(), k)
+        if root is None:
+            continue
+        mu = -root.constant_term()
+        if w.sigma == 1:
+            g = WeylElement.monomial(0, n + 1, -mu / (n + 1))
+        else:
+            g = WeylElement.monomial(n + 1, 0, mu / (n + 1))
+        image = ElementProfile(exp_ad(g, profile.x))
+        if _size(image) < before:
+            return g, image
+    return None
+
+
+def _pull_back(x: WeylElement, steps: list[WeylElement], y: WeylElement) -> WeylElement:
+    """The witness for x got from a witness y for x' = exp(ad g_s)...
+    exp(ad g_1) x, steps = [g_1, ..., g_s]: the inverse maps exp(ad -g),
+    last step first, applied to y.  It is verified before it is returned."""
+    for g in reversed(steps):
+        y = exp_ad(-g, y)
+    if not verify_witness(x, y):
+        raise WeylInternalError("pulled-back witness failed verification")
+    return y
+
+
+def _oracle(x: WeylElement, box: int, cap: int) -> _Found | None:
     y = find_witness_box(x, box, cap)
-    if y is not None:
-        return verdict(
-            Outcome.SOLVABLE,
-            RuleCitation(
-                RuleId.ORACLE_WITNESS,
-                {"box": box, "witness": str(y)},
-                f"exact linear solve found a witness with exponents at most {box}",
-            ),
-            witness=y,
-        )
+    if y is None:
+        return None
+    return RuleCitation(
+        RuleId.ORACLE_WITNESS,
+        {"box": box, "witness": str(y)},
+        f"exact linear solve found a witness with exponents at most {box}",
+    ), y
 
-    return verdict(Outcome.UNKNOWN)
+
+def _reduced(profile: ElementProfile, notes: list[str]) -> _Found | None:
+    """Reduce x by leading-form steps to x', run the structural rules once
+    on x', and carry a verdict back to x: the cited rule is x''s, its
+    params gain the g of each step in order, and a witness is pulled back.
+    None when no step is taken or no rule fires on x'.
+
+    Every step is an automorphism, so x' is solvable exactly when x is,
+    and each step strictly lowers a well-ordered measure, so the loop ends.
+    """
+    x, steps = profile.x, []
+    while (step := _reduction_step(profile)) is not None:
+        g, profile = step
+        steps.append(g)
+    found = _rules(profile, notes) if steps else None
+    if found is None:
+        return None
+    cit, y = found
+    params = {**cit.params, "steps": [str(g) for g in steps]}
+    if y is not None:
+        y = _pull_back(x, steps, y)
+        params["witness"] = str(y)
+    return RuleCitation(
+        cit.rule,
+        params,
+        f"{cit.citation} (said of x' = exp(ad g_s)...exp(ad g_1) x, with "
+        "g_1, ..., g_s the steps; automorphisms preserve [x, y] = 1, so x has "
+        "the answer of x', and a witness for x' maps back to one for x)",
+    ), y
+
+
+def analyze(
+    x: WeylElement,
+    box: int = DEFAULT_BOX_BOUND,
+    cap: int = DEFAULT_BOX_CAP,
+) -> Verdict:
+    """Run the decision ladder on x.
+
+    Rule order: constant element, low grade band (and its mirror),
+    polynomial of degree at least 2 in a single generator or in h, affine
+    family (solvable), non-axis edge, axis power index one, edge gcd one,
+    then the same rules once on the leading-form reduction x' of x (see
+    _reduced), then the box oracle on x (solvable), else unknown.  Cheap
+    structural rules come first; the first matching unsolvability rule
+    wins, and solvable outcomes always carry a verified witness, so the
+    order cannot make a verdict unsound.  Every witness is checked once, by
+    the function that builds it (witness_for_affine, _pull_back,
+    find_witness_box), which raises WeylInternalError rather than return
+    one that fails.  The verdict carries the profile of x, so the facts the
+    rules derived can be reported without computing them again.
+    """
+    _check_box(box, cap)
+    profile = ElementProfile(x)
+    notes: list[str] = []
+    found = _rules(profile, notes) or _reduced(profile, notes) or _oracle(x, box, cap)
+    ladder = tuple(RuleId)
+    if found is None:
+        return Verdict(Outcome.UNKNOWN, attempted=ladder, box_bound=box,
+                       notes=tuple(notes), profile=profile)
+    cit, witness = found
+    return Verdict(
+        Outcome.UNSOLVABLE if witness is None else Outcome.SOLVABLE,
+        witness=witness,
+        reasons=(cit,),
+        attempted=ladder[:ladder.index(cit.rule) + 1],
+        box_bound=box,
+        notes=tuple(notes),
+        profile=profile,
+    )

@@ -158,6 +158,21 @@ def all_coprime_weights(bound: int) -> list[Weight]:
     ]
 
 
+def rehomogenize(shape) -> BiPoly:
+    """Inverse of power_analysis.dehomogenize: rebuild the bivariate
+    polynomial X^x_mult Y^y_mult times the homogenized core."""
+    w = shape.weight
+    deg = shape.core.degree()
+    terms: dict[tuple[int, int], Fraction] = {}
+    for t, c in enumerate(shape.core.coeffs()):
+        if c:
+            if w.sigma == 1:
+                terms[(shape.x_mult + t, shape.y_mult + w.rho * (deg - t))] = c
+            else:
+                terms[(shape.x_mult + w.sigma * (deg - t), shape.y_mult + t)] = c
+    return BiPoly(terms)
+
+
 def power_proportional(x: WeylElement, y: WeylElement, w: Weight) -> bool:
     """Does g^v(x) equal c * f^v(y) for some nonzero scalar c, where f and g
     are the leading polynomials of x and y at weight w?"""

@@ -139,7 +139,9 @@ class TestAnalyze:
         assert payload["box_bound"] == 4
 
     def test_box_flag(self, capsys):
-        code, out, _ = run_cli(capsys, "analyze", "(p+q^2)^2", "--box", "2", "--json")
+        # a dominant point p^2*q^4 with a pure power p: no rule, reduction
+        # step or box decides it, so the bound reaches the report as given
+        code, out, _ = run_cli(capsys, "analyze", "9*p^2*q^4 - 4*p", "--box", "2", "--json")
         assert code == 0
         payload = json.loads(out)
         assert payload["verdict"]["outcome"] == "unknown"

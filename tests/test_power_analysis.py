@@ -14,11 +14,10 @@ from weylkit import (
     dehomogenize,
     edges,
     power_index,
-    rehomogenize,
 )
 from weylkit.power_analysis import monic_root
 
-from oracles import bipoly_nth_root, rational_nth_root
+from oracles import bipoly_nth_root, rational_nth_root, rehomogenize
 from strategies import coefficients, weyl_elements
 
 

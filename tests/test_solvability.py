@@ -608,23 +608,63 @@ class TestLadderVerdicts:
         assert sorted(v.reasons[0].params["power_indices"]) == [2, 3]
 
     def test_oracle_witness_rule(self):
-        # conjugating p + q^2 by exp(ad p^2) hides the affine shape from
-        # every structural rule, but the witness q + 2p sits in the box
-        x = exp_ad(power(P, 2), P + power(Q, 2))
+        # (2p - q)^2 + p is solvable, but the step p -> p + q/2 its (1,1)
+        # edge suggests gives 4p^2 + p + q/2 - 2: the constant term keeps
+        # (total degree, support size) at (2, 4), so the reduction stalls
+        # and the box oracle finds the witness q - 2p
+        x = element_from_string("4*p^2 - 4*p*q + q^2 + p")
         v = analyze(x)
         assert v.outcome == Outcome.SOLVABLE
         assert rules_of(v) == [RuleId.ORACLE_WITNESS]
+        assert "steps" not in v.reasons[0].params
+        assert v.witness == element_from_string("q - 2*p")
+
+    def test_conjugated_affine_element_reduces(self):
+        # conjugating p + q^2 by exp(ad p^2) hides the affine shape from
+        # every structural rule; leading-form steps undo it, and the
+        # witness of the reduced element is pulled back to x
+        x = exp_ad(power(P, 2), P + power(Q, 2))
+        v = analyze(x)
+        assert v.outcome == Outcome.SOLVABLE
+        assert rules_of(v) == [RuleId.AFFINE_FAMILY]
+        assert v.reasons[0].params["steps"]
+        assert v.reasons[0].params["witness"] == str(v.witness)
         assert verify_witness(x, v.witness)
 
-    def test_unknown_square_of_solvable(self):
-        # (p + q^2)^2 is a square of a solvable element; no ladder rule
-        # sees it and the box is empty, so the honest answer is unknown
+    def test_square_of_solvable_reduces_to_grade_band(self):
+        # (p + q^2)^2 has the (2,1) edge (X + Y^2)^2, so one step
+        # p -> p - q^2 maps it to p^2, which sits in grade -2 alone
         x = power(P + power(Q, 2), 2)
         v = analyze(x)
-        assert v.outcome == Outcome.UNKNOWN
+        assert v.outcome == Outcome.UNSOLVABLE
         assert v.witness is None
-        assert RuleId.ORACLE_WITNESS in v.attempted
+        assert rules_of(v) == [RuleId.LOW_GRADE_BAND]
+        assert v.reasons[0].params["steps"] == ["1/3*q^3"]
+        assert v.attempted == (RuleId.CONSTANT_ELEMENT, RuleId.LOW_GRADE_BAND)
         assert v.box_bound == 4
+
+    @pytest.mark.parametrize("text, step", [
+        ("q^4*(p - q^3)^2 + p^2", "-1/4*q^4"),
+        ("p^4*(q - p^3)^2 + q^2", "1/4*p^4"),
+    ])
+    def test_step_keeps_the_outer_factor(self, text, step):
+        # the (3,1) edge Y^4 (X - Y^3)^2 (or its mirror at (1,3)) has an
+        # outer factor of higher degree than its core; p -> p + q^3 maps it
+        # to Y^4 X^2, of total degree 6 < 10
+        v = analyze(element_from_string(text))
+        assert v.outcome == Outcome.UNSOLVABLE
+        assert rules_of(v) == [RuleId.AXIS_POWER_INDEX_ONE]
+        assert v.reasons[0].params["steps"] == [step]
+
+    def test_step_that_cannot_drop_is_not_computed(self, monkeypatch):
+        # the (9,1) edge X^40 (X - Y^9)^4 Y^40 suggests p -> p + q^9, whose
+        # image has a term of total degree 4 + 40 + 9*40 > 116 = deg x, so
+        # the step is skipped before (p + q^9)^40 is expanded
+        maps = []
+        monkeypatch.setattr(solvability, "exp_ad", lambda g, x: maps.append(g) or exp_ad(g, x))
+        v = analyze(element_from_string("p^40*(p - q^9)^4*q^40"), box=0)
+        assert v.outcome == Outcome.UNKNOWN
+        assert maps == []
 
     def test_solvable_always_carries_verified_witness(self):
         rng = random.Random(7)
@@ -716,12 +756,14 @@ class TestElementProfile:
         def counting(name, fn):
             def wrapper(*args):
                 calls[name] += 1
-                if name == "power_index":
+                if name == "dehomogenize":
                     faces.append(args[0].support())
                 return fn(*args)
             return wrapper
 
-        for name in ("grade_span", "to_h_form", "edges", "power_index"):
+        # each axis edge is factored once, for its power index and for the
+        # reduction steps alike
+        for name in ("grade_span", "to_h_form", "edges", "dehomogenize"):
             monkeypatch.setattr(solvability, name, counting(name, getattr(solvability, name)))
         for text in (
             "h", "p^4 + p^3*q + p^2*q^2 + q^3 + q", "p^3*q + q^3", "p^2*q^2 + p*q + 1",
@@ -810,12 +852,17 @@ class TestAttemptedBookkeeping:
 class TestTameAutomorphisms:
     """Tame automorphisms (words in omega and exp_ad) preserve solvability,
     so no verdict on an image may contradict what is known of the
-    preimage."""
+    preimage, and the ladder's leading-form reduction undoes them: every
+    image of p is decided solvable and every image of q^k + q unsolvable."""
 
     @settings(max_examples=150, deadline=None)
-    @given(tame_words())
+    @given(tame_words(max_maps=5))
     def test_image_of_p_is_never_unsolvable(self, word):
-        assert analyze(apply_word(word, P), box=3).outcome != Outcome.UNSOLVABLE
+        # the reduction undoes the word, so the image is decided solvable
+        x = apply_word(word, P)
+        v = analyze(x)
+        assert v.outcome == Outcome.SOLVABLE
+        assert reference_bracket(x, v.witness) == ONE
 
     @settings(max_examples=150, deadline=None)
     @given(tame_words())
@@ -828,10 +875,27 @@ class TestTameAutomorphisms:
             assert find_witness_box(x, 3) is not None
 
     @settings(max_examples=150, deadline=None)
-    @given(tame_words(), st.sampled_from([2, 3]))
+    @given(tame_words(max_maps=5), st.sampled_from([2, 3]))
     def test_image_of_polynomial_in_q_is_never_solvable(self, word, k):
-        x = apply_word(word, power(Q, k) + Q)
-        assert analyze(x, box=3).outcome != Outcome.SOLVABLE
+        # the reduction undoes the word, so the image is decided unsolvable
+        assert analyze(apply_word(word, power(Q, k) + Q)).outcome == Outcome.UNSOLVABLE
+
+    @settings(max_examples=150, deadline=None)
+    @given(tame_words(max_maps=5), st.sampled_from(["p", "q^2 + q", "q^3 + q"]))
+    def test_reduction_steps_replay(self, word, source):
+        # exp_ad of each g in steps, in order, maps x to an x' on which the
+        # cited rule fires by itself, with the same params less the steps
+        # (and, for a solvable x, less the witness, which is x''s own there)
+        x = apply_word(word, element_from_string(source))
+        cit = analyze(x).reasons[0]
+        steps = cit.params.get("steps", [])
+        for g in steps:
+            x = exp_ad(element_from_string(g), x)
+        direct = analyze(x).reasons[0]
+        assert direct.rule == cit.rule
+        assert "steps" not in direct.params
+        keep = lambda params: {k: v for k, v in params.items() if k not in ("steps", "witness")}
+        assert keep(direct.params) == keep(cit.params)
 
     @settings(max_examples=150, deadline=None)
     @given(tame_words(), weyl_elements(max_exp=2, max_terms=3, nonzero=True))

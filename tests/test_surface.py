@@ -20,7 +20,7 @@ PUBLIC_NAMES = {
     # polynomials
     "BiPoly", "UniPoly",
     # power_analysis
-    "HomogShape", "dehomogenize", "power_index", "rehomogenize",
+    "HomogShape", "dehomogenize", "power_index",
     # solvability
     "DEFAULT_BOX_BOUND", "DEFAULT_BOX_CAP", "ElementProfile", "Outcome", "RuleCitation",
     "RuleId", "Verdict", "analyze", "find_witness_box", "verify_witness", "witness_for_affine",
@@ -28,5 +28,5 @@ PUBLIC_NAMES = {
 
 
 def test_public_names_are_pinned():
-    assert len(PUBLIC_NAMES) == 62
+    assert len(PUBLIC_NAMES) == 61
     assert set(weylkit.__all__) == PUBLIC_NAMES
