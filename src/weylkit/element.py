@@ -107,10 +107,6 @@ class MonomialMap:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def total_degree(self) -> int:
-        """max(i + j) over the support; -1 for zero."""
-        return max((i + j for i, j in self._terms), default=-1)
-
     def __bool__(self) -> bool:
         return bool(self._terms)
 

@@ -10,14 +10,15 @@ shifting identities are
 
 and p^k q^k = h (h+1) ... (h+k-1), both exercised directly by the tests.
 
-omega and exp_ad apply an automorphism through the images of p and q, which
-fix it: x with p and q replaced by their images, summed on integers.
+omega applies p -> -q, q -> p through the images of p and q, and exp_ad
+applies exp(ad g) by a commutative symbol sum; both sum on integers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
 from .element import (
     H,
@@ -117,37 +118,42 @@ def omega(x: WeylElement) -> WeylElement:
 
 
 def exp_ad(g: WeylElement, x: WeylElement) -> WeylElement:
-    """exp(ad g) applied to x, for g a polynomial in q alone or p alone.
+    """exp(ad g) x = e^g x e^(-g), for g a polynomial in q alone or p alone.
 
-    For g in Q[q], ad g sends p to -g'(q), which ad g kills, and kills q,
-    so exp(ad g) is p -> p - g'(q), q -> q (Dixmier 1968); for g in Q[p]
-    it is q -> q + g'(p), p -> p.  On integer numerators g = G/dg and
-    x = X/d with X = sum_i p^i f_i(q), the moved generator times dg is
-    P = dg*p - G'(q), and by Horner's rule, with F_k = dg^(top-k) f_k,
+    For p-before-q symbols, sigma(AB) = sum_k (-1)^k/k! d_q^k sigma(A)
+    d_p^k sigma(B).  For g in Q[q], x e^(-g) thus has the symbol
+    sigma(x) e^(-g), and d_q^k e^g = B_k e^g (B_0 = 1, B_(k+1) = B_k' +
+    g' B_k) gives sigma(exp(ad g) x) = sum_k (-1)^k/k! B_k d_p^k sigma(x),
+    in which every product commutes.  On integer numerators g = G/dg,
+    x = X/d, X = sum_i p^i f_i(q) and b_k = dg^k B_k (b_(k+1) = dg b_k' +
+    G' b_k), d dg^top exp(ad g) x is
 
-        d dg^top exp(ad g) x = F_0 + P (F_1 + P (F_2 + ... + P F_top)).
+        sum_i sum_(k<=i) (-1)^k C(i,k) dg^(top-k) p^(i-k) f_i(q) b_k(q).
 
-    For G in Q[p], X = sum_j e_j(p) q^j and the steps multiply on the
-    right by Q = dg*q + G'(p).  Each output term becomes one Fraction.
+    For g in Q[p], p and q exchange roles and b_(k+1) = dg b_k' - G' b_k.
     """
     dg, gs = numerators(g)
     on_q_axis = all(i == 0 for i, _ in gs)
     if not (on_q_axis or all(j == 0 for _, j in gs)):
         raise ValueError("exp-ad requires single-generator polynomial")
     d, xs = numerators(x)
-    if on_q_axis:  # P = dg*p - G'(q)
-        moved = {(1, 0): dg, **{(0, j - 1): -j * c for (_, j), c in gs.items() if j}}
-    else:  # Q = dg*q + G'(p)
-        moved = {(0, 1): dg, **{(i - 1, 0): i * c for (i, _), c in gs.items() if i}}
-    rows: dict[int, dict[tuple[int, int], int]] = {}  # f_i, or e_j
-    for (i, j), c in xs.items():
-        rows.setdefault(i if on_q_axis else j, {})[(0, j) if on_q_axis else (i, 0)] = c
-    top = max(rows, default=0)
-    acc, scale = rows.get(top, {}), 1
-    for k in range(top - 1, -1, -1):
-        acc = mul_numerators(moved, acc) if on_q_axis else mul_numerators(acc, moved)
-        scale *= dg
-        for key, c in rows.get(k, {}).items():
-            acc[key] = acc.get(key, 0) + scale * c
-    den = d * scale
-    return WeylElement._raw({key: Fraction(c, den) for key, c in acc.items() if c})
+    dG = [(i + j - 1, (j - i) * c) for (i, j), c in gs.items() if i + j]  # G', or -G' on p
+    if not on_q_axis:  # the mirror: rows in q^j
+        xs = {(j, i): c for (i, j), c in xs.items()}
+    top = max((r for r, _ in xs), default=0)
+    bs = [{0: 1}]  # b_k, exponent -> coefficient
+    for _ in range(top):
+        nxt = {e - 1: dg * e * v for e, v in bs[-1].items() if e}
+        for e, v in bs[-1].items():
+            for f, w in dG:
+                nxt[e + f] = nxt.get(e + f, 0) + v * w
+        bs.append(nxt)
+    scales = [(-1) ** k * dg ** (top - k) for k in range(top + 1)]
+    acc: dict[tuple[int, int], int] = {}
+    for (r, s), c in xs.items():
+        for k in range(r + 1):
+            w = c * comb(r, k) * scales[k]
+            for e, v in bs[k].items():
+                acc[r - k, s + e] = acc.get((r - k, s + e), 0) + w * v
+    den = d * dg ** top
+    return WeylElement._raw({(key if on_q_axis else key[::-1]): Fraction(c, den) for key, c in acc.items() if c})

@@ -50,6 +50,18 @@ class HomogShape:
                 return r
         return 1
 
+    def linear_root(self) -> Fraction | None:
+        """mu if the core is lead*(Z - mu)^k, k = deg core >= 1, else None, in
+        O(k): c_(k-1) = -k lead mu fixes mu, then c_j = lead C(k,j) (-mu)^(k-j)."""
+        c = self.core.coeffs()
+        k = len(c) - 1
+        mu, term = -c[k - 1] / (k * c[k]), c[k]
+        for j in range(k - 1, -1, -1):
+            term = -term * mu * (j + 1) / (k - j)  # lead C(k,j) (-mu)^(k-j)
+            if c[j] != term:
+                return None
+        return mu
+
 
 def _dehomogenize_x_axis(f: BiPoly, n: int) -> tuple[int, int, UniPoly]:
     """Shape for weight (n, 1): core in Z = X / Y^n."""

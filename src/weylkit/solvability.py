@@ -23,7 +23,7 @@ from .element import WeylElement, WeylInternalError, commutator, numerators, pow
 from .grading import GradeSpan, HForm, exp_ad, grade_span, to_h_form
 from .polygon import PolygonProfile, Weight, edges, exposed_face
 from .polynomials import BiPoly
-from .power_analysis import HomogShape, dehomogenize, monic_root
+from .power_analysis import HomogShape, dehomogenize
 
 DEFAULT_BOX_BOUND = 4
 DEFAULT_BOX_CAP = 8
@@ -577,11 +577,11 @@ def _reduction_step(profile: ElementProfile) -> tuple[WeylElement, ElementProfil
     order, with the profile of the image; None when no edge gives a drop.
 
     An edge at (n,1), n >= 1, has the shape X^a Y^b core(X/Y^n).  When
-    the core is lead*(Z - mu)^k with k = deg core, exactly when its monic
-    k-th root is linear (monic_root), the edge is lead X^a Y^b (X - mu Y^n)^k,
-    and p -> p + mu q^n, which is exp(ad g) for g = -mu/(n+1) q^(n+1),
-    turns its last factor into X^k.  At (1,n), n >= 2, the core is in
-    Y/X^n and the map is q -> q + mu p^n, g = mu/(n+1) p^(n+1).
+    the core is lead*(Z - mu)^k with k = deg core (HomogShape.linear_root),
+    the edge is lead X^a Y^b (X - mu Y^n)^k, and p -> p + mu q^n, which is
+    exp(ad g) for g = -mu/(n+1) q^(n+1), turns its last factor into X^k.
+    At (1,n), n >= 2, the core is in Y/X^n and the map is q -> q + mu p^n,
+    g = mu/(n+1) p^(n+1).
 
     The map is homogeneous at the edge weight, so the image's leading form
     there is lead (X + mu Y^n)^a Y^b X^k, all of whose terms are in the
@@ -601,10 +601,9 @@ def _reduction_step(profile: ElementProfile) -> tuple[WeylElement, ElementProfil
             a, b, n = shape.y_mult, shape.x_mult, w.sigma
         if k + b + n * a > before[0]:
             continue
-        root = monic_root(shape.core.monic(), k)
-        if root is None:
+        mu = shape.linear_root()
+        if mu is None:
             continue
-        mu = -root.constant_term()
         if w.sigma == 1:
             g = WeylElement.monomial(0, n + 1, -mu / (n + 1))
         else:

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+import weylkit.element
+import weylkit.grading
 from weylkit import (
     H,
     HForm,
@@ -30,6 +32,12 @@ from oracles import naive_h_form, naive_omega, series_exp_ad
 from strategies import apply_word, coefficients, tame_words, unipolys, weyl_elements
 
 SHOWCASE = WeylElement({(4, 0): 1, (3, 1): 1, (2, 2): 1, (0, 3): 1, (0, 1): 1})
+
+
+def derivative(g: WeylElement) -> WeylElement:
+    """g' for g a polynomial in one generator (or a constant)."""
+    return WeylElement({(i - 1, j) if i else (i, j - 1): (i + j) * c
+                        for (i, j), c in g.terms().items() if i + j})
 
 
 class TestGradeComponents:
@@ -202,6 +210,46 @@ class TestExpAd:
         g = WeylElement({(0, k) if on_q else (k, 0): c for k, c in coeffs.items()})
         assert exp_ad(g, x) == series_exp_ad(g, x)
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.booleans(),
+        st.dictionaries(st.integers(0, 4), coefficients(fractional=True), min_size=1, max_size=4),
+        weyl_elements(max_exp=6, max_terms=5, fractional=True),
+    )
+    def test_matches_series_on_deep_elements(self, on_q, coeffs, x):
+        # x up to p^6 q^6 reaches b_6 of the Bell table, g of degree 4 on either axis
+        g = WeylElement({(0, k) if on_q else (k, 0): c for k, c in coeffs.items()})
+        assert exp_ad(g, x) == series_exp_ad(g, x)
+
+    Q_POLYS = [
+        WeylElement.monomial(0, 2, 1),
+        WeylElement({(0, 3): Fraction(-1, 3), (0, 1): 2}),
+        WeylElement({(0, 4): Fraction(5, 2), (0, 2): -1, (0, 0): 7}),
+    ]
+
+    @pytest.mark.parametrize("g", Q_POLYS, ids=str)
+    def test_p_squared_gains_the_second_derivative(self, g):
+        # the symbol (p - g')^2 + g'': putting p - g' into the symbol p^2
+        # alone would miss g'', which the k = 2 term B_2 = g'' + g'^2 adds
+        d1, d2 = derivative(g), derivative(derivative(g))
+        assert not d2.is_zero()
+        expected = power(P, 2) - mul(P, d1).scale(2) + mul(d1, d1) + d2
+        assert exp_ad(g, power(P, 2)) == expected == power(P - d1, 2)
+
+    P_POLYS = [
+        WeylElement.monomial(2, 0, -1),
+        WeylElement({(3, 0): Fraction(2, 3), (0, 0): -1}),
+        WeylElement({(4, 0): Fraction(-1, 4), (1, 0): 3}),
+    ]
+
+    @pytest.mark.parametrize("g", P_POLYS, ids=str)
+    def test_q_squared_loses_the_second_derivative(self, g):
+        # the mirror, g in Q[p]: the symbol (q + g')^2 - g''
+        d1, d2 = derivative(g), derivative(derivative(g))
+        assert not d2.is_zero()
+        expected = power(Q, 2) + mul(d1, Q).scale(2) + mul(d1, d1) - d2
+        assert exp_ad(g, power(Q, 2)) == expected == power(Q + d1, 2)
+
     def test_fixes_q_for_any_q_polynomial(self):
         g = WeylElement({(0, 4): 2, (0, 1): -7, (0, 0): 3})
         assert exp_ad(g, Q) == Q
@@ -232,7 +280,7 @@ class TestExpAd:
 
 
 class TestExpAdAgainstSeries:
-    """exp_ad substitutes the image of the moved generator; the series
+    """exp_ad sums the commutative symbol formula; the series
     sum_k (ad g)^k x / k! is the definition it must agree with."""
 
     CASES = [
@@ -259,6 +307,20 @@ class TestExpAdAgainstSeries:
     @pytest.mark.parametrize("x", CASES, ids=str)
     def test_matches_series(self, g, x):
         assert exp_ad(g, x) == series_exp_ad(g, x)
+
+    def test_makes_no_weyl_product(self, monkeypatch):
+        def forbidden(xs, ys):
+            raise AssertionError("exp_ad called mul_numerators")
+
+        outs = {}
+        with monkeypatch.context() as m:
+            m.setattr(weylkit.element, "mul_numerators", forbidden)
+            m.setattr(weylkit.grading, "mul_numerators", forbidden)
+            for g in self.GENERATORS:
+                for x in self.CASES:
+                    outs[g, x] = exp_ad(g, x)
+        for (g, x), out in outs.items():
+            assert out == series_exp_ad(g, x)
 
     @pytest.mark.parametrize("g", GENERATORS[:2], ids=str)
     @pytest.mark.parametrize("x", CASES, ids=str)

@@ -9,6 +9,7 @@ import hypothesis.strategies as st
 
 from weylkit import (
     BiPoly,
+    HomogShape,
     UniPoly,
     Weight,
     dehomogenize,
@@ -252,6 +253,53 @@ class TestMonicRoot:
         # lead (Z - mu)^k is read from the linear root Z - mu at r = k
         assert monic_root(UniPoly((Fraction(-1, 2), 1)) ** 5, 5) == UniPoly((Fraction(-1, 2), 1))
         assert monic_root(UniPoly((1, 1)) ** 2 * UniPoly((2, 1)), 3) is None
+
+
+def linear_by_monic_root(core: UniPoly) -> Fraction | None:
+    """mu read from a linear monic_root(core.monic(), k), the reference for linear_root."""
+    root = monic_root(core.monic(), core.degree())
+    return None if root is None else -root.constant_term()
+
+
+def shape_of(core: UniPoly) -> HomogShape:
+    return HomogShape(0, 0, core, Weight(1, 1))
+
+
+class TestLinearRoot:
+    MUS = [Fraction(3), Fraction(-2), Fraction(1, 2), Fraction(-5, 3), Fraction(7, 4)]
+    LEADS = [Fraction(1), Fraction(-3), Fraction(2, 5)]
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    @pytest.mark.parametrize("mu", MUS, ids=str)
+    def test_reads_mu_of_a_pure_power(self, k, mu):
+        for lead in self.LEADS:
+            core = UniPoly((-mu, 1)) ** k * UniPoly((lead,))
+            assert shape_of(core).linear_root() == mu == linear_by_monic_root(core)
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    @pytest.mark.parametrize("mu", MUS, ids=str)
+    def test_one_perturbed_coefficient(self, k, mu):
+        # every coefficient in turn, by +1 and by a fraction; at k = 1 the
+        # result is still linear, so only agreement with monic_root is asked
+        base = (UniPoly((-mu, 1)) ** k * UniPoly((Fraction(-3),))).coeffs()
+        for j in range(k + 1):
+            for delta in (Fraction(1), Fraction(-1, 7)):
+                cs = list(base)
+                cs[j] += delta
+                if not cs[0] or not cs[k]:
+                    continue
+                core = UniPoly(cs)
+                got = shape_of(core).linear_root()
+                assert got == linear_by_monic_root(core)
+                if k > 1:
+                    assert got is None
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(coefficients(fractional=True) | st.just(Fraction(0)), min_size=1, max_size=8),
+           coefficients(fractional=True), coefficients(fractional=True))
+    def test_agrees_with_monic_root(self, middle, low, lead):
+        core = UniPoly((low, *middle, lead))
+        assert shape_of(core).linear_root() == linear_by_monic_root(core)
 
 
 class TestPowerProportionalityDivision:
