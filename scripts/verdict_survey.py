@@ -12,7 +12,7 @@ import time
 from collections import Counter
 from math import ceil
 
-from weylkit import Outcome, WeylElement, analyze
+from weylkit import Outcome, WeylElement, analyze, element_from_string, format_element
 
 
 def random_element(rng, max_exp, max_terms, coeff_bound):
@@ -49,9 +49,14 @@ def main():
     deciding_rule = Counter()
     step_counts = []
     times_ms = []
+    parse_ms = []  # parsing the printed element, as `weyl analyze` must
     started = time.perf_counter()
     for _ in range(args.count):
         x = random_element(rng, args.max_exp, args.max_terms, args.coeff_bound)
+        text = format_element(x)
+        t0 = time.perf_counter()
+        element_from_string(text)
+        parse_ms.append(1000 * (time.perf_counter() - t0))
         t0 = time.perf_counter()
         verdict = analyze(x, box=args.box)
         times_ms.append(1000 * (time.perf_counter() - t0))
@@ -68,6 +73,8 @@ def main():
           f"{elapsed:.2f}s ({1000 * elapsed / args.count:.1f} ms/element)")
     print(f"analyze per element: p50 {percentile(times_ms, 50):.3f} ms, "
           f"p95 {percentile(times_ms, 95):.3f} ms")
+    print(f"parse per element:   p50 {percentile(parse_ms, 50):.3f} ms, "
+          f"p95 {percentile(parse_ms, 95):.3f} ms")
     print()
     print("outcomes:")
     for outcome in Outcome:

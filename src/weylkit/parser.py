@@ -1,6 +1,6 @@
 """Recursive-descent parser for Weyl algebra expressions.
 
-Grammar (whitespace insignificant, multiplication always explicit):
+Grammar (ASCII only; whitespace insignificant, multiplication always explicit):
 
     expr     := ('+' | '-')? term (('+' | '-') term)*
     term     := factor ('*' factor)*
@@ -68,22 +68,21 @@ _Numerators = tuple[int, dict[ExponentPair, int]]
 #: Deepest parenthesis nesting accepted; bounds the recursion of the parser.
 MAX_NESTING = 100
 
-_SPACE = re.compile(r"\s*")
-_TOKEN = re.compile(r"(\d+(?:/\d+)?)|([pqh])|([-+*^()])")
-_KINDS = ("number", "name", "op")  # of _TOKEN's three groups, in order
+# ASCII only: a Unicode digit or space is an unexpected character, so every
+# character before an error is one byte and offsets are byte offsets
+_TOKEN = re.compile(r"\s*(?:(?P<number>\d+(?:/\d+)?)|(?P<name>[pqh])|(?P<op>[-+*^()])|(?P<bad>\S))",
+                    re.ASCII)
 
 
 class _Tokens:
     def __init__(self, text: str):
         self.text = text
         self.items: list[tuple[str, str, int]] = []  # (kind, value, offset)
-        pos = _SPACE.match(text).end()
-        while pos < len(text):
-            m = _TOKEN.match(text, pos)
-            if m is None:
-                raise ExprSyntaxError(f"unexpected character {text[pos]!r}", pos)
-            self.items.append((_KINDS[m.lastindex - 1], m.group(), pos))
-            pos = _SPACE.match(text, m.end()).end()
+        for m in _TOKEN.finditer(text):
+            kind = m.lastgroup
+            if kind == "bad":
+                raise ExprSyntaxError(f"unexpected character {m[kind]!r}", m.start(kind))
+            self.items.append((kind, m[kind], m.start(kind)))
         self.index = 0
         self.depth = 0  # parentheses open at the current position
 
@@ -101,9 +100,9 @@ class _Tokens:
 
 
 def parse_expr(text: str) -> ExprAst:
-    if not text.strip():
-        raise ExprSyntaxError("empty expression", 0)
     tokens = _Tokens(text)
+    if not tokens.items:
+        raise ExprSyntaxError("empty expression", 0)
     ast = _parse_sum(tokens)
     trailing = tokens.peek()
     if trailing is not None:
@@ -202,8 +201,13 @@ def _fold(ast: ExprAst) -> _Numerators:
         # divide out d's common factor with the base, or (2*(1/2))^n carries 2^n in d
         d, xs = _fold(ast.base)
         g = gcd(d, *xs.values())
-        base = d // g, {key: c // g for key, c in xs.items()}
-        return binary_power(base, ast.exponent, (1, {(0, 0): 1}), _times)
+        d, n = d // g, ast.exponent
+        if len(xs) == 1:
+            (i, j), c = next(iter(xs.items()))
+            if i == 0 or j == 0:  # (c*p^i)^n = c^n*p^(i*n): no normal ordering
+                return d**n, {(i * n, j * n): (c // g) ** n}
+        base = d, {key: c // g for key, c in xs.items()}
+        return binary_power(base, n, (1, {(0, 0): 1}), _times)
     if isinstance(ast, Prod):
         out = _fold(ast.factors[0])
         for factor in ast.factors[1:]:

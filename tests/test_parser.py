@@ -18,6 +18,7 @@ from weylkit import (
     parse_expr,
     power,
 )
+from weylkit import parser
 from weylkit.parser import Neg, Pow, Prod, Sum, Var, _fold
 
 from oracles import naive_eval
@@ -73,6 +74,8 @@ class TestEval:
         ("p - p", "0"),
         ("(1/2*p + q)^2 - 1/4*p^2", "p*q + q^2 - 1/2"),
         ("(2/3*h - q*p)^2 * 3/2", "1/6*p^2*q^2 - 7/6*p*q + 3/2"),
+        # only a one-term base with an exponent 0 is raised in closed form
+        ("(p*q)^2", "p^2*q^2 - p*q"),
     ])
     def test_canonical_form(self, text, expected):
         # cancellation in the integer fold stores no zero coefficient and
@@ -87,6 +90,20 @@ class TestEval:
         assert element_from_string("(2*(1/2)*p)^20000") == WeylElement({(20000, 0): 1})
         # the base is reduced before powering, so no 2^64 rides along in d
         assert _fold(parse_expr("((2*(1/2)*p)^8)^8")) == (1, {(64, 0): 1})
+
+    @pytest.mark.parametrize("text", [
+        "(2/3*p)^5", "(-1/2*q)^3*p^2", "(3/4)^0", "p^0", "(0*q)^2", "(p*q)^2",
+    ])
+    def test_one_term_power_matches_fraction_fold(self, text):
+        assert element_from_string(text) == naive_eval(parse_expr(text))
+
+    def test_axis_monomial_powers_take_no_binary_power(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("binary_power called")
+
+        monkeypatch.setattr(parser, "binary_power", forbidden)
+        x = element_from_string("-6*p^3*q^3 + 3*q^3 - 5*p")
+        assert format_element(x) == "-6*p^3*q^3 + 3*q^3 - 5*p"
 
     def test_power_of_fractional_sum(self):
         text = "(1/3*p+1/5*q)^30"
@@ -126,6 +143,8 @@ BAD_INPUTS = [
     "((p)",
     "-",
     "p -",
+    "p + \u0663*q",
+    "\u3000",
     pytest.param("(" * 101 + "p" + ")" * 101, id="nested-101"),
     pytest.param("(" * 5000 + "p" + ")" * 5000, id="nested-5000"),
 ]
@@ -142,6 +161,20 @@ class TestErrors:
             parse_expr("p + $")
         assert info.value.position == 4
         assert "byte 4" in str(info.value)
+
+    @pytest.mark.parametrize("text, position", [
+        ("p$", 1),
+        ("p + \u0663*q", 4),  # ARABIC-INDIC DIGIT THREE is not a digit
+        ("p\u3000+ $", 1),  # IDEOGRAPHIC SPACE is not whitespace
+        ("\u3000", 0),  # nor is whitespace-only non-ASCII input empty
+    ])
+    def test_unexpected_character_offset(self, text, position):
+        # digits and whitespace are ASCII, so every offset is a byte offset
+        with pytest.raises(ExprSyntaxError) as info:
+            parse_expr(text)
+        assert info.value.position == position
+        assert f"unexpected character {text[position]!r}" in str(info.value)
+        assert len(text[:position].encode()) == position
 
     def test_spaces_then_bad_character_offset(self):
         # the offset is the bad character's, not the whitespace before it
