@@ -1,17 +1,20 @@
 """Exact sparse arithmetic in the first Weyl algebra over the rationals.
 
 An element is a finite rational combination of the basis monomials p^i q^j
-(all p factors to the left), stored as a sparse map from exponent pairs to
-nonzero coefficients.  The generators satisfy p q - q p = 1; every product
-is rewritten back into the basis, so two elements are equal exactly when
-their coefficient maps are equal.
+(all p factors to the left), stored as one pair: a denominator d > 0 and a
+sparse map from exponent pairs to nonzero integer numerators whose gcd with
+d is 1, so that p^i q^j has the coefficient n_ij / d.  The generators
+satisfy p q - q p = 1; every product is rewritten back into the basis, and
+each element has exactly one such pair, so two elements are equal exactly
+when their pairs are equal.  The kernels sum on the numerators; a Fraction
+is made only where a caller reads a coefficient.
 """
 
 from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Mapping
 
 ExponentPair = tuple[int, int]
@@ -48,6 +51,12 @@ def binary_power(base, n: int, one, times=operator.mul):
 class MonomialMap:
     """An immutable sparse map from exponent pairs to nonzero rationals.
 
+    It stores one canonical pair: a denominator d > 0 and a map from exponent
+    pairs to nonzero integer numerators with gcd(d, all numerators) = 1, so a
+    pair's coefficient is its numerator over d; zero is (1, {}).  Only
+    coeff and terms make Fractions; products, sums and the printer work on
+    the pair.
+
     The value-type half of WeylElement and polynomials.BiPoly: validation,
     equality, hashing, addition, scaling, powering and printing are written
     here once, and each subclass supplies its own product and the names of
@@ -55,7 +64,7 @@ class MonomialMap:
     and never add.
     """
 
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ("_den", "_nums", "_hash")
     _names: str  # the two variable names of the printer, set by each subclass
 
     def __init__(self, terms: Mapping[ExponentPair, object] | None = None):
@@ -68,71 +77,76 @@ class MonomialMap:
                 coeff = as_scalar(value)
                 if coeff:
                     data[(i, j)] = coeff
-        object.__setattr__(self, "_terms", data)
-        object.__setattr__(self, "_hash", None)
+        # over the lcm of reduced denominators the numerators' content is 1
+        d = lcm(*(c.denominator for c in data.values()))
+        _store(self, d, {key: c.numerator * (d // c.denominator) for key, c in data.items()})
 
     @classmethod
-    def _raw(cls, data: dict[ExponentPair, Fraction]):
-        # internal fast path: data already validated and pruned
+    def _from_numerators(cls, d: int, acc: Mapping[ExponentPair, int]):
+        """The map with coefficients acc[key] / d, for an integer d > 0:
+        zeros pruned and the content gcd(d, numerators) divided out."""
+        nums = {key: c for key, c in acc.items() if c}
+        g = gcd(d, *nums.values())
+        if g != 1:
+            d //= g
+            nums = {key: c // g for key, c in nums.items()}
         obj = object.__new__(cls)
-        object.__setattr__(obj, "_terms", data)
-        object.__setattr__(obj, "_hash", None)
+        _store(obj, d, nums)
         return obj
 
     @classmethod
     def zero(cls):
-        return cls._raw({})
+        return cls._from_numerators(1, {})
 
     @classmethod
     def one(cls):
-        return cls._raw({(0, 0): Fraction(1)})
+        return cls._from_numerators(1, {(0, 0): 1})
 
     @classmethod
     def monomial(cls, i: int, j: int, coeff=1):
         c = as_scalar(coeff)
-        return cls._raw({(i, j): c}) if c else cls.zero()
+        return cls._from_numerators(c.denominator, {(i, j): c.numerator})
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     def terms(self) -> dict[ExponentPair, Fraction]:
-        return dict(self._terms)
+        d = self._den
+        return {key: Fraction(c, d) for key, c in self._nums.items()}
 
     def support(self) -> frozenset[ExponentPair]:
-        return frozenset(self._terms)
+        return frozenset(self._nums)
 
     def coeff(self, i: int, j: int) -> Fraction:
-        return self._terms.get((i, j), Fraction(0))
+        return Fraction(self._nums.get((i, j), 0), self._den)
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._nums
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._nums)
 
     def __eq__(self, other) -> bool:
         if type(other) is type(self):
-            return self._terms == other._terms
+            return self._den == other._den and self._nums == other._nums
         return NotImplemented
 
     def __hash__(self) -> int:
         h = self._hash
         if h is None:
-            h = hash(frozenset(self._terms.items()))
+            h = hash((self._den, frozenset(self._nums.items())))
             object.__setattr__(self, "_hash", h)
         return h
 
     def __add__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        data = dict(self._terms)
-        for key, c in other._terms.items():
-            s = data.get(key, 0) + c
-            if s:
-                data[key] = s
-            else:
-                data.pop(key, None)
-        return self._raw(data)
+        d = lcm(self._den, other._den)
+        a, b = d // self._den, d // other._den
+        acc = {key: c * a for key, c in self._nums.items()}
+        for key, c in other._nums.items():
+            acc[key] = acc.get(key, 0) + c * b
+        return self._from_numerators(d, acc)
 
     def __sub__(self, other):
         if type(other) is not type(self):
@@ -140,13 +154,12 @@ class MonomialMap:
         return self + (-other)
 
     def __neg__(self):
-        return self._raw({k: -c for k, c in self._terms.items()})
+        return self._from_numerators(self._den, {key: -c for key, c in self._nums.items()})
 
     def scale(self, c):
         c = as_scalar(c)
-        if not c:
-            return self.zero()
-        return self._raw({k: c * v for k, v in self._terms.items()})
+        n = c.numerator
+        return self._from_numerators(self._den * c.denominator, {key: n * v for key, v in self._nums.items()})
 
     def __rmul__(self, other):
         try:
@@ -161,11 +174,18 @@ class MonomialMap:
     def __str__(self) -> str:
         """Terms sorted by (i+j, i) descending, reduced fractional
         coefficients, unit coefficients elided."""
-        order = sorted(self._terms, key=lambda t: (t[0] + t[1], t[0]), reverse=True)
-        return format_terms((self._terms[key], format_monomial(key, self._names)) for key in order)
+        d, nums = self._den, self._nums
+        order = sorted(nums, key=lambda t: (t[0] + t[1], t[0]), reverse=True)
+        return format_terms((nums[key], d, format_monomial(key, self._names)) for key in order)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({str(self)!r})"
+
+
+def _store(obj: MonomialMap, d: int, nums: dict[ExponentPair, int]) -> None:
+    object.__setattr__(obj, "_den", d)
+    object.__setattr__(obj, "_nums", nums)
+    object.__setattr__(obj, "_hash", None)
 
 
 class WeylElement(MonomialMap):
@@ -196,14 +216,14 @@ def normalize_qp(m: int, n: int) -> WeylElement:
     """
     if m < 0 or n < 0:
         raise ValueError("exponents must be nonnegative")
-    return WeylElement._raw({key: Fraction(c) for key, c in mul_numerators({(0, m): 1}, {(n, 0): 1}).items()})
+    return WeylElement._from_numerators(1, mul_numerators({(0, m): 1}, {(n, 0): 1}))
 
 
-def numerators(x: WeylElement) -> tuple[int, dict[ExponentPair, int]]:
-    """(d, terms of d*x): d is the lcm of the denominators of x (1 for
-    zero), so every coefficient of d*x is an integer."""
-    d = lcm(*(c.denominator for c in x._terms.values()))
-    return d, {key: c.numerator * (d // c.denominator) for key, c in x._terms.items()}
+def numerators(x: MonomialMap) -> tuple[int, dict[ExponentPair, int]]:
+    """The stored pair (d, terms of d*x) of x: d is the lcm of the
+    denominators of x (1 for zero), so every coefficient of d*x is an
+    integer.  The map is x's own: read it, never change it."""
+    return x._den, x._nums
 
 
 def mul_numerators(xs: Mapping[ExponentPair, int],
@@ -224,12 +244,11 @@ def mul_numerators(xs: Mapping[ExponentPair, int],
 
 
 def mul(x: WeylElement, y: WeylElement) -> WeylElement:
-    """Product in the Weyl algebra, in canonical sparse form: mul_numerators
-    on the integer numerators of dx*x and dy*y, one Fraction over dx*dy per term."""
+    """Product in the Weyl algebra: mul_numerators on the integer
+    numerators of dx*x and dy*y, over dx*dy."""
     dx, xs = numerators(x)
     dy, ys = numerators(y)
-    den = dx * dy
-    return WeylElement._raw({key: Fraction(c, den) for key, c in mul_numerators(xs, ys).items()})
+    return WeylElement._from_numerators(dx * dy, mul_numerators(xs, ys))
 
 
 def power_bracket(xs: Mapping[ExponentPair, int], n: int, on_q: bool) -> dict[ExponentPair, int]:
@@ -258,7 +277,7 @@ def commutator(x: WeylElement, y: WeylElement) -> WeylElement:
     p^c [X, q^d], and in the p-before-q order both products only shift
     exponents.  So one power_bracket is taken per distinct exponent c >= 1
     of p and d >= 1 of q in Y, each term cy p^c q^d adds cy times its two
-    shifted copies, and each nonzero sum becomes one Fraction over dx*dy."""
+    shifted copies, and the sums are the numerators over dx*dy."""
     dx, xs = numerators(x)
     dy, ys = numerators(y)
     left, right = {}, {}  # power_bracket by exponent of p, of q
@@ -277,8 +296,7 @@ def commutator(x: WeylElement, y: WeylElement) -> WeylElement:
             for (i, j), v in right[d].items():
                 key = (i + c, j)
                 acc[key] = acc.get(key, 0) + cy * v
-    den = dx * dy
-    return WeylElement._raw({key: Fraction(c, den) for key, c in acc.items() if c})
+    return WeylElement._from_numerators(dx * dy, acc)
 
 
 def ad_power(x: WeylElement, y: WeylElement, n: int) -> WeylElement:
@@ -320,19 +338,21 @@ def format_monomial(exponents: Iterable[int], names: str) -> str:
     return "*".join(parts)
 
 
-def format_terms(terms: Iterable[tuple[Fraction, str]]) -> str:
-    """Join (coefficient, monomial) pairs in the given order, shared by every
-    printer in the kit: signs become " + " / " - " separators (a leading "-"
+def format_terms(terms: Iterable[tuple[int, int, str]]) -> str:
+    """Join (numerator, denominator, monomial) triples in the given order,
+    shared by every printer in the kit: each coefficient n/d (d > 0) is
+    reduced by one gcd, signs become " + " / " - " separators (a leading "-"
     on the first term), a unit magnitude is elided before a monomial, an
     empty monomial prints the bare magnitude, and no terms print "0"."""
     parts: list[str] = []
-    for c, mono in terms:
-        mag = abs(c)
-        body = str(mag) if not mono else mono if mag == 1 else f"{mag}*{mono}"
+    for n, d, mono in terms:
+        g = gcd(n, d)
+        mag = str(abs(n) // g) if d == g else f"{abs(n) // g}/{d // g}"
+        body = mag if not mono else mono if mag == "1" else f"{mag}*{mono}"
         if parts:
-            parts.append(f" - {body}" if c < 0 else f" + {body}")
+            parts.append(f" - {body}" if n < 0 else f" + {body}")
         else:
-            parts.append(f"-{body}" if c < 0 else body)
+            parts.append(f"-{body}" if n < 0 else body)
     return "".join(parts) or "0"
 
 

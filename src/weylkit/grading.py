@@ -108,13 +108,13 @@ def from_h_form(hf: HForm) -> WeylElement:
 def omega(x: WeylElement) -> WeylElement:
     """The automorphism p -> -q, q -> p; it swaps grades s and -s.  Each
     term c p^i q^j of the integer numerators d*x adds the normal-ordered
-    (-1)^i c q^i p^j to one integer sum, made a Fraction over d at the end."""
+    (-1)^i c q^i p^j to one integer sum, the numerators over d."""
     d, xs = numerators(x)
     acc: dict[tuple[int, int], int] = {}
     for (i, j), c in xs.items():
         for key, v in mul_numerators({(0, i): -c if i % 2 else c}, {(j, 0): 1}).items():
             acc[key] = acc.get(key, 0) + v
-    return WeylElement._raw({key: Fraction(c, d) for key, c in acc.items() if c})
+    return WeylElement._from_numerators(d, acc)
 
 
 def exp_ad(g: WeylElement, x: WeylElement) -> WeylElement:
@@ -149,11 +149,12 @@ def exp_ad(g: WeylElement, x: WeylElement) -> WeylElement:
                 nxt[e + f] = nxt.get(e + f, 0) + v * w
         bs.append(nxt)
     scales = [(-1) ** k * dg ** (top - k) for k in range(top + 1)]
-    acc: dict[tuple[int, int], int] = {}
+    rows: list[dict[int, int]] = [{} for _ in range(top + 1)]  # row i - k: exponent of q -> sum
     for (r, s), c in xs.items():
         for k in range(r + 1):
             w = c * comb(r, k) * scales[k]
+            row = rows[r - k]
             for e, v in bs[k].items():
-                acc[r - k, s + e] = acc.get((r - k, s + e), 0) + w * v
-    den = d * dg ** top
-    return WeylElement._raw({(key if on_q_axis else key[::-1]): Fraction(c, den) for key, c in acc.items() if c})
+                row[s + e] = row.get(s + e, 0) + w * v
+    acc = {(r, s) if on_q_axis else (s, r): c for r, row in enumerate(rows) for s, c in row.items()}
+    return WeylElement._from_numerators(d * dg ** top, acc)

@@ -229,10 +229,9 @@ def _fold(ast: ExprAst) -> _Numerators:
 
 def eval_ast(ast: ExprAst) -> WeylElement:
     """Fold the tree into a normal-ordered element.  The fold runs on
-    integer numerators over one denominator (see element.numerators), and
-    each output term becomes one Fraction at the end."""
-    d, xs = _fold(ast)
-    return WeylElement._raw({key: Fraction(c, d) for key, c in xs.items()})
+    integer numerators over one denominator, the pair an element stores
+    (see element.numerators)."""
+    return WeylElement._from_numerators(*_fold(ast))
 
 
 def element_from_string(text: str) -> WeylElement:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .element import WeylElement, WeylInternalError, commutator
+from .element import WeylElement, WeylInternalError, commutator, numerators
 from .polynomials import BiPoly
 
 #: Distinguished bottom value for the weighted degree of the zero element.
@@ -82,8 +82,8 @@ def weight_polynomial(x: WeylElement, w: Weight) -> BiPoly:
     """The commutative polynomial collecting the leading-support terms."""
     if x.is_zero():
         raise ValueError("zero element has no weighted leading polynomial")
-    points = weight_support(x, w)
-    return BiPoly({pt: x.coeff(*pt) for pt in points})
+    d, xs = numerators(x)
+    return BiPoly._from_numerators(d, {pt: xs[pt] for pt in weight_support(x, w)})
 
 
 @dataclass(frozen=True)
@@ -153,6 +153,7 @@ def edges(x: WeylElement) -> PolygonProfile:
     """
     if x.is_zero():
         raise ValueError("zero element has no edges")
+    d, xs = numerators(x)
     support = x.support()
     hull = convex_hull(support)
     weights: list[Weight] = []
@@ -174,8 +175,7 @@ def edges(x: WeylElement) -> PolygonProfile:
         v, sup = exposed_face(support, w)
         if len(sup) < 2:
             raise WeylInternalError(f"hull segment at weight {w} exposes a single point")
-        polynomial = BiPoly({pt: x.coeff(*pt) for pt in sup})
-        edge_list.append(Edge(w, sup, polynomial, v))
+        edge_list.append(Edge(w, sup, BiPoly._from_numerators(d, {pt: xs[pt] for pt in sup}), v))
 
     vertex_list: list[Vertex] = []
     for e1, e2 in zip(edge_list, edge_list[1:]):
@@ -206,10 +206,10 @@ def leading_split(x: WeylElement, y: WeylElement, w: Weight) -> tuple[WeylElemen
     if x.is_zero() or y.is_zero():
         raise ValueError("leading split requires nonzero inputs")
     threshold = weight_degree(x, w) + weight_degree(y, w) - (w.rho + w.sigma)
-    bracket = commutator(x, y)
-    t_terms: dict[tuple[int, int], Fraction] = {}
-    u_terms: dict[tuple[int, int], Fraction] = {}
-    for pt, c in bracket.terms().items():
+    den, bracket = numerators(commutator(x, y))
+    t_terms: dict[tuple[int, int], int] = {}
+    u_terms: dict[tuple[int, int], int] = {}
+    for pt, c in bracket.items():
         d = w.degree_of(pt)
         if d == threshold:
             t_terms[pt] = c
@@ -219,4 +219,4 @@ def leading_split(x: WeylElement, y: WeylElement, w: Weight) -> tuple[WeylElemen
             raise WeylInternalError(
                 f"commutator exceeds the split threshold at {pt} for weight {w}"
             )
-    return WeylElement(t_terms), WeylElement(u_terms)
+    return WeylElement._from_numerators(den, t_terms), WeylElement._from_numerators(den, u_terms)

@@ -92,7 +92,8 @@ class UniPoly:
 
     def __str__(self) -> str:
         return format_terms(
-            (c, format_monomial((k,), "X")) for k, c in reversed(list(enumerate(self._coeffs))) if c
+            (c.numerator, c.denominator, format_monomial((k,), "X"))
+            for k, c in reversed(list(enumerate(self._coeffs))) if c
         )
 
     def __repr__(self) -> str:
@@ -108,17 +109,13 @@ class BiPoly(MonomialMap):
     def __mul__(self, other):
         if not isinstance(other, BiPoly):
             return self.__rmul__(other)
-        acc: dict[tuple[int, int], Fraction] = {}
-        for (a, b), ca in self._terms.items():
-            for (c, d), cb in other._terms.items():
+        acc: dict[tuple[int, int], int] = {}
+        for (a, b), ca in self._nums.items():
+            for (c, d), cb in other._nums.items():
                 key = (a + c, b + d)
-                s = acc.get(key, 0) + ca * cb
-                if s:
-                    acc[key] = s
-                else:
-                    acc.pop(key, None)
-        return BiPoly._raw(acc)
+                acc[key] = acc.get(key, 0) + ca * cb
+        return BiPoly._from_numerators(self._den * other._den, acc)
 
     def swap_vars(self) -> "BiPoly":
         """The polynomial with X and Y exchanged."""
-        return BiPoly._raw({(j, i): c for (i, j), c in self._terms.items()})
+        return BiPoly._from_numerators(self._den, {(j, i): c for (i, j), c in self._nums.items()})

@@ -21,8 +21,7 @@ from typing import Iterator
 
 from .element import WeylElement, WeylInternalError, commutator, numerators, power_bracket
 from .grading import GradeSpan, HForm, exp_ad, grade_span, to_h_form
-from .polygon import PolygonProfile, Weight, edges, exposed_face
-from .polynomials import BiPoly
+from .polygon import PolygonProfile, Weight, edges, exposed_face, weight_polynomial
 from .power_analysis import HomogShape, dehomogenize
 
 DEFAULT_BOX_BOUND = 4
@@ -107,9 +106,9 @@ class ElementProfile:
         where it is reached, from one scan of the support."""
         return exposed_face(self.support, w)
 
-    def leading(self, face: frozenset[tuple[int, int]]) -> tuple[BiPoly, int]:
-        """The leading polynomial and power index of a face exposed by an
-        axis weight, from facts the profile already holds.
+    def leading_index(self, face: frozenset[tuple[int, int]]) -> int:
+        """The power index of the leading polynomial of a face exposed by
+        an axis weight, from facts the profile already holds.
 
         A one-point face X^a Y^b is its single term, of power index
         gcd(a, b) at every weight.  A face of two or more points is exposed
@@ -118,10 +117,10 @@ class ElementProfile:
         """
         if len(face) == 1:
             (pt,) = face
-            return BiPoly.monomial(*pt, self.x.coeff(*pt)), gcd(*pt)
+            return gcd(*pt)
         for e, r in zip(self.polygon.edges, self.edge_indices):
             if e.support == face:
-                return e.polynomial, r
+                return r
         raise WeylInternalError(f"face {sorted(face)} is no edge of the polygon")
 
     @cached_property
@@ -537,12 +536,11 @@ def _rules(profile: ElementProfile, notes: list[str]) -> _Found | None:
         v, face = profile.exposed(w)
         if v < w.rho + w.sigma:
             continue
-        f, r = profile.leading(face)
-        if r == 1:
+        if profile.leading_index(face) == 1:
             return RuleCitation(
                 RuleId.AXIS_POWER_INDEX_ONE,
                 {"weight": str(w), "weighted_degree": v,
-                 "leading_polynomial": str(f)},
+                 "leading_polynomial": str(weight_polynomial(x, w))},
                 "the leading polynomial at an axis weight with weighted degree "
                 "at least rho + sigma is not a proper power; a witness would "
                 "force an impossible leading-polynomial proportionality",

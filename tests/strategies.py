@@ -68,10 +68,10 @@ def apply_word(word, x):
     return x
 
 
-def bipolys(max_exp=4, max_terms=5, nonzero=False):
+def bipolys(max_exp=4, max_terms=5, nonzero=False, fractional=False):
     return st.dictionaries(
         exponent_pairs(max_exp),
-        coefficients(),
+        coefficients(fractional=fractional),
         min_size=1 if nonzero else 0,
         max_size=max_terms,
     ).map(BiPoly)

@@ -82,7 +82,7 @@ class TestBiPolyValueType:
     def test_rejects_attribute_assignment(self):
         f = BiPoly({(1, 0): 1})
         with pytest.raises(AttributeError):
-            f._terms = {}
+            f._nums = {}
         with pytest.raises(AttributeError):
             f.extra = 1
 

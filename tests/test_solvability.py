@@ -732,8 +732,7 @@ class TestElementProfile:
         for w in solvability._axis_weights(profile.support):
             v, face = profile.exposed(w)
             if v >= w.rho + w.sigma:
-                f = weight_polynomial(x, w)
-                assert profile.leading(face) == (f, power_index(f, w))
+                assert profile.leading_index(face) == power_index(weight_polynomial(x, w), w)
 
     @settings(max_examples=60, deadline=None)
     @given(st.dictionaries(st.integers(0, 5).map(lambda k: (k, k)), coefficients(fractional=True),

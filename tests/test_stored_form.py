@@ -1,0 +1,136 @@
+"""The one stored form of WeylElement and BiPoly: a denominator d > 0 and a
+map of nonzero integer numerators with gcd(d, all numerators) = 1.
+
+Every kernel builds its output on that pair, so each output is checked for
+the form itself, for agreement with the value rebuilt from its Fractions
+(equality and hash), and for reduced Fractions on reading.
+"""
+
+from fractions import Fraction
+from math import gcd
+
+import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
+
+import weylkit.element
+import weylkit.grading
+from weylkit import (
+    BiPoly,
+    WeylElement,
+    commutator,
+    element_from_string,
+    exp_ad,
+    mul,
+    normalize_qp,
+    omega,
+)
+from weylkit.element import numerators
+
+from oracles import naive_omega, reference_bracket, reference_mul, series_exp_ad
+from strategies import ast_text, bipolys, coefficients, expr_asts, weyl_elements
+
+elements = weyl_elements(max_exp=3, max_terms=4, fractional=True)
+scalars = st.one_of(st.just(Fraction(0)), coefficients(fractional=True))
+
+
+def axis_polys(axis: str):
+    """Polynomials in p alone or q alone, of degree at most 3."""
+    key = (lambda k: (k, 0)) if axis == "p" else (lambda k: (0, k))
+    return st.dictionaries(st.integers(0, 3).map(key), coefficients(fractional=True),
+                           max_size=3).map(WeylElement)
+
+
+def assert_canonical(out):
+    d, nums = numerators(out)
+    assert type(d) is int and d > 0
+    assert all(type(c) is int and c for c in nums.values())
+    assert gcd(d, *nums.values()) == 1  # for no terms, d = 1
+    rebuilt = type(out)(out.terms())
+    assert rebuilt == out and hash(rebuilt) == hash(out)
+    assert numerators(rebuilt) == (d, nums)
+    for (i, j), c in out.terms().items():
+        assert type(c) is Fraction and c.denominator > 0
+        assert gcd(c.numerator, c.denominator) == 1
+        assert out.coeff(i, j) == c == Fraction(nums[i, j], d)
+    assert type(out.coeff(9, 9)) is Fraction and out.coeff(9, 9) == 0
+
+
+class TestWeylKernels:
+    @settings(max_examples=80, deadline=None)
+    @given(elements, elements, scalars)
+    def test_products_and_sums(self, x, y, c):
+        for out in (mul(x, y), commutator(x, y), x + y, x - y, -x, x.scale(c)):
+            assert_canonical(out)
+
+    @pytest.mark.parametrize("m", range(5))
+    @pytest.mark.parametrize("n", range(5))
+    def test_normalize_qp(self, m, n):
+        assert_canonical(normalize_qp(m, n))
+
+    @settings(max_examples=60, deadline=None)
+    @given(elements, axis_polys("q"), axis_polys("p"))
+    def test_automorphisms(self, x, gq, gp):
+        for out in (omega(x), exp_ad(gq, x), exp_ad(gp, x)):
+            assert_canonical(out)
+
+    @settings(max_examples=60, deadline=None)
+    @given(expr_asts())
+    def test_parsed(self, ast):
+        assert_canonical(element_from_string(ast_text(ast)))
+
+    def test_content_is_divided_out(self):
+        # 2/6 p q - 4/6 q p = -1/3 p q + 2/3 is stored over 3, not over 6
+        x = element_from_string("2/6*p*q - 4/6*q*p")
+        assert numerators(x) == (3, {(1, 1): -1, (0, 0): 2})
+        assert str(x) == "-1/3*p*q + 2/3"
+        # [3/4 p^2, 2/3 q] = p: the denominators 4 and 3 cancel against 2*6
+        y = commutator(element_from_string("3/4*p^2"), element_from_string("2/3*q"))
+        assert numerators(y) == (1, {(1, 0): 1})
+
+
+class TestBiPoly:
+    @settings(max_examples=80, deadline=None)
+    @given(bipolys(max_exp=3, max_terms=4, fractional=True),
+           bipolys(max_exp=3, max_terms=4, fractional=True), scalars)
+    def test_products_and_sums(self, f, g, c):
+        for out in (f * g, f + g, f - g, -f, f.scale(c), f.swap_vars(), f ** 2):
+            assert_canonical(out)
+
+
+class TestZero:
+    @settings(max_examples=40, deadline=None)
+    @given(elements)
+    def test_one_form(self, x):
+        zero = WeylElement()
+        outs = [
+            WeylElement.zero(), WeylElement({(1, 2): 0}), WeylElement.monomial(2, 1, 0),
+            x - x, x.scale(0), mul(x, zero), commutator(x, x), exp_ad(zero, zero),
+            element_from_string("p*q - q*p - 1"),
+        ]
+        for out in outs:
+            assert numerators(out) == (1, {})
+            assert out == zero and hash(out) == hash(zero)
+        assert numerators(BiPoly() * BiPoly.one()) == (1, {})
+
+
+class TestKernelsMakeNoFraction:
+    """The kernels sum on the stored numerators; a Fraction made in one of
+    them would be a conversion the stored pair exists to avoid."""
+
+    X = WeylElement({(2, 1): Fraction(-3, 4), (0, 2): Fraction(5, 6), (1, 0): 2})
+    Y = WeylElement({(1, 2): Fraction(2, 3), (3, 0): Fraction(-1, 2)})
+    GQ = WeylElement({(0, 3): Fraction(1, 3), (0, 1): Fraction(-2, 5)})
+    GP = WeylElement({(2, 0): Fraction(-1, 2), (1, 0): 3})
+
+    def test_mul_commutator_omega_exp_ad(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a kernel made a Fraction")
+
+        x, y, gq, gp = self.X, self.Y, self.GQ, self.GP
+        with monkeypatch.context() as m:
+            m.setattr(weylkit.element, "Fraction", forbidden)
+            m.setattr(weylkit.grading, "Fraction", forbidden)
+            outs = (mul(x, y), commutator(x, y), omega(x), exp_ad(gq, x), exp_ad(gp, x))
+        assert outs == (reference_mul(x, y), reference_bracket(x, y), naive_omega(x),
+                        series_exp_ad(gq, x), series_exp_ad(gp, x))
