@@ -40,9 +40,6 @@ class UniPoly:
     def is_zero(self) -> bool:
         return not self._coeffs
 
-    def constant_term(self) -> Fraction:
-        return self._coeffs[0] if self._coeffs else Fraction(0)
-
     def __bool__(self) -> bool:
         return bool(self._coeffs)
 
@@ -75,12 +72,6 @@ class UniPoly:
 
     def __pow__(self, n: int) -> "UniPoly":
         return binary_power(self, n, UniPoly((1,)))
-
-    def monic(self) -> "UniPoly":
-        if self.is_zero():
-            return self
-        lead = self._coeffs[-1]
-        return UniPoly(tuple(c / lead for c in self._coeffs))
 
     def shift(self, k) -> "UniPoly":
         """f(X + k), by Horner's scheme."""

@@ -12,14 +12,20 @@ is an r-th power.  That test is exact over the rationals: a monic r-th
 root is unique, and monic_root's recurrence shows it is rational.  Index 1
 certifies "not a proper power" over the closure and hence over the
 rationals.
+
+The core is kept as the integer numerators of the polynomial, as the
+polynomial stores them, and both root tests run on those integers: scaling
+a core changes neither its roots nor their multiplicities.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from typing import Sequence
 
+from .element import numerators
 from .polynomials import BiPoly, UniPoly
 from .polygon import Weight
 
@@ -27,78 +33,139 @@ from .polygon import Weight
 @dataclass(frozen=True)
 class HomogShape:
     """Factored shape of an axis-weight homogeneous polynomial:
-    X^x_mult * Y^y_mult * (homogenization of core), with core(0) != 0."""
+    X^x_mult * Y^y_mult * (homogenization of core), with core(0) != 0.
+    The core is sum_k nums[k]/den Z^k, for integers nums and den > 0."""
 
     x_mult: int
     y_mult: int
-    core: UniPoly
+    den: int
+    nums: tuple[int, ...]
     weight: Weight
+
+    @property
+    def core(self) -> UniPoly:
+        """The core with its rational coefficients, built on each read."""
+        return UniPoly(Fraction(c, self.den) for c in self.nums)
 
     def power_index(self) -> int:
         """Largest m such that the shape is an m-th power over the algebraic
         closure: with g = gcd(x_mult, y_mult, deg core), the largest
-        divisor r of g for which the monic core has a monic r-th root
-        (monic_root)."""
-        g = gcd(self.x_mult, self.y_mult, self.core.degree())
+        divisor r of g for which the core is lead times a monic r-th power
+        (_root_numerators)."""
+        g = gcd(self.x_mult, self.y_mult, len(self.nums) - 1)
         if g == 0:
             raise ValueError("power index is undefined for constant polynomials")
-        if g == 1:
-            return 1
-        core = self.core.monic()
+        rev = self.nums[::-1]
         for r in range(g, 1, -1):
-            if g % r == 0 and monic_root(core, r) is not None:
+            if g % r == 0 and _root_numerators(rev, r) is not None:
                 return r
         return 1
 
     def linear_root(self) -> Fraction | None:
-        """mu if the core is lead*(Z - mu)^k, k = deg core >= 1, else None, in
-        O(k): c_(k-1) = -k lead mu fixes mu, then c_j = lead C(k,j) (-mu)^(k-j)."""
-        c = self.core.coeffs()
+        """mu if the core is lead*(Z - mu)^k, k = deg core >= 1, else None,
+        in O(k) integer steps.
+
+        With c_j the integer numerators, c_(k-1) = -k c_k mu fixes
+        mu = -c_(k-1)/(k c_k), and c_j = c_k C(k,j) (-mu)^(k-j) for every j.
+        Multiplied by (k c_k)^(k-j) that reads
+
+            c_j (k c_k)^(k-j) = c_k C(k,j) c_(k-1)^(k-j),
+
+        both sides of degree k-j+1 in the c, so the test holds for the core
+        at any scale.  It is trivial at j = k and j = k-1; for j < k-1 the
+        two powers and C(k,j) = C(k,j+1) (j+1)/(k-j) are updated step by
+        step.  The one Fraction made is the mu returned.
+        """
+        c = self.nums
         k = len(c) - 1
-        mu, term = -c[k - 1] / (k * c[k]), c[k]
-        for j in range(k - 1, -1, -1):
-            term = -term * mu * (j + 1) / (k - j)  # lead C(k,j) (-mu)^(k-j)
-            if c[j] != term:
+        lead, sub = c[k], c[k - 1]
+        step = k * lead
+        scale, power, binom = step, sub, k  # (k c_k)^(k-j), c_(k-1)^(k-j), C(k,j) at j = k-1
+        for j in range(k - 2, -1, -1):
+            scale *= step
+            power *= sub
+            binom = binom * (j + 1) // (k - j)
+            if c[j] * scale != lead * binom * power:
                 return None
-        return mu
-
-
-def _dehomogenize_x_axis(f: BiPoly, n: int) -> tuple[int, int, UniPoly]:
-    """Shape for weight (n, 1): core in Z = X / Y^n."""
-    pts = f.support()
-    a = min(i for i, _ in pts)
-    b = min(j for _, j in pts)
-    shifted = {(i - a, j - b): c for (i, j), c in f.terms().items()}
-    rest = max(n * i + j for i, j in shifted)
-    coeffs = [Fraction(0)] * (rest // n + 1 if rest else 1)
-    for (i, j), c in shifted.items():
-        if n * i + j != rest:
-            raise ValueError("polynomial is not weighted-homogeneous for this weight")
-        # along the degree line, j = rest - n*i, so i indexes the core
-        coeffs[i] = c
-    core = UniPoly(coeffs)
-    if not core.constant_term():
-        raise ValueError("core lost its constant term; input support is inconsistent")
-    return a, b, core
+        return Fraction(-sub, step)
 
 
 def dehomogenize(f: BiPoly, w: Weight) -> HomogShape:
     """Split off the pure X and Y factors and the core polynomial whose
     roots are the remaining factors over the closure.
 
-    Requires an axis weight: (n,1) works on the X side, (1,n) on the Y side
-    via exchanging the variables; (1,1) uses the X-side convention.  A
-    polynomial that is not homogeneous for w raises ValueError.
+    Requires an axis weight: at (n,1) the core is in Z = X/Y^n and is
+    indexed by the exponent of X less x_mult; at (1,n) it is in Y/X^n and
+    indexed by the exponent of Y less y_mult; (1,1) uses the X-side
+    convention.  The core's numerators are f's own, over f's denominator.
+    A polynomial that is not homogeneous for w raises ValueError.
     """
-    if f.is_zero():
+    d, nums = numerators(f)
+    if not nums:
         raise ValueError("zero polynomial has no homogeneous shape")
     if w.sigma == 1:
-        a, b, core = _dehomogenize_x_axis(f, w.rho)
-        return HomogShape(a, b, core, w)
-    if w.rho == 1:
-        b, a, core = _dehomogenize_x_axis(f.swap_vars(), w.sigma)
-        return HomogShape(a, b, core, w)
-    raise ValueError("requires axis weight")
+        side = 0
+    elif w.rho == 1:
+        side = 1
+    else:
+        raise ValueError("requires axis weight")
+    x_mult = min(i for i, _ in nums)
+    y_mult = min(j for _, j in nums)
+    low = (x_mult, y_mult)[side]
+    rho, sigma = w.rho, w.sigma
+    i, j = next(iter(nums))
+    v = rho * i + sigma * j
+    # along the degree line the exponent on the core's side fixes the other,
+    # and the point where it is least (x_mult or y_mult) is in the support,
+    # so core[0] != 0
+    core = [0] * (max(pt[side] for pt in nums) - low + 1)
+    for pt, c in nums.items():
+        if rho * pt[0] + sigma * pt[1] != v:
+            raise ValueError("polynomial is not weighted-homogeneous for this weight")
+        core[pt[side] - low] = c
+    return HomogShape(x_mult, y_mult, d, tuple(core), w)
+
+
+def _root_numerators(rev: Sequence[int], r: int) -> list[int] | None:
+    """The numerators g_0, ..., g_m of the r-th root series of
+    F(t) = sum_j rev[j]/rev[0] t^j, m = n/r with n = len(rev) - 1, or None
+    when F has no r-th root of degree m.
+
+    rev holds the integer core N from its leading coefficient down, so that
+    F is the reversal t^n f(1/t) of the monic core f.  With L = N_0, F_j =
+    N_j/L; the recurrence of monic_root for G^r = F, written for
+    G_k = g_k / (L^k r^k k!) and multiplied by L^k r^k k!, becomes
+
+        g_k = sum_{j=max(1,k-m)..k} (j - r(k-j)) N_j (L r)^(j-1)
+                                    ((k-1)!/(k-j)!) g_(k-j),   g_0 = 1,
+
+    all integers, and G_k = 0 exactly when g_k = 0.  So F is an r-th
+    power exactly when g_k = 0 for m < k <= n.  The factors N_j (L r)^(j-1)
+    are computed once; (k-1)!/i!, i = k-j, is (k-1)! divided by 1, ..., i
+    in turn, each division exact because i <= k-1.
+    """
+    n = len(rev) - 1
+    m = n // r
+    lr = rev[0] * r
+    terms, power = [0], 1  # terms[j] = N_j (L r)^(j-1)
+    for j in range(1, n + 1):
+        terms.append(rev[j] * power)
+        power *= lr
+    g = [1]
+    fact = 1  # (k-1)!
+    for k in range(1, n + 1):
+        s, falling = 0, fact
+        for i in range(min(m, k - 1) + 1):
+            if i:
+                falling //= i
+            j = k - i
+            s += (j - r * i) * terms[j] * falling * g[i]
+        if k <= m:
+            g.append(s)
+        elif s:
+            return None
+        fact *= k
+    return g
 
 
 def monic_root(f: UniPoly, r: int) -> UniPoly | None:
@@ -120,18 +187,21 @@ def monic_root(f: UniPoly, r: int) -> UniPoly | None:
     nonzero G_k past m: O(n m) operations and no power of h.  The test over
     the rationals is exact: a monic r-th root over the closure is unique,
     and the recurrence makes it rational.  At r = n the root is linear,
-    Z - mu, exactly when f = (Z - mu)^n.
+    Z - mu, exactly when f = (Z - mu)^n.  The recurrence runs on f's
+    numerators over their common denominator (_root_numerators), and the
+    root's Fractions G_k = g_k / (L^k r^k k!) are made only when it exists.
     """
-    n = f.degree()
-    m = n // r
-    F = f.coeffs()[::-1]
-    G = [Fraction(1)]
-    for k in range(1, n + 1):
-        g = sum((j - r * (k - j)) * F[j] * G[k - j] for j in range(max(1, k - m), k + 1)) / (r * k)
-        if k <= m:
-            G.append(g)
-        elif g:
-            return None
+    cs = f.coeffs()
+    d = lcm(*(c.denominator for c in cs))
+    rev = [c.numerator * (d // c.denominator) for c in reversed(cs)]
+    g = _root_numerators(rev, r)
+    if g is None:
+        return None
+    lr, scale, G = rev[0] * r, 1, []
+    for k, gk in enumerate(g):
+        if k:
+            scale *= lr * k
+        G.append(Fraction(gk, scale))
     return UniPoly(G[::-1])
 
 

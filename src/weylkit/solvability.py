@@ -592,7 +592,7 @@ def _reduction_step(profile: ElementProfile) -> tuple[WeylElement, ElementProfil
     for e, shape in zip(profile.polygon.edges, profile.edge_shapes):
         if shape is None:
             continue
-        k, w = shape.core.degree(), e.weight
+        k, w = len(shape.nums) - 1, e.weight
         if w.sigma == 1:
             a, b, n = shape.x_mult, shape.y_mult, w.rho
         else:
@@ -602,10 +602,11 @@ def _reduction_step(profile: ElementProfile) -> tuple[WeylElement, ElementProfil
         mu = shape.linear_root()
         if mu is None:
             continue
+        num, den = mu.numerator, mu.denominator * (n + 1)
         if w.sigma == 1:
-            g = WeylElement.monomial(0, n + 1, -mu / (n + 1))
+            g = WeylElement._from_numerators(den, {(0, n + 1): -num})
         else:
-            g = WeylElement.monomial(n + 1, 0, mu / (n + 1))
+            g = WeylElement._from_numerators(den, {(n + 1, 0): num})
         image = ElementProfile(exp_ad(g, profile.x))
         if _size(image) < before:
             return g, image

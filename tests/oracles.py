@@ -173,6 +173,49 @@ def rehomogenize(shape) -> BiPoly:
     return BiPoly(terms)
 
 
+def fraction_linear_root(core: UniPoly) -> Fraction | None:
+    """mu if core is lead*(Z - mu)^k, k = deg core >= 1, else None, on
+    Fractions: c_(k-1) = -k lead mu fixes mu, then each c_j must be
+    lead C(k,j) (-mu)^(k-j).  The reference for HomogShape.linear_root."""
+    c = core.coeffs()
+    k = len(c) - 1
+    mu, term = -c[k - 1] / (k * c[k]), c[k]
+    for j in range(k - 1, -1, -1):
+        term = -term * mu * (j + 1) / (k - j)  # lead C(k,j) (-mu)^(k-j)
+        if c[j] != term:
+            return None
+    return mu
+
+
+def fraction_monic_root(f: UniPoly, r: int) -> UniPoly | None:
+    """The monic h with h**r == f, or None, for f monic of degree n and r | n:
+    the reversal G of h has G^r = F, the reversal of f, and F G' = (1/r) F' G
+    gives G_k = (1/k) sum_j (j/r - (k - j)) F_j G_(k-j) on Fractions; f is an
+    r-th power exactly when G_k = 0 for n/r < k <= n.  The reference for
+    power_analysis.monic_root."""
+    n = f.degree()
+    m = n // r
+    F = f.coeffs()[::-1]
+    G = [Fraction(1)]
+    for k in range(1, n + 1):
+        g = sum((j - r * (k - j)) * F[j] * G[k - j] for j in range(max(1, k - m), k + 1)) / (r * k)
+        if k <= m:
+            G.append(g)
+        elif g:
+            return None
+    return UniPoly(G[::-1])
+
+
+def fraction_power_index(shape) -> int:
+    """HomogShape.power_index from the rational core: the largest divisor r
+    of gcd(x_mult, y_mult, deg core) for which fraction_monic_root finds a
+    root of the monic core."""
+    cs = shape.core.coeffs()
+    g = gcd(shape.x_mult, shape.y_mult, len(cs) - 1)
+    monic = UniPoly(c / cs[-1] for c in cs)
+    return max(r for r in range(1, g + 1) if g % r == 0 and fraction_monic_root(monic, r) is not None)
+
+
 def power_proportional(x: WeylElement, y: WeylElement, w: Weight) -> bool:
     """Does g^v(x) equal c * f^v(y) for some nonzero scalar c, where f and g
     are the leading polynomials of x and y at weight w?"""

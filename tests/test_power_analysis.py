@@ -1,10 +1,10 @@
 """Weighted-homogeneous factor shapes, monic r-th roots, power index."""
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 import hypothesis.strategies as st
 
 from weylkit import (
@@ -18,7 +18,14 @@ from weylkit import (
 )
 from weylkit.power_analysis import monic_root
 
-from oracles import bipoly_nth_root, rational_nth_root, rehomogenize
+from oracles import (
+    bipoly_nth_root,
+    fraction_linear_root,
+    fraction_monic_root,
+    fraction_power_index,
+    rational_nth_root,
+    rehomogenize,
+)
 from strategies import coefficients, weyl_elements
 
 
@@ -103,8 +110,8 @@ class TestDehomogenize:
     def test_core_has_nonzero_constant_term(self):
         f = B({(3, 0): 2, (1, 2): -4})  # 2 X (X - sqrt2 Y)(X + sqrt2 Y) shape
         shape = dehomogenize(f, Weight(1, 1))
-        assert shape.core.constant_term() != 0
-        assert shape.core.coeffs()[-1] != 0
+        assert shape.nums[0] != 0 and shape.nums[-1] != 0
+        assert shape.core.coeffs() == (Fraction(-4), 0, Fraction(2))
 
 
 class TestPowerIndex:
@@ -255,14 +262,20 @@ class TestMonicRoot:
         assert monic_root(UniPoly((1, 1)) ** 2 * UniPoly((2, 1)), 3) is None
 
 
+def monic(core: UniPoly) -> UniPoly:
+    return UniPoly(c / core.coeffs()[-1] for c in core.coeffs())
+
+
 def linear_by_monic_root(core: UniPoly) -> Fraction | None:
-    """mu read from a linear monic_root(core.monic(), k), the reference for linear_root."""
-    root = monic_root(core.monic(), core.degree())
-    return None if root is None else -root.constant_term()
+    """mu read from a linear monic_root(monic core, k), the reference for linear_root."""
+    root = monic_root(monic(core), core.degree())
+    return None if root is None else -root.coeffs()[0]
 
 
-def shape_of(core: UniPoly) -> HomogShape:
-    return HomogShape(0, 0, core, Weight(1, 1))
+def shape_of(core: UniPoly, x_mult=0, y_mult=0, w=Weight(1, 1)) -> HomogShape:
+    """The shape with this core, stored over the lcm of its denominators."""
+    d = lcm(*(c.denominator for c in core.coeffs()))
+    return HomogShape(x_mult, y_mult, d, tuple(c.numerator * (d // c.denominator) for c in core.coeffs()), w)
 
 
 class TestLinearRoot:
@@ -300,6 +313,61 @@ class TestLinearRoot:
     def test_agrees_with_monic_root(self, middle, low, lead):
         core = UniPoly((low, *middle, lead))
         assert shape_of(core).linear_root() == linear_by_monic_root(core)
+
+
+@st.composite
+def cores(draw):
+    """A rational core with nonzero constant and leading terms, degree 1 to
+    8: random, lead times an r-th power of a random monic polynomial, or such
+    a power with one coefficient moved."""
+    kind = draw(st.sampled_from(["random", "power", "perturbed"]))
+    nonzero = coefficients(fractional=True)
+    if kind == "random":
+        middle = draw(st.lists(nonzero | st.just(Fraction(0)), max_size=7))
+        return UniPoly((draw(nonzero), *middle, draw(nonzero)))
+    r = draw(st.integers(1, 4))
+    low = draw(st.lists(nonzero | st.just(Fraction(0)), max_size=8 // r - 1))
+    core = UniPoly((draw(nonzero), *low, 1)) ** r * UniPoly((draw(nonzero),))
+    if kind == "perturbed":
+        cs = list(core.coeffs())
+        cs[draw(st.integers(0, len(cs) - 1))] += draw(nonzero)
+        assume(cs[0] and cs[-1])
+        core = UniPoly(cs)
+    return core
+
+
+class TestMatchesFractionReferences:
+    """The integer root tests against their Fraction forms in oracles.py."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(cores())
+    def test_linear_root(self, core):
+        assert shape_of(core).linear_root() == fraction_linear_root(core)
+
+    @settings(max_examples=200, deadline=None)
+    @given(cores(), st.integers(1, 8))
+    def test_monic_root(self, core, r):
+        f = monic(core)
+        if f.degree() % r == 0:
+            assert monic_root(f, r) == fraction_monic_root(f, r)
+
+    @settings(max_examples=200, deadline=None)
+    @given(cores(), st.integers(1, 3), st.integers(0, 2), st.integers(0, 2), st.integers(1, 3), st.booleans())
+    def test_power_index_at_both_axes(self, core, m, a, b, n, mirrored):
+        # X^(ma) Y^(mb) core at (n,1) (or its mirror at (1,n)), rebuilt as a
+        # polynomial and factored again; (1,1) takes the X side
+        mirrored = mirrored and n > 1
+        w = Weight(1, n) if mirrored else Weight(n, 1)
+        built = shape_of(core, m * a, m * b, w)
+        assume(len(built.nums) > 1 or a or b)
+        f = rehomogenize(built)
+        if mirrored:
+            assert dehomogenize(f.swap_vars(), Weight(n, 1)).nums == built.nums
+        shape = dehomogenize(f, w)
+        assert shape.nums == built.nums and (shape.x_mult, shape.y_mult) == (m * a, m * b)
+        assert shape.power_index() == fraction_power_index(shape)
+        if len(shape.nums) > 1:
+            assert shape.linear_root() == fraction_linear_root(shape.core)
 
 
 class TestPowerProportionalityDivision:

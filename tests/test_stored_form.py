@@ -15,10 +15,13 @@ import hypothesis.strategies as st
 
 import weylkit.element
 import weylkit.grading
+import weylkit.power_analysis
 from weylkit import (
     BiPoly,
+    Weight,
     WeylElement,
     commutator,
+    dehomogenize,
     element_from_string,
     exp_ad,
     mul,
@@ -27,7 +30,14 @@ from weylkit import (
 )
 from weylkit.element import numerators
 
-from oracles import naive_omega, reference_bracket, reference_mul, series_exp_ad
+from oracles import (
+    fraction_linear_root,
+    fraction_power_index,
+    naive_omega,
+    reference_bracket,
+    reference_mul,
+    series_exp_ad,
+)
 from strategies import ast_text, bipolys, coefficients, expr_asts, weyl_elements
 
 elements = weyl_elements(max_exp=3, max_terms=4, fractional=True)
@@ -53,7 +63,8 @@ def assert_canonical(out):
         assert type(c) is Fraction and c.denominator > 0
         assert gcd(c.numerator, c.denominator) == 1
         assert out.coeff(i, j) == c == Fraction(nums[i, j], d)
-    assert type(out.coeff(9, 9)) is Fraction and out.coeff(9, 9) == 0
+    outside = (1 + max((i for i, _ in nums), default=-1), 0)  # past every support point
+    assert type(out.coeff(*outside)) is Fraction and out.coeff(*outside) == 0
 
 
 class TestWeylKernels:
@@ -114,6 +125,10 @@ class TestZero:
         assert numerators(BiPoly() * BiPoly.one()) == (1, {})
 
 
+def forbidden(*args, **kwargs):
+    raise AssertionError("a kernel made a Fraction")
+
+
 class TestKernelsMakeNoFraction:
     """The kernels sum on the stored numerators; a Fraction made in one of
     them would be a conversion the stored pair exists to avoid."""
@@ -124,9 +139,6 @@ class TestKernelsMakeNoFraction:
     GP = WeylElement({(2, 0): Fraction(-1, 2), (1, 0): 3})
 
     def test_mul_commutator_omega_exp_ad(self, monkeypatch):
-        def forbidden(*args, **kwargs):
-            raise AssertionError("a kernel made a Fraction")
-
         x, y, gq, gp = self.X, self.Y, self.GQ, self.GP
         with monkeypatch.context() as m:
             m.setattr(weylkit.element, "Fraction", forbidden)
@@ -134,3 +146,32 @@ class TestKernelsMakeNoFraction:
             outs = (mul(x, y), commutator(x, y), omega(x), exp_ad(gq, x), exp_ad(gp, x))
         assert outs == (reference_mul(x, y), reference_bracket(x, y), naive_omega(x),
                         series_exp_ad(gq, x), series_exp_ad(gp, x))
+
+    # X^3 Y^3 (X - 2/3 Y^2)^3 at (2,1), its mirror at (1,2), and
+    # 3/2 X^2 Y^2 (X^2 + XY + Y^2) at (1,1), whose core is no square
+    LINE = BiPoly({(1, 0): 1, (0, 2): Fraction(-2, 3)})
+    EDGES = [
+        (BiPoly.monomial(3, 3) * LINE ** 3, Weight(2, 1)),
+        ((BiPoly.monomial(3, 3) * LINE ** 3).swap_vars(), Weight(1, 2)),
+        (BiPoly({(4, 2): Fraction(3, 2), (3, 3): Fraction(3, 2), (2, 4): Fraction(3, 2)}), Weight(1, 1)),
+    ]
+
+    def test_power_analysis(self, monkeypatch):
+        # dehomogenize and power_index make no Fraction; linear_root makes
+        # one, the mu it returns
+        made = []
+
+        def counted(*args):
+            made.append(Fraction(*args))
+            return made[-1]
+
+        with monkeypatch.context() as m:
+            m.setattr(weylkit.power_analysis, "Fraction", forbidden)
+            shapes = [dehomogenize(f, w) for f, w in self.EDGES]
+            indices = [s.power_index() for s in shapes]
+        with monkeypatch.context() as m:
+            m.setattr(weylkit.power_analysis, "Fraction", counted)
+            roots = [s.linear_root() for s in shapes]
+        assert indices == [fraction_power_index(s) for s in shapes] == [3, 3, 1]
+        assert roots == [fraction_linear_root(s.core) for s in shapes] == [Fraction(2, 3)] * 2 + [None]
+        assert made == [Fraction(2, 3)] * 2
