@@ -27,7 +27,7 @@ from .grading import (
     omega,
     to_h_form,
 )
-from .parser import ExprSyntaxError, element_from_string, eval_ast, parse_expr
+from .parser import ExprSyntaxError, element_from_string
 from .polygon import (
     NEG_INF,
     Edge,

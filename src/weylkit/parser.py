@@ -8,16 +8,17 @@ Grammar (ASCII only; whitespace insignificant, multiplication always explicit):
     atom     := 'p' | 'q' | 'h' | rational | '(' expr ')'
     rational := uint ('/' uint)?
 
-Products keep their source order; "q*p" only becomes p*q - 1 when the
-tree is evaluated into a normal-ordered element.  The atom h stands for
-the product p*q.  Parentheses nest at most MAX_NESTING levels deep.
+Each rule evaluates what it parses into the pair an element stores: a
+denominator d > 0 and the integer numerators of d*x (d need not be the
+least such), zeros pruned.  Products are normal ordered as they are read,
+so "q*p" becomes p*q - 1.  The atom h stands for the product p*q.
+Parentheses nest at most MAX_NESTING levels deep.  A syntax error after a
+well-formed prefix is found once that prefix has been evaluated.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, lcm
 
 from .element import ExponentPair, WeylElement, binary_power, mul_numerators
@@ -31,38 +32,6 @@ class ExprSyntaxError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True)
-class Num:
-    value: Fraction
-
-
-@dataclass(frozen=True)
-class Var:
-    name: str  # 'p', 'q' or 'h'
-
-
-@dataclass(frozen=True)
-class Pow:
-    base: "ExprAst"
-    exponent: int
-
-
-@dataclass(frozen=True)
-class Prod:
-    factors: tuple["ExprAst", ...]
-
-
-@dataclass(frozen=True)
-class Neg:
-    child: "ExprAst"
-
-
-@dataclass(frozen=True)
-class Sum:
-    parts: tuple["ExprAst", ...]
-
-
-ExprAst = Num | Var | Pow | Prod | Neg | Sum
 _Numerators = tuple[int, dict[ExponentPair, int]]
 
 #: Deepest parenthesis nesting accepted; bounds the recursion of the parser.
@@ -99,76 +68,96 @@ class _Tokens:
         return len(self.text)
 
 
-def parse_expr(text: str) -> ExprAst:
+def _parse(text: str) -> _Numerators:
+    """The (d, numerators) pair of the element text denotes."""
     tokens = _Tokens(text)
     if not tokens.items:
         raise ExprSyntaxError("empty expression", 0)
-    ast = _parse_sum(tokens)
+    value = _parse_sum(tokens)
     trailing = tokens.peek()
     if trailing is not None:
         raise ExprSyntaxError(f"unexpected {trailing[1]!r}", trailing[2])
-    return ast
+    return value
 
 
-def _parse_sum(tokens: _Tokens) -> ExprAst:
-    parts: list[ExprAst] = []
+def element_from_string(text: str) -> WeylElement:
+    """Parse text into a normal-ordered element."""
+    return WeylElement._from_numerators(*_parse(text))
+
+
+def _parse_sum(tokens: _Tokens) -> _Numerators:
+    parts: list[_Numerators] = []
     tok = tokens.peek()
-    lead_negative = False
+    sign = "+"
     if tok is not None and tok[0] == "op" and tok[1] in "+-":
         tokens.next()
-        lead_negative = tok[1] == "-"
-    term = _parse_term(tokens)
-    parts.append(Neg(term) if lead_negative else term)
+        sign = tok[1]
     while True:
+        d, xs = _parse_term(tokens)
+        parts.append((d, {key: -c for key, c in xs.items()}) if sign == "-" else (d, xs))
         tok = tokens.peek()
         if tok is None or tok[0] != "op" or tok[1] not in "+-":
             break
         tokens.next()
-        term = _parse_term(tokens)
-        parts.append(Neg(term) if tok[1] == "-" else term)
-    return parts[0] if len(parts) == 1 else Sum(tuple(parts))
+        sign = tok[1]
+    if len(parts) == 1:
+        return parts[0]
+    d = lcm(*(e for e, _ in parts))
+    acc: dict[ExponentPair, int] = {}
+    for e, ys in parts:
+        for key, c in ys.items():
+            acc[key] = acc.get(key, 0) + c * (d // e)
+    return d, {key: c for key, c in acc.items() if c}
 
 
-def _parse_term(tokens: _Tokens) -> ExprAst:
-    factors = [_parse_factor(tokens)]
+def _parse_term(tokens: _Tokens) -> _Numerators:
+    out = _parse_factor(tokens)
     while True:
         tok = tokens.peek()
         if tok is None or tok[0] != "op" or tok[1] != "*":
-            break
+            return out
         tokens.next()
-        factors.append(_parse_factor(tokens))
-    return factors[0] if len(factors) == 1 else Prod(tuple(factors))
+        out = _times(out, _parse_factor(tokens))
 
 
-def _parse_factor(tokens: _Tokens) -> ExprAst:
+def _parse_factor(tokens: _Tokens) -> _Numerators:
     base = _parse_atom(tokens)
     tok = tokens.peek()
-    if tok is not None and tok[0] == "op" and tok[1] == "^":
-        tokens.next()
-        exp_tok = tokens.next()
-        if exp_tok is None:
-            raise ExprSyntaxError("expected an exponent", tokens.end_offset())
-        kind, value, offset = exp_tok
-        if kind != "number" or "/" in value:
-            raise ExprSyntaxError("exponent must be a nonnegative integer", offset)
-        return Pow(base, int(value))
-    return base
+    if tok is None or tok[0] != "op" or tok[1] != "^":
+        return base
+    tokens.next()
+    exp_tok = tokens.next()
+    if exp_tok is None:
+        raise ExprSyntaxError("expected an exponent", tokens.end_offset())
+    kind, value, offset = exp_tok
+    if kind != "number" or "/" in value:
+        raise ExprSyntaxError("exponent must be a nonnegative integer", offset)
+    # divide out d's common factor with the base, or (2*(1/2))^n carries 2^n in d
+    d, xs = base
+    g = gcd(d, *xs.values())
+    d, n = d // g, int(value)
+    if len(xs) == 1:
+        (i, j), c = next(iter(xs.items()))
+        if i == 0 or j == 0:  # (c*p^i)^n = c^n*p^(i*n): no normal ordering
+            return d**n, {(i * n, j * n): (c // g) ** n}
+    base = d, {key: c // g for key, c in xs.items()}
+    return binary_power(base, n, (1, {(0, 0): 1}), _times)
 
 
-def _parse_atom(tokens: _Tokens) -> ExprAst:
+def _parse_atom(tokens: _Tokens) -> _Numerators:
     tok = tokens.next()
     if tok is None:
         raise ExprSyntaxError("unexpected end of input", tokens.end_offset())
     kind, value, offset = tok
     if kind == "number":
-        if "/" in value:
-            num, den = value.split("/")
-            if int(den) == 0:
-                raise ExprSyntaxError("zero denominator", offset)
-            return Num(Fraction(int(num), int(den)))
-        return Num(Fraction(int(value)))
+        num, _, den = value.partition("/")
+        a, b = int(num), int(den or 1)
+        if b == 0:
+            raise ExprSyntaxError("zero denominator", offset)
+        g = gcd(a, b)
+        return b // g, {(0, 0): a // g} if a else {}
     if kind == "name":
-        return Var(value)
+        return 1, {_VAR_KEYS[value]: 1}
     if kind == "op" and value == "(":
         if tokens.depth == MAX_NESTING:
             raise ExprSyntaxError(f"parentheses nested deeper than {MAX_NESTING} levels", offset)
@@ -187,53 +176,3 @@ _VAR_KEYS = {"p": (1, 0), "q": (0, 1), "h": (1, 1)}  # h = p*q is normal ordered
 
 def _times(x: _Numerators, y: _Numerators) -> _Numerators:
     return x[0] * y[0], mul_numerators(x[1], y[1])
-
-
-def _fold(ast: ExprAst) -> _Numerators:
-    """(d, terms of d*x) for the element x that ast denotes: d > 0 and every
-    coefficient an integer (d need not be the least such), zeros pruned."""
-    if isinstance(ast, Num):
-        v = ast.value
-        return v.denominator, {(0, 0): v.numerator} if v else {}
-    if isinstance(ast, Var):
-        return 1, {_VAR_KEYS[ast.name]: 1}
-    if isinstance(ast, Pow):
-        # divide out d's common factor with the base, or (2*(1/2))^n carries 2^n in d
-        d, xs = _fold(ast.base)
-        g = gcd(d, *xs.values())
-        d, n = d // g, ast.exponent
-        if len(xs) == 1:
-            (i, j), c = next(iter(xs.items()))
-            if i == 0 or j == 0:  # (c*p^i)^n = c^n*p^(i*n): no normal ordering
-                return d**n, {(i * n, j * n): (c // g) ** n}
-        base = d, {key: c // g for key, c in xs.items()}
-        return binary_power(base, n, (1, {(0, 0): 1}), _times)
-    if isinstance(ast, Prod):
-        out = _fold(ast.factors[0])
-        for factor in ast.factors[1:]:
-            out = _times(out, _fold(factor))
-        return out
-    if isinstance(ast, Neg):
-        d, xs = _fold(ast.child)
-        return d, {key: -c for key, c in xs.items()}
-    if isinstance(ast, Sum):
-        parts = [_fold(part) for part in ast.parts]
-        d = lcm(*(e for e, _ in parts))
-        acc: dict[ExponentPair, int] = {}
-        for e, ys in parts:
-            for key, c in ys.items():
-                acc[key] = acc.get(key, 0) + c * (d // e)
-        return d, {key: c for key, c in acc.items() if c}
-    raise TypeError(f"not an expression node: {ast!r}")
-
-
-def eval_ast(ast: ExprAst) -> WeylElement:
-    """Fold the tree into a normal-ordered element.  The fold runs on
-    integer numerators over one denominator, the pair an element stores
-    (see element.numerators)."""
-    return WeylElement._from_numerators(*_fold(ast))
-
-
-def element_from_string(text: str) -> WeylElement:
-    """Parse and evaluate in one step."""
-    return eval_ast(parse_expr(text))

@@ -112,7 +112,7 @@ class PolygonProfile:
 def separating_weight(w1: Weight, w2: Weight) -> Weight:
     """The reduced mediant of two weights of distinct slope: a weight whose
     slope lies strictly between theirs."""
-    if w1.ratio() == w2.ratio():
+    if w1 == w2:  # coprime, so equal slopes are equal weights
         raise ValueError("weights have equal slope; nothing separates them")
     r = w1.rho + w2.rho
     s = w1.sigma + w2.sigma
@@ -168,7 +168,9 @@ def edges(x: WeylElement) -> PolygonProfile:
             if nr > 0 and ns > 0:
                 g = gcd(nr, ns)
                 weights.append(Weight(nr // g, ns // g))
-    weights.sort(key=Weight.ratio)
+    # from the lowest leftmost point the outward normals turn counterclockwise,
+    # so the positive ones come as one run of decreasing slope rho/sigma
+    weights.reverse()
 
     edge_list: list[Edge] = []
     for w in weights:

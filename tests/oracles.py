@@ -28,7 +28,6 @@ from weylkit import (
     mul,
     power,
 )
-from weylkit.parser import Neg, Num, Pow, Prod, Sum, Var
 
 
 def rewrite_normal_qp(m: int, n: int) -> WeylElement:
@@ -102,8 +101,13 @@ def reference_bracket(x: WeylElement, y: WeylElement) -> WeylElement:
 
 
 def naive_eval(ast) -> WeylElement:
-    """The parse tree folded on WeylElement values with mul, power and +,
-    so every intermediate coefficient is a reduced Fraction."""
+    """An expression tree (strategies.ExprAst) folded on WeylElement values
+    with mul, power and +, so every intermediate coefficient is a reduced
+    Fraction."""
+    # imported here: perfbench imports this module as tests.oracles, with
+    # neither tests/ on the path nor hypothesis needed
+    from strategies import Neg, Num, Pow, Prod, Sum, Var
+
     if isinstance(ast, Num):
         return WeylElement.monomial(0, 0, ast.value)
     if isinstance(ast, Var):

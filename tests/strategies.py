@@ -1,11 +1,11 @@
 """Hypothesis strategies shared across the test modules."""
 
+from dataclasses import dataclass
 from fractions import Fraction
 
 import hypothesis.strategies as st
 
 from weylkit import BiPoly, UniPoly, Weight, WeylElement, exp_ad, from_h_form, HForm, omega
-from weylkit.parser import Neg, Num, Pow, Prod, Sum, Var
 
 SMALL_WEIGHTS = [Weight(1, 1), Weight(1, 2), Weight(2, 1), Weight(1, 3), Weight(3, 2)]
 
@@ -81,8 +81,44 @@ def weights():
     return st.sampled_from(SMALL_WEIGHTS)
 
 
+# Expression trees: ast_text prints one as parser input and
+# oracles.naive_eval folds it on elements, the parser's reference.
+@dataclass(frozen=True)
+class Num:
+    value: Fraction
+
+
+@dataclass(frozen=True)
+class Var:
+    name: str  # 'p', 'q' or 'h'
+
+
+@dataclass(frozen=True)
+class Pow:
+    base: "ExprAst"
+    exponent: int
+
+
+@dataclass(frozen=True)
+class Prod:
+    factors: tuple["ExprAst", ...]
+
+
+@dataclass(frozen=True)
+class Neg:
+    child: "ExprAst"
+
+
+@dataclass(frozen=True)
+class Sum:
+    parts: tuple["ExprAst", ...]
+
+
+ExprAst = Num | Var | Pow | Prod | Neg | Sum
+
+
 def expr_asts(depth=3, max_exponent=3):
-    """Parse trees at most depth levels deep: nonnegative fractions and
+    """Expression trees at most depth levels deep: nonnegative fractions and
     p, q, h at the leaves; powers, products, negations and sums above."""
     leaves = st.one_of(
         st.builds(Num, st.fractions(min_value=0, max_value=5, max_denominator=4)),

@@ -12,44 +12,36 @@ from weylkit import (
     ExprSyntaxError,
     WeylElement,
     element_from_string,
-    eval_ast,
     format_element,
     mul,
-    parse_expr,
     power,
 )
 from weylkit import parser
-from weylkit.parser import Neg, Pow, Prod, Sum, Var, _fold
+from weylkit.parser import _parse
 
 from oracles import naive_eval
-from strategies import ast_text, expr_asts, weyl_elements
+from strategies import Neg, Num, Pow, Prod, Sum, Var, ast_text, expr_asts, weyl_elements
 
 SHOWCASE_TEXT = "p^4 + p^3*q + p^2*q^2 + q^3 + q"
 
 
 class TestParse:
     def test_showcase_element(self):
-        ast = parse_expr(SHOWCASE_TEXT)
-        assert isinstance(ast, Sum)
-        assert len(ast.parts) == 5
-        assert ast.parts[0] == Pow(Var("p"), 4)
-        assert ast.parts[1] == Prod((Pow(Var("p"), 3), Var("q")))
+        assert element_from_string(SHOWCASE_TEXT) == WeylElement(
+            {(4, 0): 1, (3, 1): 1, (2, 2): 1, (0, 3): 1, (0, 1): 1})
 
     def test_h_desugars_on_eval(self):
         assert element_from_string("h^2 - h") == power(H, 2) - H
         assert element_from_string("h") == mul(P, Q)
 
     def test_product_order_preserved(self):
-        ast = parse_expr("q*p")
-        assert ast == Prod((Var("q"), Var("p")))
+        assert element_from_string("q*p") == mul(Q, P) != mul(P, Q)
 
     def test_rational_coefficient(self):
         assert element_from_string("1/2 * p") == WeylElement({(1, 0): Fraction(1, 2)})
 
     def test_leading_minus(self):
-        ast = parse_expr("-p")
-        assert ast == Neg(Var("p"))
-        assert eval_ast(ast) == -P
+        assert element_from_string("-p") == -P
 
     def test_parentheses(self):
         assert element_from_string("(p + q)^2") == power(P + Q, 2)
@@ -89,13 +81,21 @@ class TestEval:
     def test_power_of_content_shared_with_denominator(self):
         assert element_from_string("(2*(1/2)*p)^20000") == WeylElement({(20000, 0): 1})
         # the base is reduced before powering, so no 2^64 rides along in d
-        assert _fold(parse_expr("((2*(1/2)*p)^8)^8")) == (1, {(64, 0): 1})
+        assert _parse("((2*(1/2)*p)^8)^8") == (1, {(64, 0): 1})
 
-    @pytest.mark.parametrize("text", [
-        "(2/3*p)^5", "(-1/2*q)^3*p^2", "(3/4)^0", "p^0", "(0*q)^2", "(p*q)^2",
-    ])
+    ONE_TERM_POWERS = {
+        "(2/3*p)^5": Pow(Prod((Num(Fraction(2, 3)), Var("p"))), 5),
+        "(-1/2*q)^3*p^2": Prod((Pow(Neg(Prod((Num(Fraction(1, 2)), Var("q")))), 3),
+                                Pow(Var("p"), 2))),
+        "(3/4)^0": Pow(Num(Fraction(3, 4)), 0),
+        "p^0": Pow(Var("p"), 0),
+        "(0*q)^2": Pow(Prod((Num(Fraction(0)), Var("q"))), 2),
+        "(p*q)^2": Pow(Prod((Var("p"), Var("q"))), 2),
+    }
+
+    @pytest.mark.parametrize("text", ONE_TERM_POWERS)
     def test_one_term_power_matches_fraction_fold(self, text):
-        assert element_from_string(text) == naive_eval(parse_expr(text))
+        assert element_from_string(text) == naive_eval(self.ONE_TERM_POWERS[text])
 
     def test_axis_monomial_powers_take_no_binary_power(self, monkeypatch):
         def forbidden(*args):
@@ -106,13 +106,9 @@ class TestEval:
         assert format_element(x) == "-6*p^3*q^3 + 3*q^3 - 5*p"
 
     def test_power_of_fractional_sum(self):
-        text = "(1/3*p+1/5*q)^30"
-        assert element_from_string(text) == naive_eval(parse_expr(text))
-
-    @settings(max_examples=150, deadline=None)
-    @given(expr_asts())
-    def test_matches_fraction_fold(self, ast):
-        assert eval_ast(ast) == naive_eval(ast)
+        tree = Pow(Sum((Prod((Num(Fraction(1, 3)), Var("p"))),
+                        Prod((Num(Fraction(1, 5)), Var("q"))))), 30)
+        assert element_from_string("(1/3*p+1/5*q)^30") == naive_eval(tree)
 
     @settings(max_examples=100, deadline=None)
     @given(expr_asts())
@@ -158,7 +154,7 @@ class TestErrors:
 
     def test_error_carries_offset(self):
         with pytest.raises(ExprSyntaxError) as info:
-            parse_expr("p + $")
+            element_from_string("p + $")
         assert info.value.position == 4
         assert "byte 4" in str(info.value)
 
@@ -171,7 +167,7 @@ class TestErrors:
     def test_unexpected_character_offset(self, text, position):
         # digits and whitespace are ASCII, so every offset is a byte offset
         with pytest.raises(ExprSyntaxError) as info:
-            parse_expr(text)
+            element_from_string(text)
         assert info.value.position == position
         assert f"unexpected character {text[position]!r}" in str(info.value)
         assert len(text[:position].encode()) == position
@@ -179,26 +175,39 @@ class TestErrors:
     def test_spaces_then_bad_character_offset(self):
         # the offset is the bad character's, not the whitespace before it
         with pytest.raises(ExprSyntaxError) as info:
-            parse_expr("p +" + " \t" * 500 + "$ q")
+            element_from_string("p +" + " \t" * 500 + "$ q")
         assert info.value.position == 1003
 
     def test_trailing_whitespace_ignored(self):
         assert element_from_string("p + q \t\n  ") == P + Q
         with pytest.raises(ExprSyntaxError) as info:
-            parse_expr("p +   ")
+            element_from_string("p +   ")
         # the missing operand is reported at the end of the input
         assert info.value.position == 6
 
     def test_negative_exponent_offset(self):
         with pytest.raises(ExprSyntaxError) as info:
-            parse_expr("q^-1")
+            element_from_string("q^-1")
         assert info.value.position == 2
 
     def test_nesting_limit_offset(self):
         # the error points at the first parenthesis beyond the limit
         with pytest.raises(ExprSyntaxError) as info:
-            parse_expr("(" * 5000 + "p" + ")" * 5000)
+            element_from_string("(" * 5000 + "p" + ")" * 5000)
         assert info.value.position == 100
+
+    @pytest.mark.parametrize("text, position, message", [
+        ("(p+q)^3 + 1/0", 10, "zero denominator"),
+        ("(p+q)^2 )", 8, "unexpected ')'"),
+        ("(p+q)^2*(q", 10, "expected ')'"),
+    ])
+    def test_offset_after_evaluated_prefix(self, text, position, message):
+        # the prefix before the error is evaluated first; the error is the
+        # same as if nothing had been
+        with pytest.raises(ExprSyntaxError) as info:
+            element_from_string(text)
+        assert str(info.value) == f"syntax error at byte {position}: {message}"
+        assert info.value.position == position
 
     def test_nesting_at_limit_parses(self):
         assert element_from_string("(" * 100 + "p + q" + ")" * 100) == P + Q

@@ -168,12 +168,12 @@ class TestEdges:
     @settings(max_examples=60, deadline=None)
     @given(weyl_elements(max_exp=8, max_terms=6, nonzero=True))
     def test_matches_exhaustive_weight_scan(self, x):
-        enumerated = {e.weight for e in edges(x).edges}
-        scanned = {
+        enumerated = [e.weight for e in edges(x).edges]
+        scanned = [
             w for w in all_coprime_weights(12)
             if len(weight_support(x, w)) >= 2
-        }
-        assert enumerated == scanned
+        ]
+        assert enumerated == sorted(scanned, key=Weight.ratio)
 
     @settings(max_examples=100, deadline=None)
     @given(weyl_elements(max_exp=6, max_terms=6, nonzero=True))

@@ -22,6 +22,7 @@ from weylkit import (
     WeylElement,
     commutator,
     dehomogenize,
+    edges,
     element_from_string,
     exp_ad,
     mul,
@@ -175,3 +176,20 @@ class TestKernelsMakeNoFraction:
         assert indices == [fraction_power_index(s) for s in shapes] == [3, 3, 1]
         assert roots == [fraction_linear_root(s.core) for s in shapes] == [Fraction(2, 3)] * 2 + [None]
         assert made == [Fraction(2, 3)] * 2
+
+    def test_parser_and_edges(self, monkeypatch):
+        # Fraction.__new__ itself is forbidden, so the check holds for a
+        # module that makes a Fraction without importing the name
+        texts = ["1/2*p + 2/3*q^2", "(3/4*p - 1/5)^2*q", "6/4*h - q*p + 7"]
+        showcase = WeylElement({(4, 0): 1, (3, 1): 1, (2, 2): 1, (0, 3): 1, (0, 1): 1})
+        with monkeypatch.context() as m:
+            m.setattr(Fraction, "__new__", forbidden)
+            parsed = [element_from_string(t) for t in texts]
+            profile = edges(showcase)
+        assert parsed == [
+            WeylElement({(1, 0): Fraction(1, 2), (0, 2): Fraction(2, 3)}),
+            WeylElement({(2, 1): Fraction(9, 16), (1, 1): Fraction(-3, 10), (0, 1): Fraction(1, 25)}),
+            WeylElement({(1, 1): Fraction(1, 2), (0, 0): 8}),
+        ]
+        assert [e.weight for e in profile.edges] == [Weight(1, 2), Weight(1, 1)]
+        assert [v.separating_weight for v in profile.vertices] == [Weight(2, 3)]

@@ -13,7 +13,7 @@ PUBLIC_NAMES = {
     "GradeSpan", "HForm", "exp_ad", "from_h_form", "grade_components", "grade_span", "omega",
     "to_h_form",
     # parser
-    "ExprSyntaxError", "element_from_string", "eval_ast", "parse_expr",
+    "ExprSyntaxError", "element_from_string",
     # polygon
     "NEG_INF", "Edge", "PolygonProfile", "Vertex", "Weight", "convex_hull", "edges",
     "leading_split", "separating_weight", "weight_degree", "weight_polynomial", "weight_support",
@@ -28,5 +28,5 @@ PUBLIC_NAMES = {
 
 
 def test_public_names_are_pinned():
-    assert len(PUBLIC_NAMES) == 61
+    assert len(PUBLIC_NAMES) == 59
     assert set(weylkit.__all__) == PUBLIC_NAMES
