@@ -1,0 +1,82 @@
+#!/usr/bin/env python3
+"""Split the box oracle's time into its two layers on the oracle_deep
+elements: building the system (_box_system) and solving it (_solve).
+
+For each element and box it prints the system's columns, rows and nonzeros
+(right-hand side included) before and after the peel, the Mersenne
+exponents e of the primes 2^e - 1 the elimination ran at ("-" when the peel
+decided alone), whether a witness was found, and the best-of-N
+milliseconds of each layer.
+
+Run with:  python scripts/oracle_layers.py --boxes 4 8 12 16 --repeat 15
+"""
+
+import argparse
+import sys
+import time
+
+from weylkit import element_from_string, solvability
+
+ELEMENTS = ("p^3*q^2+q^4+p^2", "(p+q^2)^2", "p+q^2", "h")
+
+
+def best_ms(fn, repeat):
+    best = float("inf")
+    for _ in range(repeat):
+        t0 = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - t0)
+    return 1000 * best
+
+
+def layers(text, box, repeat):
+    x = element_from_string(text)
+    brackets, columns, d = solvability._box_system(x, box)
+    rhs = {(0, 0): d}
+    rows = {(0, 0)}.union(*brackets)
+    before = (len(columns), len(rows), sum(map(len, brackets)) + 1)
+    # what the elimination receives is the system the peel leaves
+    seen = []
+    eliminate = solvability._eliminate
+
+    def recorded(rows, ncols, prime):
+        seen.append((rows, ncols, prime))
+        return eliminate(rows, ncols, prime)
+
+    solvability._eliminate = recorded
+    try:
+        found = solvability._solve(brackets, rhs) is not None
+    finally:
+        solvability._eliminate = eliminate
+    if seen:
+        left, ncols, _ = seen[0]
+        cols = {t for row in left for t in row if t != ncols}
+        after = (len(cols), len(left), sum(map(len, left)))
+    else:
+        after = (0, 0, 0)
+    primes = ",".join(str(prime.bit_length()) for _, _, prime in seen) or "-"
+    build = best_ms(lambda: solvability._box_system(x, box), repeat)
+    solve = best_ms(lambda: solvability._solve(brackets, rhs), repeat)
+    return before, after, primes, found, build, solve
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("--boxes", type=int, nargs="+", default=[4, 8, 12, 16])
+    ap.add_argument("--repeat", type=int, default=15)
+    args = ap.parse_args()
+    if args.repeat < 1 or min(args.boxes) < 0:
+        print("error: --repeat must be at least 1 and every box nonnegative", file=sys.stderr)
+        return 1
+    print(f"{'element':<18}{'box':>4}  {'cols x rows / nnz before':>25}  {'after peel':>16}"
+          f"  {'primes':<10}{'found':<7}{'build ms':>9}{'solve ms':>10}")
+    for box in args.boxes:
+        for text in ELEMENTS:
+            before, after, primes, found, build, solve = layers(text, box, args.repeat)
+            print(f"{text:<18}{box:>4}  {'%d x %d / %d' % before:>25}  {'%d x %d / %d' % after:>16}"
+                  f"  {primes:<10}{'yes' if found else 'no':<7}{build:>9.3f}{solve:>10.3f}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -216,10 +216,10 @@ def _lift(v: dict[int, int], prime: int) -> tuple[int, dict[int, int]] | None:
     return d, {t: r * (d // s) for t, (r, s) in fracs}
 
 
-def _eliminate(rows: list[dict[int, int]], ncols: int, prime: int) -> tuple[list[tuple[int, dict]], bool]:
-    """The monic pivot rows mod prime, each holding no column left of its
-    own, and whether a row was left holding only a right-hand side; see
-    _solve for the pivot rule."""
+def _eliminate(rows: list[dict[int, int]], ncols: int, prime: int) -> tuple[dict[int, dict[int, int]], bool]:
+    """The monic pivot rows mod prime by pivot column, in column order, each
+    holding no column left of its own, and whether a row was left holding
+    only a right-hand side; see _solve for the pivot rule."""
     # rows mod prime in buckets by column: a row waits in a bucket at or
     # left of its leftmost column, and moves on to that column when its
     # bucket comes up without holding it
@@ -228,7 +228,7 @@ def _eliminate(rows: list[dict[int, int]], ncols: int, prime: int) -> tuple[list
     for k, row in enumerate(reduced):
         if row:
             waiting.setdefault(min(row), []).append(k)
-    pivots: list[tuple[int, dict[int, int]]] = []
+    pivots: dict[int, dict[int, int]] = {}
     for col in range(ncols):
         hits = []
         for k in waiting.pop(col, ()):
@@ -253,20 +253,20 @@ def _eliminate(rows: list[dict[int, int]], ncols: int, prime: int) -> tuple[list
                         row.pop(t, None)
                 if row:
                     waiting.setdefault(col + 1, []).append(k)
-        pivots.append((col, pivot))
+        pivots[col] = pivot
     return pivots, bool(waiting)
 
 
-def _solve(rows: list[dict[int, int]], ncols: int) -> dict[int, Fraction] | None:
-    """Solve a sparse system exactly.  A row maps column indices to nonzero
-    int coefficients, with its right-hand side under the key ncols.
-    Returns the solution on the pivot columns (free columns are zero), or
-    None when the system is inconsistent.
+def _solve(columns: list[dict], rhs: dict) -> dict[int, Fraction] | None:
+    """Solve a sparse system exactly.  Column t maps comparable row keys to
+    its nonzero int coefficients, and rhs maps them to the nonzero
+    right-hand side.  Returns the solution on the pivot columns (free
+    columns are zero), or None when the system is inconsistent.
 
     Columns are taken in index order; the pivot is the remaining row with a
-    nonzero there and the fewest nonzeros, ties to the earliest row.  The
-    pivot columns are the leftmost independent ones whatever rows are
-    picked, and the solution supported on them is unique.
+    nonzero there and the fewest nonzeros, ties to the earliest row in key
+    order.  The pivot columns are the leftmost independent ones whatever
+    rows are picked, and the solution supported on them is unique.
 
     An exact peel comes first.  A row whose one nonzero a_rt has right-hand
     side 0 forces y_t = 0 in every solution.  Every other column is 0 at
@@ -294,15 +294,18 @@ def _solve(rows: list[dict[int, int]], ncols: int) -> dict[int, Fraction] | None
     vanishes mod P once P > 2 H^2, and every kernel or solution entry is a
     ratio of minors, each at most H, so within the reconstruction bound
     sqrt(P/2): every step passes.  Only a system far too large to hold in
-    memory gets past the last prime, with ValueError.
+    memory gets past the last prime, with ValueError.  A step is proved at
+    whatever prime it passes, so the ladder starts at the first P > 2 A^2,
+    A the largest |entry| of the remaining rows: below it, a 1x1 system
+    a y = b with coprime entries, one of them A, fails to reconstruct.
     """
-    rows = [{t: c for t, c in row.items() if c} for row in rows]
-    by_col: dict[int, list[tuple[int, int]]] = {}
-    for k, row in enumerate(rows):
-        for t, c in row.items():
-            by_col.setdefault(t, []).append((k, c))
+    ncols = len(columns)
+    rows: dict = {}  # the one transposition, with the right-hand side as column ncols
+    for t, col in enumerate((*columns, rhs)):
+        for key, c in col.items():
+            rows.setdefault(key, {})[t] = c
     peeled: dict[int, Fraction] = {}
-    singles = [k for k, row in enumerate(rows) if len(row) == 1]
+    singles = [key for key, row in rows.items() if len(row) == 1]
     while singles:
         row = rows[singles.pop()]
         if not row:  # another row peeled its column first
@@ -311,37 +314,40 @@ def _solve(rows: list[dict[int, int]], ncols: int) -> dict[int, Fraction] | None
         if t == ncols:
             return None
         peeled[t] = Fraction(0)
-        for k, _ in by_col.pop(t):
-            del rows[k][t]
-            if len(rows[k]) == 1:
-                singles.append(k)
-    rhs = dict(by_col.pop(ncols, ()))
+        for key in columns[t]:
+            del rows[key][t]
+            if len(rows[key]) == 1:
+                singles.append(key)
+    remaining = [rows[key] for key in sorted(key for key, row in rows.items() if row)]
+    bound = 2 * max((abs(c) for row in remaining for c in row.values()), default=0) ** 2
 
-    def holds(lifted: tuple[int, dict[int, int]] | None, target: dict[int, int]) -> bool:
+    def holds(lifted: tuple[int, dict[int, int]] | None, target: dict) -> bool:
         # A v = target exactly, for v = numerators / d, in O(nnz of v's columns)
         if lifted is None:
             return False
         d, v = lifted
-        acc: dict[int, int] = {}
+        acc: dict = {}
         for t, c in v.items():
             if c:
-                for k, a in by_col[t]:
-                    acc[k] = acc.get(k, 0) + a * c
+                for key, a in columns[t].items():
+                    acc[key] = acc.get(key, 0) + a * c
         return {k: s for k, s in acc.items() if s} == {k: d * b for k, b in target.items()}
 
     for e in _MERSENNE_EXPONENTS:
         prime = 2**e - 1
-        pivots, inconsistent = _eliminate(rows, ncols, prime)
+        if prime <= bound:
+            continue
+        pivots, inconsistent = _eliminate(remaining, ncols, prime)
 
         def back_substitute(y: dict[int, int], below: int, homogeneous: bool) -> dict[int, int]:
             # pivot columns at or beyond `below` are zero
-            for col, row in reversed(pivots):
+            for col, row in reversed(pivots.items()):
                 if col < below:
                     acc = 0 if homogeneous else row.get(ncols, 0)
                     y[col] = (acc - sum(c * y.get(t, 0) for t, c in row.items() if col < t < ncols)) % prime
             return y
 
-        free = sorted(by_col.keys() - {col for col, _ in pivots})
+        free = [t for t, col in enumerate(columns) if col and t not in peeled and t not in pivots]
         if not all(holds(_lift(back_substitute({f: 1}, f, True), prime), {}) for f in free):
             continue
         if inconsistent:
@@ -349,7 +355,7 @@ def _solve(rows: list[dict[int, int]], ncols: int) -> dict[int, Fraction] | None
         lifted = _lift(back_substitute({}, ncols, False), prime)
         if holds(lifted, rhs):
             d, num = lifted
-            return peeled | {col: Fraction(num[col], d) for col, _ in reversed(pivots)}
+            return peeled | {col: Fraction(num[col], d) for col in reversed(pivots)}
     raise ValueError("the box system's coefficients are too large to certify")
 
 
@@ -360,10 +366,10 @@ def _check_box(box: int, cap: int) -> None:
         raise ValueError("box bound must be nonnegative")
 
 
-def _box_system(x: WeylElement, box: int) -> tuple[list[dict[int, int]], list[tuple[int, int]]]:
-    """The integer rows of [x, y] = 1 for y inside the box, restricted to
-    the columns that can reach the unit row, and the exponent pair of each
-    column; see find_witness_box.
+def _box_system(x: WeylElement, box: int) -> tuple[list[dict], list[tuple[int, int]], int]:
+    """The integer columns of [x, y] = 1 for y inside the box that can reach
+    the unit row, as {monomial: nonzero int}, their exponent pairs, and the
+    right-hand side d at (0, 0); see find_witness_box.
 
     The bracket of x with p^i q^j has its terms in the grades j - i + g
     for g in the set G of grades of x's non-constant terms.  With g0 the
@@ -389,17 +395,20 @@ def _box_system(x: WeylElement, box: int) -> tuple[list[dict[int, int]], list[tu
         for j in range(box + 1)
         if ((j - i + g0) % m if m else j - i + g0) == 0
     ]
-    left = [power_bracket(xs, i, False) for i in range(box + 1)]
-    right = [power_bracket(xs, j, True) for j in range(box + 1)]
-    system: dict[tuple[int, int], dict[int, int]] = {(0, 0): {len(columns): d}}
-    for col, (i, j) in enumerate(columns):
+    left = [{k: c for k, c in power_bracket(xs, i, False).items() if c} for i in range(box + 1)]
+    right = [{k: c for k, c in power_bracket(xs, j, True).items() if c} for j in range(box + 1)]
+    brackets = []
+    for i, j in columns:
         entry = {(a, b + j): c for (a, b), c in left[i].items()}
         for (a, b), c in right[j].items():
-            entry[(a + i, b)] = entry.get((a + i, b), 0) + c
-        for key, c in entry.items():
+            key = (a + i, b)
+            c += entry.get(key, 0)
             if c:
-                system.setdefault(key, {})[col] = c
-    return [system[key] for key in sorted(system)], columns
+                entry[key] = c
+            else:
+                del entry[key]
+        brackets.append(entry)
+    return brackets, columns, d
 
 
 def find_witness_box(x: WeylElement, box: int, cap: int = DEFAULT_BOX_CAP) -> WeylElement | None:
@@ -409,8 +418,8 @@ def find_witness_box(x: WeylElement, box: int, cap: int = DEFAULT_BOX_CAP) -> We
     It runs on integers: with d the common denominator of x and X = d*x,
     column (i, j) is the bracket [X, p^i q^j] = [X, p^i] q^j + p^i [X, q^j]
     on X's integer numerators, shifted from 2(box + 1) pure-power brackets
-    (see _box_system) and stored as sparse rows keyed by monomial, and the
-    right-hand side is d at (0, 0), because [X, y] = d exactly when
+    (see _box_system) and stored as a sparse column keyed by monomial, and
+    the right-hand side is d at (0, 0), because [X, y] = d exactly when
     [x, y] = 1.  Each row is d times the row of the rational system, so the
     nonzeros, the pivots and the witness are the same: the one supported
     on the leftmost independent columns (see _solve), found modulo a prime
@@ -438,8 +447,8 @@ def find_witness_box(x: WeylElement, box: int, cap: int = DEFAULT_BOX_CAP) -> We
         raise ValueError("the zero element admits no witness")
     if not any(0 < i + j <= box for i, j in x.support() if i == 0 or j == 0):
         return None
-    rows, columns = _box_system(x, box)
-    solution = _solve(rows, len(columns))
+    brackets, columns, d = _box_system(x, box)
+    solution = _solve(brackets, {(0, 0): d})
     if solution is None:
         return None
     y = WeylElement({columns[col]: c for col, c in solution.items() if c})

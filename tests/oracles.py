@@ -279,21 +279,32 @@ def naive_solve(rows: list[dict], ncols: int) -> dict[int, Fraction] | None:
     return {col: mat[row][ncols] for row, col in pivots}
 
 
-def reference_box_rows(x: WeylElement, box: int, columns: list[tuple[int, int]]) -> list[dict[int, int]]:
-    """The integer rows _box_system must return for the given columns: with
-    d the common denominator of x, column t is d * reference_bracket(x,
-    p^i q^j) for (i, j) = columns[t], and the right-hand side is d at
-    (0, 0).  One row per monomial met, sorted, holding only its nonzero
-    entries.  box only bounds the columns."""
+def columns_of(rows: list[dict], ncols: int) -> tuple[list[dict], dict]:
+    """The columns and right-hand side the library's _solve takes, from
+    rows in naive_solve's form: column t, and the right-hand side, map the
+    index of each row holding them to its entry."""
+    columns: list[dict] = [{} for _ in range(ncols)]
+    rhs: dict = {}
+    for k, row in enumerate(rows):
+        for t, c in row.items():
+            (rhs if t == ncols else columns[t])[k] = c
+    return columns, rhs
+
+
+def reference_box_columns(x: WeylElement, box: int, columns: list[tuple[int, int]]) -> tuple[list[dict], int]:
+    """The integer columns and right-hand side _box_system must return for
+    the given exponent pairs: with d the common denominator of x, column t
+    is d * reference_bracket(x, p^i q^j) for (i, j) = columns[t], keyed by
+    monomial and holding only its nonzero entries, and the right-hand side
+    is d at (0, 0).  box only bounds the columns."""
     assert all(i <= box and j <= box for i, j in columns)
     d = lcm(*(c.denominator for c in x.terms().values()))
-    brackets = [reference_bracket(x, WeylElement.monomial(i, j)) for i, j in columns]
-    rows: dict[tuple[int, int], dict[int, int]] = {(0, 0): {len(columns): d}}
-    for col, br in enumerate(brackets):
-        for key, c in br.terms().items():
-            assert (d * c).denominator == 1
-            rows.setdefault(key, {})[col] = int(d * c)
-    return [rows[key] for key in sorted(rows)]
+    brackets = []
+    for i, j in columns:
+        br = reference_bracket(x, WeylElement.monomial(i, j)).terms()
+        assert all((d * c).denominator == 1 for c in br.values())
+        brackets.append({key: int(d * c) for key, c in br.items()})
+    return brackets, d
 
 
 def naive_box_witness(x: WeylElement, box: int) -> WeylElement | None:

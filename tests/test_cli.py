@@ -286,3 +286,20 @@ class TestVerdictSurveyScript:
         assert proc.returncode == 1
         assert proc.stdout == ""
         assert proc.stderr == f"error: --count must be at least 1, got {count}\n"
+
+
+class TestOracleLayersScript:
+    def test_layer_table(self):
+        script = Path(__file__).resolve().parents[1] / "scripts" / "oracle_layers.py"
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        proc = subprocess.run([sys.executable, str(script), "--boxes", "8", "--repeat", "1"],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        rows = {line[:22].split()[0]: line.split() for line in proc.stdout.splitlines()[1:]}
+        assert len(rows) == 4
+        # 81 columns, 125 rows and 578 nonzeros, of which the peel leaves 19
+        # x 34 / 120 to one elimination at 2^61 - 1; h is decided by the peel
+        assert rows["p^3*q^2+q^4+p^2"][2:12] == ["81", "x", "125", "/", "578", "19", "x", "34", "/", "120"]
+        assert rows["p^3*q^2+q^4+p^2"][12:14] == ["61", "no"]
+        assert rows["p+q^2"][13] == "yes"
+        assert rows["h"][12:14] == ["-", "no"]

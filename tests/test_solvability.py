@@ -36,7 +36,9 @@ from weylkit import (
 from weylkit import solvability
 from weylkit.cli import build_report
 
-from oracles import all_coprime_weights, naive_box_witness, naive_solve, reference_bracket, reference_box_rows
+from oracles import (
+    all_coprime_weights, columns_of, naive_box_witness, naive_solve, reference_bracket, reference_box_columns,
+)
 from test_golden import corpus_inputs
 from strategies import apply_word, coefficients, homogeneous_elements, tame_words, weyl_elements
 
@@ -245,7 +247,7 @@ class TestBoxReductions:
     ))
     def test_dropped_columns_never_meet_kept_rows(self, x):
         box = 3
-        _, kept = solvability._box_system(x, box)
+        _, kept, _ = solvability._box_system(x, box)
         rows = set()
         for i, j in kept:
             rows |= reference_bracket(x, W({(i, j): 1})).support()
@@ -265,12 +267,12 @@ class TestBoxReductions:
     @example(element_from_string("h"))
     def test_system_matches_reference_brackets(self, x):
         # the shift assembly of each column, and its zero pruning, against
-        # brackets built by single-swap products: the same rows in the same
-        # order, the same integer entries, no stored zero, no empty row
+        # brackets built by single-swap products: the same columns, the same
+        # integer entries and right-hand side, no stored zero
         for box in range(6):
-            rows, columns = solvability._box_system(x, box)
-            assert rows == reference_box_rows(x, box, columns), (str(x), box)
-            assert all(row and all(row.values()) for row in rows)
+            brackets, columns, d = solvability._box_system(x, box)
+            assert (brackets, d) == reference_box_columns(x, box, columns), (str(x), box)
+            assert all(all(col.values()) for col in brackets)
 
     @settings(max_examples=40, deadline=None)
     @given(st.one_of(graded_elements(), without_pure_powers()))
@@ -320,9 +322,10 @@ class TestBoxReductions:
             find_witness_box(element_from_string("p^5 + q^5 + h"), 5)
 
 
-# the element of orbit seed 11 whose box-4 system defeats a proof step at
-# 2^61 - 1: a kernel certificate has entries beyond sqrt(P/2)
-ORBIT_RETRY = (
+# the element of orbit seed 11 whose box-4 system has 32-bit entries, so its
+# ladder starts at 2^127 - 1 (at 2^61 - 1 a kernel certificate has entries
+# beyond sqrt(P/2))
+ORBIT_LARGE_ENTRIES = (
     "22667121*p^4 - 23652648*p^3*q + 9255384*p^2*q^2 - 1609632*p*q^3 + 104976*q^4"
     " + 36316908*p^3 - 28422342*p^2*q + 7414632*p*q^2 - 644760*q^3 + 57286093*p^2"
     " - 29888728*p*q + 3898573*q^2 + 34238692*p - 8932007*q + 10898078"
@@ -390,53 +393,67 @@ class TestSparseSolver:
 
 
 class TestModularSolver(TestSparseSolver):
-    """_solve: the hand-built systems above, then systems built to defeat a
-    proof step at the first prime P = 2^61 - 1, which must certify at
-    2^127 - 1 after one retry."""
+    """_solve, through columns_of: the hand-built systems above, then
+    systems with entries below 2^29, so that the ladder starts at the first
+    prime P = 2^61 - 1, built to defeat a proof step there, which must
+    certify at 2^127 - 1 after one retry."""
 
-    solve = staticmethod(solvability._solve)
+    solve = staticmethod(lambda rows, ncols: solvability._solve(*columns_of(rows, ncols)))
     PRIME = 2**61 - 1
     NEXT = 2**127 - 1
+    # M = [[A, 1, 0], [0, B, 1], [1, 0, C]] has det ABC + 1 = PRIME: its
+    # columns are independent over Q but not mod PRIME
+    A, B, C = 1311753, 1317173, 1334550
 
     @pytest.fixture
-    def fallbacks(self, monkeypatch):
-        # the primes other than 2^61 - 1 that an elimination ran at
+    def primes(self, monkeypatch):
+        # the primes an elimination ran at, in order
         calls = []
         eliminate = solvability._eliminate
 
         def counted(rows, ncols, prime):
-            if prime != self.PRIME:
-                calls.append(prime)
+            calls.append(prime)
             return eliminate(rows, ncols, prime)
 
         monkeypatch.setattr(solvability, "_eliminate", counted)
         return calls
 
-    def test_column_of_prime_multiples_is_a_pivot_over_q(self, fallbacks):
-        # P x0 + x1 = 1: mod P column 0 vanishes and x1 = 1 solves, but over
-        # Q column 0 is the leftmost independent one, so x0 = 1/P
-        rows = [{0: self.PRIME, 1: 1, 2: 1}]
-        assert self.solve(rows, 2) == {0: Fraction(1, self.PRIME)}
-        assert fallbacks == [self.NEXT]
+    def test_column_of_prime_multiples_is_a_pivot_over_q(self, primes):
+        # M y = column 2 of M: mod P column 2 is a combination of columns 0
+        # and 1 (it minus that combination is a column of prime multiples),
+        # so it is free and fails its kernel certificate; over Q it is the
+        # third independent column, and y = (0, 0, 1)
+        A, B, C = self.A, self.B, self.C
+        assert A * B * C + 1 == self.PRIME
+        rows = [{0: A, 1: 1}, {1: B, 2: 1, 3: 1}, {0: 1, 2: C, 3: C}]
+        pivots, _ = solvability._eliminate(rows, 3, self.PRIME)
+        assert list(pivots) == [0, 1]
+        primes.clear()
+        assert self.solve(rows, 3) == {0: 0, 1: 0, 2: 1}
+        assert primes == [self.PRIME, self.NEXT]
 
-    def test_inconsistent_mod_prime_only(self, fallbacks):
-        # P x0 + x1 = 0 and x1 = 1 leave 0 = 1 mod P, yet x0 = -1/P solves
-        rows = [{0: self.PRIME, 1: 1}, {1: 1, 2: 1}]
-        assert self.solve(rows, 2) == {0: Fraction(-1, self.PRIME), 1: Fraction(1)}
-        assert fallbacks == [self.NEXT]
+    def test_inconsistent_mod_prime_only(self, primes):
+        # M y = (0, 0, 1) leaves 0 = 1 mod P, yet y = (1, -A, AB)/P solves
+        A, B, C = self.A, self.B, self.C
+        rows = [{0: A, 1: 1}, {1: B, 2: 1}, {0: 1, 2: C, 3: 1}]
+        assert solvability._eliminate(rows, 3, self.PRIME)[1]
+        primes.clear()
+        assert self.solve(rows, 3) == {0: Fraction(1, self.PRIME), 1: Fraction(-A, self.PRIME),
+                                       2: Fraction(A * B, self.PRIME)}
+        assert primes == [self.PRIME, self.NEXT]
 
-    def test_consistent_mod_prime_only(self, fallbacks):
-        # x0 + x1 = 0 and x0 + x1 = P agree mod P but not over Q; no row
-        # has one entry, so the peel leaves both to the elimination
-        rows = [{0: 1, 1: 1}, {0: 1, 1: 1, 2: self.PRIME}]
+    def test_consistent_mod_prime_only(self, primes):
+        # columns 0 and 1 of M with column 2 as the right-hand side agree
+        # mod P but not over Q; no row has one entry, so the peel leaves all
+        # three to the elimination, and the solution found mod P fails A y = b
+        A, B, C = self.A, self.B, self.C
+        rows = [{0: A, 1: 1}, {1: B, 2: 1}, {0: 1, 2: C}]
+        assert not solvability._eliminate(rows, 2, self.PRIME)[1]
+        primes.clear()
         assert self.solve(rows, 2) is None
-        assert fallbacks == [self.NEXT]
+        assert primes == [self.PRIME, self.NEXT]
 
-    def test_peel_decides_without_elimination(self, monkeypatch):
-        primes = []
-        eliminate = solvability._eliminate
-        monkeypatch.setattr(solvability, "_eliminate",
-                            lambda rows, ncols, prime: primes.append(prime) or eliminate(rows, ncols, prime))
+    def test_peel_decides_without_elimination(self, primes):
         assert self.solve([{0: 1, 1: 1}, {1: 3}, {1: 2, 2: 5}], 2) is None
         assert self.solve([{0: 2}, {1: 4}], 1) is None
         assert not primes
@@ -444,19 +461,41 @@ class TestModularSolver(TestSparseSolver):
         assert self.solve([{0: 2**61 - 1}, {0: 1, 1: 1, 2: 1}], 2) == {0: 0, 1: 1}
         assert primes == [self.PRIME]
 
-    def test_coefficient_beyond_reconstruction(self, fallbacks):
-        big = 2**31 + 1
+    # x0 = K x1 and x1 = K: small entries, but x0 = K^2 lies beyond the
+    # reconstruction bound sqrt(P/2) < 2^30
+    K = 2**16 + 1
+    BEYOND = [{0: 1, 1: -K}, {1: 1, 2: K}]
+
+    def test_coefficient_beyond_reconstruction(self, primes):
+        big = self.K**2
         assert solvability._reconstruct(big, self.PRIME) is None
         assert solvability._reconstruct(big, self.NEXT) == (big, 1)
-        assert self.solve([{0: 1, 1: big}], 1) == {0: Fraction(big)}
-        assert fallbacks == [self.NEXT]
+        assert self.solve(self.BEYOND, 2) == {0: big, 1: self.K}
+        assert primes == [self.PRIME, self.NEXT]
+
+    def test_first_rung_the_entries_allow(self, primes):
+        # an entry A >= 2^30 has 2 A^2 > 2^61 - 1, so the ladder starts at
+        # 2^127 - 1, where x0 = 2^31 + 1 reconstructs at once
+        assert self.solve([{0: 1, 1: 2**31 + 1}], 1) == {0: 2**31 + 1}
+        assert primes == [self.NEXT]
+        # 10^200 in x starts at 2^2203 - 1, the first P > 2 * 10^400; the
+        # kernel certificate of x itself fails there, and x^2, with entries
+        # near 10^400, certifies at 2^4423 - 1
+        primes.clear()
+        x = element_from_string("10^200*p + q^2")
+        y = find_witness_box(x, 4)
+        assert primes == [2**2203 - 1, 2**4423 - 1]
+        assert y == naive_box_witness(x, 4) == W({(0, 1): Fraction(1, 10**200)})
 
     def test_past_the_last_prime(self, monkeypatch):
         monkeypatch.setattr(solvability, "_MERSENNE_EXPONENTS", (61,))
         with pytest.raises(ValueError, match="too large"):
+            self.solve(self.BEYOND, 2)
+        # an entry past the last rung's bound fails before any elimination
+        with pytest.raises(ValueError, match="too large"):
             self.solve([{0: 1, 1: 2**31 + 1}], 1)
 
-    def test_deep_box_systems_certified_without_fallback(self, fallbacks, monkeypatch):
+    def test_deep_box_systems_certified_without_fallback(self, primes, monkeypatch):
         # the centralizers of these elements meet the box (x, x^2, powers of
         # p + q^2, powers of h), so several kernel certificates are checked
         lifts = []
@@ -464,25 +503,25 @@ class TestModularSolver(TestSparseSolver):
         monkeypatch.setattr(solvability, "_lift", lambda v, prime: lifts.append(v) or lift(v, prime))
         for text in ("p^3*q^2+q^4+p^2", "(p+q^2)^2", "p+q^2", "h"):
             for box in (10, 12):
-                rows, columns = solvability._box_system(element_from_string(text), box)
-                fallbacks.clear()
+                brackets, _, d = solvability._box_system(element_from_string(text), box)
+                primes.clear()
                 lifts.clear()
-                self.solve(rows, len(columns))
-                assert not fallbacks, (text, box)
+                solvability._solve(brackets, {(0, 0): d})
+                assert primes == [self.PRIME] or text == "h" and not primes, (text, box)
                 # every p^i q^i is a polynomial in h, so h's centralizer
                 # columns are zero and need no certificate
                 assert len([v for v in lifts if len(v) > 1]) >= 2 or text == "h", (text, box)
 
-    def test_box_24_certifies_after_one_retry(self, fallbacks):
+    def test_box_24_certifies_after_one_retry(self, primes):
         # the sixth kernel certificate at 2^61 - 1 has entries beyond sqrt(P/2)
         x = element_from_string("p^3*q^2+q^4+p^2")
         assert find_witness_box(x, 24, cap=24) is None
-        assert fallbacks == [self.NEXT]
+        assert primes == [self.PRIME, self.NEXT]
 
-    def test_orbit_element_certifies_after_one_retry(self, fallbacks):
-        x = element_from_string(ORBIT_RETRY)
+    def test_orbit_element_certifies_at_its_first_rung(self, primes):
+        x = element_from_string(ORBIT_LARGE_ENTRIES)
         y = find_witness_box(x, 4)
-        assert fallbacks == [self.NEXT]
+        assert primes == [self.NEXT]
         assert y == naive_box_witness(x, 4)
 
 
@@ -491,8 +530,9 @@ def sparse_systems(draw):
     """Small sparse integer systems, often rank-deficient or inconsistent:
     extra rows are combinations of the first ones, with the right-hand side
     sometimes shifted.  Some entries are multiples of a tabulated prime or
-    too large to reconstruct at it, so some draws escalate to the second or
-    third prime.  Zero entries are left out, as the solver requires."""
+    too large to reconstruct at it, so some draws start past the first
+    prime and some escalate from the prime they start at.  Zero entries are
+    left out, as the solver requires."""
     ncols = draw(st.integers(1, 6))
     small = st.integers(-9, 9).filter(bool)
     rows = draw(st.lists(st.dictionaries(st.integers(0, ncols), small, max_size=ncols + 1), min_size=1, max_size=6))
@@ -515,13 +555,13 @@ def sparse_systems(draw):
 class TestModularMatchesExact:
     @settings(max_examples=600, deadline=None)
     @given(sparse_systems())
-    # defeats a proof step at 2^61 - 1 and at 2^127 - 1, certifies at 2^521 - 1
+    # the entry 2^127 - 1 starts the ladder at 2^521 - 1
     @example(([{0: 2**127 - 1, 1: 1, 2: 1}], 2))
     # a cascade of one-entry rows from a prime multiple: x2 = 0, then x1 = 0
     @example(([{2: 2**61 - 1}, {1: 3, 2: 1}, {0: 1, 1: 1, 3: 1}, {0: 2, 1: -1, 2: 5, 3: 2}], 3))
     def test_random_systems(self, system):
         rows, ncols = system
-        assert solvability._solve(rows, ncols) == naive_solve(rows, ncols)
+        assert solvability._solve(*columns_of(rows, ncols)) == naive_solve(rows, ncols)
 
 
 class TestLadderVerdicts:

@@ -1,6 +1,10 @@
 """The public surface of the package, pinned so that adding or removing a
 public name is a visible edit here."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import weylkit
 
 PUBLIC_NAMES = {
@@ -30,3 +34,19 @@ PUBLIC_NAMES = {
 def test_public_names_are_pinned():
     assert len(PUBLIC_NAMES) == 59
     assert set(weylkit.__all__) == PUBLIC_NAMES
+
+
+def test_oracles_import_without_test_modules():
+    # the benchmark imports tests.oracles with only the repository root and
+    # src/ on the path, so a module-level import there of a sibling test
+    # module, or of Hypothesis, would fail every benchmark run
+    root = Path(__file__).resolve().parents[1]
+    code = (
+        "import sys\n"
+        f"sys.path[:0] = [{str(root)!r}, {str(root / 'src')!r}]\n"
+        "import tests.oracles\n"
+        "loaded = sorted(m for m in ('strategies', 'hypothesis') if m in sys.modules)\n"
+        "sys.exit(f'loaded {loaded}' if loaded else 0)\n"
+    )
+    proc = subprocess.run([sys.executable, "-I", "-c", code], cwd=root, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
