@@ -68,16 +68,30 @@ class MonomialMap:
     _names: str  # the two variable names of the printer, set by each subclass
 
     def __init__(self, terms: Mapping[ExponentPair, object] | None = None):
-        data: dict[ExponentPair, Fraction] = {}
+        data: dict[ExponentPair, int | Fraction] = {}
+        integral = True  # every coefficient is an int, so the pair is (1, data)
         if terms:
             for key, value in terms.items():
                 i, j = key
                 if not (isinstance(i, int) and isinstance(j, int) and i >= 0 and j >= 0):
                     raise ValueError(f"exponent pair {key!r} is not a pair of nonnegative integers")
-                coeff = as_scalar(value)
-                if coeff:
-                    data[(i, j)] = coeff
+                if type(value) is int:
+                    if value:
+                        data[(i, j)] = value
+                elif isinstance(value, Fraction):
+                    if value:
+                        data[(i, j)] = value
+                        integral = False
+                elif isinstance(value, int):
+                    if value:
+                        data[(i, j)] = int(value)  # a bool is stored as its int
+                else:
+                    raise TypeError(f"expected an int or Fraction, got {type(value).__name__}")
+        if integral:
+            _store(self, 1, data)
+            return
         # over the lcm of reduced denominators the numerators' content is 1
+        # (an int is its own numerator over 1)
         d = lcm(*(c.denominator for c in data.values()))
         _store(self, d, {key: c.numerator * (d // c.denominator) for key, c in data.items()})
 

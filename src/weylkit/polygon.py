@@ -3,12 +3,15 @@
 For a weight (rho, sigma) of coprime positive integers, the weighted degree
 of an element is the maximum of i*rho + j*sigma over its support, and the
 leading support is the set of maximizers.  A leading support with two or
-more points is an edge; with one point, a vertex.  Enumerating them over
-all weights reduces to the convex hull of the support: the edges are the
-hull segments whose primitive outward normal has both components positive,
-and consecutive edges are joined by a single shared vertex exposed by any
-weight whose slope lies strictly between the two edge slopes (the reduced
-mediant is used as the canonical choice).
+more points is an edge; with one point, a vertex.  Every maximizer lies on
+the support's frontier, the points that no other support point dominates
+coordinatewise: a dominated point has a strictly lower weighted degree at
+every positive weight.  Enumerating the faces over all weights reduces to
+the convex hull of the frontier: the edges are the hull segments whose
+primitive outward normal has both components positive, and consecutive
+edges are joined by a single shared vertex exposed by any weight whose
+slope lies strictly between the two edge slopes (the reduced mediant is
+used as the canonical choice).
 """
 
 from __future__ import annotations
@@ -51,6 +54,19 @@ class Weight:
 
     def __str__(self) -> str:
         return f"({self.rho},{self.sigma})"
+
+
+def frontier(support) -> list[tuple[int, int]]:
+    """The points of a support (distinct pairs) that no other point of it
+    dominates coordinatewise, in decreasing i, from one sort and one scan:
+    in that order a point is maximal exactly when its j exceeds every j
+    before it (Kung, Luccio & Preparata 1975)."""
+    out, top = [], -1
+    for pt in sorted(support, reverse=True):
+        if pt[1] > top:
+            out.append(pt)
+            top = pt[1]
+    return out
 
 
 def exposed_face(support, w: Weight) -> tuple[int, frozenset[tuple[int, int]]]:
@@ -143,19 +159,24 @@ def convex_hull(points) -> list[tuple[int, int]]:
     return lower[:-1] + upper[:-1]
 
 
-def edges(x: WeylElement) -> PolygonProfile:
+def edges(x: WeylElement, front: list[tuple[int, int]] | None = None) -> PolygonProfile:
     """Enumerate every edge of x (weights in increasing slope) and the
-    joining vertices between consecutive edges.
+    joining vertices between consecutive edges; front is the frontier of
+    x's support when the caller already holds it.
 
     A hull segment contributes an edge exactly when its primitive outward
     normal (rho, sigma) has rho > 0 and sigma > 0, which reduces the search
-    over infinitely many weights to the finitely many hull directions.
+    over infinitely many weights to the finitely many hull directions.  The
+    hull and the faces are taken over the frontier: it exposes the same
+    face as the support at every positive weight, so its hull has the same
+    positive-normal edges, and the joining vertices are the same points.
     """
     if x.is_zero():
         raise ValueError("zero element has no edges")
     d, xs = numerators(x)
-    support = x.support()
-    hull = convex_hull(support)
+    if front is None:
+        front = frontier(xs)
+    hull = convex_hull(front)
     weights: list[Weight] = []
     if len(hull) >= 2:
         for k in range(len(hull)):
@@ -174,7 +195,7 @@ def edges(x: WeylElement) -> PolygonProfile:
 
     edge_list: list[Edge] = []
     for w in weights:
-        v, sup = exposed_face(support, w)
+        v, sup = exposed_face(front, w)
         if len(sup) < 2:
             raise WeylInternalError(f"hull segment at weight {w} exposes a single point")
         edge_list.append(Edge(w, sup, BiPoly._from_numerators(d, {pt: xs[pt] for pt in sup}), v))
@@ -188,7 +209,7 @@ def edges(x: WeylElement) -> PolygonProfile:
             )
         point = next(iter(shared))
         sw = separating_weight(e1.weight, e2.weight)
-        if exposed_face(support, sw)[1] != shared:
+        if exposed_face(front, sw)[1] != shared:
             raise WeylInternalError(
                 f"separating weight {sw} does not expose the joining vertex {point}"
             )

@@ -21,7 +21,7 @@ from typing import Iterator
 
 from .element import WeylElement, WeylInternalError, commutator, numerators, power_bracket
 from .grading import GradeSpan, HForm, exp_ad, grade_span, to_h_form
-from .polygon import PolygonProfile, Weight, edges, exposed_face, weight_polynomial
+from .polygon import PolygonProfile, Weight, edges, exposed_face, frontier, weight_polynomial
 from .power_analysis import HomogShape, dehomogenize
 
 DEFAULT_BOX_BOUND = 4
@@ -85,8 +85,15 @@ class ElementProfile:
         return to_h_form(self.x)
 
     @cached_property
+    def frontier(self) -> list[tuple[int, int]]:
+        """The support points no other support point dominates
+        coordinatewise (polygon.frontier): every face and weighted degree at
+        a positive weight, and the largest i, j and i + j, are read off it."""
+        return frontier(numerators(self.x)[1])
+
+    @cached_property
     def polygon(self) -> PolygonProfile:
-        return edges(self.x)
+        return edges(self.x, self.frontier)
 
     @cached_property
     def edge_shapes(self) -> tuple[HomogShape | None, ...]:
@@ -103,8 +110,8 @@ class ElementProfile:
 
     def exposed(self, w: Weight) -> tuple[int, frozenset[tuple[int, int]]]:
         """The weighted degree v of x at w and the face of support points
-        where it is reached, from one scan of the support."""
-        return exposed_face(self.support, w)
+        where it is reached, from one scan of the frontier."""
+        return exposed_face(self.frontier, w)
 
     def leading_index(self, face: frozenset[tuple[int, int]]) -> int:
         """The power index of the leading polynomial of a face exposed by
@@ -139,8 +146,8 @@ class ElementProfile:
         has degree at least rho + sigma.
         """
         return (
-            max(i for i, _ in self.support) >= 1
-            and max(j for _, j in self.support) >= 1
+            max(i for i, _ in self.frontier) >= 1
+            and max(j for _, j in self.frontier) >= 1
             and all(e.degree >= e.weight.rho + e.weight.sigma for e in self.polygon.edges)
         )
 
@@ -178,6 +185,9 @@ def witness_for_affine(x: WeylElement) -> WeylElement | None:
         raise WeylInternalError("affine witness failed verification")
     return y
 
+
+# the value of every peeled column, shared: Fractions are immutable
+_ZERO = Fraction(0)
 
 # Mersenne exponents e, each about twice the one before, with 2^e - 1 prime
 _MERSENNE_EXPONENTS = (
@@ -313,7 +323,7 @@ def _solve(columns: list[dict], rhs: dict) -> dict[int, Fraction] | None:
         (t,) = row
         if t == ncols:
             return None
-        peeled[t] = Fraction(0)
+        peeled[t] = _ZERO
         for key in columns[t]:
             del rows[key][t]
             if len(rows[key]) == 1:
@@ -457,12 +467,13 @@ def find_witness_box(x: WeylElement, box: int, cap: int = DEFAULT_BOX_CAP) -> We
     return y
 
 
-def _axis_weights(support) -> Iterator[Weight]:
+def _axis_weights(points) -> Iterator[Weight]:
     """(1,1), then (n,1) and (1,n) for n up to max exponent + 1: every face
     an axis direction can expose on a support.  Hull slopes are bounded by
-    the exponent spans, so beyond that the exposed face is stable."""
+    the exponent spans, so beyond that the exposed face is stable.  The
+    largest exponent is the same over the support and over its frontier."""
     yield Weight(1, 1)
-    for n in range(2, max(max(pt) for pt in support) + 2):
+    for n in range(2, max(max(pt) for pt in points) + 2):
         yield Weight(n, 1)
         yield Weight(1, n)
 
@@ -541,7 +552,7 @@ def _rules(profile: ElementProfile, notes: list[str]) -> _Found | None:
             ), None
 
     saw_power_index_above_one = False
-    for w in _axis_weights(profile.support):
+    for w in _axis_weights(profile.frontier):
         v, face = profile.exposed(w)
         if v < w.rho + w.sigma:
             continue
@@ -574,8 +585,10 @@ def _rules(profile: ElementProfile, notes: list[str]) -> _Found | None:
 
 
 def _size(profile: ElementProfile) -> tuple[int, int]:
-    """(total degree, support size), the measure a reduction step lowers."""
-    return max(i + j for i, j in profile.support), len(profile.support)
+    """(total degree, support size), the measure a reduction step lowers:
+    the largest i + j is reached on the frontier, and the size is that of
+    the stored map."""
+    return max(i + j for i, j in profile.frontier), len(numerators(profile.x)[1])
 
 
 def _reduction_step(profile: ElementProfile) -> tuple[WeylElement, ElementProfile] | None:

@@ -19,15 +19,23 @@ from weylkit import (
     P,
     Q,
     BiPoly,
+    Edge,
     HForm,
+    PolygonProfile,
     UniPoly,
+    Vertex,
     WeylElement,
+    WeylInternalError,
     Weight,
     ad_power,
+    convex_hull,
     grade_components,
     mul,
     power,
+    separating_weight,
 )
+from weylkit.element import numerators
+from weylkit.polygon import exposed_face
 
 
 def rewrite_normal_qp(m: int, n: int) -> WeylElement:
@@ -160,6 +168,51 @@ def all_coprime_weights(bound: int) -> list[Weight]:
         for s in range(1, bound + 1)
         if gcd(r, s) == 1
     ]
+
+
+def reference_edges(x: WeylElement) -> PolygonProfile:
+    """polygon.edges over the whole support: the convex hull of every
+    support point, the edge weights sorted by slope, and each edge's face
+    and each joining vertex's check from a scan of every support point."""
+    if x.is_zero():
+        raise ValueError("zero element has no edges")
+    d, xs = numerators(x)
+    support = x.support()
+    hull = convex_hull(support)
+    weights: list[Weight] = []
+    if len(hull) >= 2:
+        for k in range(len(hull)):
+            a = hull[k]
+            b = hull[(k + 1) % len(hull)]
+            # outward normal of the CCW-oriented segment a -> b
+            nr, ns = b[1] - a[1], a[0] - b[0]
+            if nr > 0 and ns > 0:
+                g = gcd(nr, ns)
+                weights.append(Weight(nr // g, ns // g))
+    weights.sort(key=Weight.ratio)
+
+    edge_list: list[Edge] = []
+    for w in weights:
+        v, sup = exposed_face(support, w)
+        if len(sup) < 2:
+            raise WeylInternalError(f"hull segment at weight {w} exposes a single point")
+        edge_list.append(Edge(w, sup, BiPoly._from_numerators(d, {pt: xs[pt] for pt in sup}), v))
+
+    vertex_list: list[Vertex] = []
+    for e1, e2 in zip(edge_list, edge_list[1:]):
+        shared = e1.support & e2.support
+        if len(shared) != 1:
+            raise WeylInternalError(
+                f"adjacent edges {e1.weight} and {e2.weight} share {len(shared)} points"
+            )
+        sw = separating_weight(e1.weight, e2.weight)
+        if exposed_face(support, sw)[1] != shared:
+            raise WeylInternalError(
+                f"separating weight {sw} does not expose the joining vertex {next(iter(shared))}"
+            )
+        vertex_list.append(Vertex(next(iter(shared)), sw))
+
+    return PolygonProfile(tuple(edge_list), tuple(vertex_list))
 
 
 def rehomogenize(shape) -> BiPoly:

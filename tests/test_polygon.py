@@ -2,6 +2,7 @@
 
 import pytest
 from hypothesis import given, settings
+import hypothesis.strategies as st
 
 from weylkit import (
     BiPoly,
@@ -22,9 +23,10 @@ from weylkit import (
     weight_support,
     witness_for_affine,
 )
+from weylkit.polygon import exposed_face, frontier
 
-from oracles import all_coprime_weights, power_proportional
-from strategies import homogeneous_elements, weyl_elements, weights
+from oracles import all_coprime_weights, power_proportional, reference_edges
+from strategies import apply_word, exponent_pairs, homogeneous_elements, tame_words, weyl_elements, weights
 
 SHOWCASE = WeylElement({(4, 0): 1, (3, 1): 1, (2, 2): 1, (0, 3): 1, (0, 1): 1})
 NO_EDGES = WeylElement({(2, 2): 1, (1, 1): 1, (0, 0): 1})
@@ -144,6 +146,30 @@ class TestSeparatingWeight:
         assert lo.ratio() < mid.ratio() < hi.ratio()
 
 
+class TestFrontier:
+    def test_showcase(self):
+        # (0, 1) lies below (0, 3); the other four are maximal
+        assert frontier(SHOWCASE.support()) == [(4, 0), (3, 1), (2, 2), (0, 3)]
+
+    def test_empty(self):
+        assert frontier([]) == []
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sets(exponent_pairs(max_exp=8), max_size=30))
+    def test_exactly_the_undominated_points(self, support):
+        maximal = {a for a in support
+                   if not any(b != a and b[0] >= a[0] and b[1] >= a[1] for b in support)}
+        front = frontier(support)
+        assert len(front) == len(maximal) and set(front) == maximal
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sets(exponent_pairs(max_exp=8), max_size=30))
+    def test_exposes_every_face_of_the_support(self, support):
+        front = frontier(support)
+        for w in all_coprime_weights(8):
+            assert exposed_face(front, w) == exposed_face(support, w)
+
+
 class TestEdges:
     def test_showcase(self):
         profile = edges(SHOWCASE)
@@ -174,6 +200,15 @@ class TestEdges:
             if len(weight_support(x, w)) >= 2
         ]
         assert enumerated == sorted(scanned, key=Weight.ratio)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(
+        weyl_elements(max_exp=8, max_terms=16, nonzero=True, fractional=True),
+        # automorphism images have wide supports whose frontier is small
+        st.builds(apply_word, tame_words(), weyl_elements(max_exp=3, max_terms=4, nonzero=True)),
+    ))
+    def test_matches_hull_of_whole_support(self, x):
+        assert edges(x) == reference_edges(x)
 
     @settings(max_examples=100, deadline=None)
     @given(weyl_elements(max_exp=6, max_terms=6, nonzero=True))

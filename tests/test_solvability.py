@@ -16,6 +16,7 @@ from weylkit import (
     ElementProfile,
     Outcome,
     RuleId,
+    Weight,
     WeylElement,
     analyze,
     edges,
@@ -35,9 +36,11 @@ from weylkit import (
 )
 from weylkit import solvability
 from weylkit.cli import build_report
+from weylkit.polygon import exposed_face
 
 from oracles import (
     all_coprime_weights, columns_of, naive_box_witness, naive_solve, reference_bracket, reference_box_columns,
+    reference_edges,
 )
 from test_golden import corpus_inputs
 from strategies import apply_word, coefficients, homogeneous_elements, tame_words, weyl_elements
@@ -762,6 +765,29 @@ class TestElementProfile:
         assert profile.edge_indices == tuple(
             power_index(e.polynomial, e.weight) if e.weight.is_axis() else None
             for e in polygon.edges
+        )
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.one_of(
+        weyl_elements(max_exp=8, max_terms=16, nonzero=True, fractional=True),
+        st.builds(apply_word, tame_words(), weyl_elements(max_exp=3, max_terms=4, nonzero=True)),
+    ))
+    def test_frontier_facts_match_support_scans(self, x):
+        # the facts read off the frontier, against the same facts computed
+        # on every support point (edges from the hull of the whole support)
+        profile = ElementProfile(x)
+        support = x.support()
+        top = max(max(pt) for pt in support)
+        assert list(solvability._axis_weights(profile.frontier)) == [Weight(1, 1)] + [
+            w for n in range(2, top + 2) for w in (Weight(n, 1), Weight(1, n))
+        ]
+        for w in solvability._axis_weights(profile.frontier):
+            assert profile.exposed(w) == exposed_face(support, w)
+        assert solvability._size(profile) == (max(i + j for i, j in support), len(support))
+        assert profile.dominates_unit == (
+            max(i for i, _ in support) >= 1
+            and max(j for _, j in support) >= 1
+            and all(e.degree >= e.weight.rho + e.weight.sigma for e in reference_edges(x).edges)
         )
 
     @settings(max_examples=80, deadline=None)

@@ -100,6 +100,32 @@ class TestWeylKernels:
         y = commutator(element_from_string("3/4*p^2"), element_from_string("2/3*q"))
         assert numerators(y) == (1, {(1, 0): 1})
 
+    @pytest.mark.parametrize("terms, pair", [
+        ({(2, 1): 3, (0, 2): -4, (1, 0): 6}, (1, {(2, 1): 3, (0, 2): -4, (1, 0): 6})),
+        ({(2, 1): Fraction(3, 4), (0, 2): Fraction(-5, 6)}, (12, {(2, 1): 9, (0, 2): -10})),
+        ({(2, 1): Fraction(1, 2), (0, 2): 3, (1, 1): Fraction(4)}, (2, {(2, 1): 1, (0, 2): 6, (1, 1): 8})),
+        ({(1, 0): True, (0, 1): False, (0, 0): 2}, (1, {(1, 0): 1, (0, 0): 2})),
+        ({(1, 0): 0, (0, 1): Fraction(0)}, (1, {})),
+        ({}, (1, {})),
+    ])
+    def test_constructor_stores_the_pair(self, terms, pair):
+        # int, Fraction and mixed coefficients, bools and zeros: the pair
+        # _from_numerators stores for the same value
+        x = WeylElement(terms)
+        assert numerators(x) == pair
+        assert x == WeylElement._from_numerators(*pair)
+        assert all(type(c) is int for c in numerators(x)[1].values())
+
+    def test_constructor_rejects_floats_and_negative_exponents(self):
+        with pytest.raises(TypeError):
+            WeylElement({(1, 0): 1, (0, 1): 0.5})
+        with pytest.raises(TypeError):
+            WeylElement({(1, 0): 0.0})
+        with pytest.raises(ValueError):
+            WeylElement({(1, -1): 1})
+        with pytest.raises(ValueError):
+            WeylElement({(1, -1): Fraction(1, 2)})
+
 
 class TestBiPoly:
     @settings(max_examples=80, deadline=None)
@@ -181,15 +207,16 @@ class TestKernelsMakeNoFraction:
         # Fraction.__new__ itself is forbidden, so the check holds for a
         # module that makes a Fraction without importing the name
         texts = ["1/2*p + 2/3*q^2", "(3/4*p - 1/5)^2*q", "6/4*h - q*p + 7"]
-        showcase = WeylElement({(4, 0): 1, (3, 1): 1, (2, 2): 1, (0, 3): 1, (0, 1): 1})
         with monkeypatch.context() as m:
             m.setattr(Fraction, "__new__", forbidden)
             parsed = [element_from_string(t) for t in texts]
+            showcase = WeylElement({(4, 0): 1, (3, 1): 1, (2, 2): 1, (0, 3): 1, (0, 1): True})
             profile = edges(showcase)
         assert parsed == [
             WeylElement({(1, 0): Fraction(1, 2), (0, 2): Fraction(2, 3)}),
             WeylElement({(2, 1): Fraction(9, 16), (1, 1): Fraction(-3, 10), (0, 1): Fraction(1, 25)}),
             WeylElement({(1, 1): Fraction(1, 2), (0, 0): 8}),
         ]
+        assert numerators(showcase) == (1, {(4, 0): 1, (3, 1): 1, (2, 2): 1, (0, 3): 1, (0, 1): 1})
         assert [e.weight for e in profile.edges] == [Weight(1, 2), Weight(1, 1)]
         assert [v.separating_weight for v in profile.vertices] == [Weight(2, 3)]
