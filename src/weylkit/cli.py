@@ -16,7 +16,7 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .element import WeylElement, WeylInternalError, commutator, format_element
+from .element import WeylElement, WeylInternalError, commutator, format_element, format_monomial
 from .grading import grade_components
 from .parser import element_from_string
 from .polygon import PolygonProfile
@@ -242,14 +242,9 @@ def _cmd_grade(args) -> int:
     lines.append("h-form      :")
     for s in hf.grades():
         f = hf.parts[s]
-        if s > 0:
-            tail = f"q^{s}" if s > 1 else "q"
-            lines.append(f"  grade {s:+d}: ({f}) * {tail}   [X stands for h]")
-        elif s < 0:
-            tail = f"p^{-s}" if s < -1 else "p"
-            lines.append(f"  grade {s:+d}: ({f}) * {tail}   [X stands for h]")
-        else:
-            lines.append(f"  grade +0: {f}   [X stands for h]")
+        tail = format_monomial((max(0, -s), max(0, s)), "pq")
+        term = f"({f}) * {tail}" if tail else str(f)
+        lines.append(f"  grade {s:+d}: {term}   [X stands for h]")
     _emit(payload, args.json, lines)
     return 0
 

@@ -118,8 +118,7 @@ class MonomialMap:
 
     @classmethod
     def monomial(cls, i: int, j: int, coeff=1):
-        c = as_scalar(coeff)
-        return cls._from_numerators(c.denominator, {(i, j): c.numerator})
+        return cls({(i, j): coeff})
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")

@@ -17,7 +17,6 @@ used as the canonical choice).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 from .element import WeylElement, WeylInternalError, commutator, numerators
@@ -41,9 +40,6 @@ class Weight:
             raise ValueError("weight components must be positive")
         if gcd(self.rho, self.sigma) != 1:
             raise ValueError(f"weight ({self.rho},{self.sigma}) is not coprime")
-
-    def ratio(self) -> Fraction:
-        return Fraction(self.rho, self.sigma)
 
     def degree_of(self, point: tuple[int, int]) -> int:
         return point[0] * self.rho + point[1] * self.sigma

@@ -73,14 +73,6 @@ class UniPoly:
     def __pow__(self, n: int) -> "UniPoly":
         return binary_power(self, n, UniPoly((1,)))
 
-    def shift(self, k) -> "UniPoly":
-        """f(X + k), by Horner's scheme."""
-        x_plus_k = UniPoly((k, 1))
-        acc = UniPoly()
-        for c in reversed(self._coeffs):
-            acc = acc * x_plus_k + UniPoly((c,))
-        return acc
-
     def __str__(self) -> str:
         return format_terms(
             (c.numerator, c.denominator, format_monomial((k,), "X"))

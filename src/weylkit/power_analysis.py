@@ -9,9 +9,9 @@ the s_i.  The r for which the core is an r-th power over the closure are
 exactly the divisors of S, and S divides deg core = sum s_i, so the index
 is the largest divisor r of gcd(a, b, deg core) for which the monic core
 is an r-th power.  That test is exact over the rationals: a monic r-th
-root is unique, and monic_root's recurrence shows it is rational.  Index 1
-certifies "not a proper power" over the closure and hence over the
-rationals.
+root is unique, and the recurrence of _root_numerators shows it is
+rational.  Index 1 certifies "not a proper power" over the closure and
+hence over the rationals.
 
 The core is kept as the integer numerators of the polynomial, as the
 polynomial stores them, and both root tests run on those integers: scaling
@@ -22,11 +22,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Sequence
 
 from .element import numerators
-from .polynomials import BiPoly, UniPoly
+from .polynomials import BiPoly
 from .polygon import Weight
 
 
@@ -41,11 +41,6 @@ class HomogShape:
     den: int
     nums: tuple[int, ...]
     weight: Weight
-
-    @property
-    def core(self) -> UniPoly:
-        """The core with its rational coefficients, built on each read."""
-        return UniPoly(Fraction(c, self.den) for c in self.nums)
 
     def power_index(self) -> int:
         """Largest m such that the shape is an m-th power over the algebraic
@@ -129,11 +124,26 @@ def dehomogenize(f: BiPoly, w: Weight) -> HomogShape:
 def _root_numerators(rev: Sequence[int], r: int) -> list[int] | None:
     """The numerators g_0, ..., g_m of the r-th root series of
     F(t) = sum_j rev[j]/rev[0] t^j, m = n/r with n = len(rev) - 1, or None
-    when F has no r-th root of degree m.
+    when F has no r-th root of degree m; r >= 1 divides n.
 
     rev holds the integer core N from its leading coefficient down, so that
-    F is the reversal t^n f(1/t) of the monic core f.  With L = N_0, F_j =
-    N_j/L; the recurrence of monic_root for G^r = F, written for
+    F is the reversal t^n f(1/t) of the monic core f, and F(0) = 1.  If
+    f = h^r with h monic, the reversal G of h is the unique power series
+    with G(0) = 1 and G^r = F, and F G' = (1/r) F' G gives its
+    coefficients:
+
+        G_k = (1/k) sum_{j=1..k} (j/r - (k - j)) F_j G_(k-j).
+
+    They are rational, and G_k = 0 for m < k <= n.  Conversely, if those
+    G_k vanish, the truncation H = G_0 + ... + G_m t^m has
+    H^r = F mod t^(n+1), and both sides have degree at most n, so H^r = F
+    and the reversal of H is a monic r-th root of f.  So the recurrence
+    runs to k = n, with the sum over j >= k - m (the G beyond m are zero),
+    and stops at the first nonzero G_k past m: O(n m) operations and no
+    power of h.  The test is exact over the rationals: a monic r-th root
+    over the closure is unique, and the recurrence makes it rational.
+
+    With L = N_0, F_j = N_j/L; the recurrence, written for
     G_k = g_k / (L^k r^k k!) and multiplied by L^k r^k k!, becomes
 
         g_k = sum_{j=max(1,k-m)..k} (j - r(k-j)) N_j (L r)^(j-1)
@@ -166,43 +176,6 @@ def _root_numerators(rev: Sequence[int], r: int) -> list[int] | None:
             return None
         fact *= k
     return g
-
-
-def monic_root(f: UniPoly, r: int) -> UniPoly | None:
-    """The monic h with h**r == f, or None when f is no r-th power.
-
-    f is monic of degree n and r >= 1 divides n.  With F(t) = t^n f(1/t),
-    so F(0) = 1, suppose f = h^r with h monic.  Then the reversal G of h is
-    the unique power series with G(0) = 1 and G^r = F, and F G' = (1/r) F' G
-    gives its coefficients:
-
-        G_k = (1/k) sum_{j=1..k} (j/r - (k - j)) F_j G_{k-j}.
-
-    They are rational.  If f = h^r, G is a polynomial of degree m = n/r,
-    so G_k = 0 for m < k <= n.  Conversely, if those G_k vanish, the
-    truncation H = G_0 + ... + G_m t^m has H^r = F mod t^(n+1), and both
-    sides have degree at most n, so H^r = F and the reversal of H is a
-    monic r-th root of f.  So the recurrence runs to k = n, with the sum
-    over j >= k - m (the G beyond m are zero), and stops at the first
-    nonzero G_k past m: O(n m) operations and no power of h.  The test over
-    the rationals is exact: a monic r-th root over the closure is unique,
-    and the recurrence makes it rational.  At r = n the root is linear,
-    Z - mu, exactly when f = (Z - mu)^n.  The recurrence runs on f's
-    numerators over their common denominator (_root_numerators), and the
-    root's Fractions G_k = g_k / (L^k r^k k!) are made only when it exists.
-    """
-    cs = f.coeffs()
-    d = lcm(*(c.denominator for c in cs))
-    rev = [c.numerator * (d // c.denominator) for c in reversed(cs)]
-    g = _root_numerators(rev, r)
-    if g is None:
-        return None
-    lr, scale, G = rev[0] * r, 1, []
-    for k, gk in enumerate(g):
-        if k:
-            scale *= lr * k
-        G.append(Fraction(gk, scale))
-    return UniPoly(G[::-1])
 
 
 def power_index(f: BiPoly, w: Weight) -> int:

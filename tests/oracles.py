@@ -189,7 +189,7 @@ def reference_edges(x: WeylElement) -> PolygonProfile:
             if nr > 0 and ns > 0:
                 g = gcd(nr, ns)
                 weights.append(Weight(nr // g, ns // g))
-    weights.sort(key=Weight.ratio)
+    weights.sort(key=lambda w: Fraction(w.rho, w.sigma))
 
     edge_list: list[Edge] = []
     for w in weights:
@@ -215,13 +215,19 @@ def reference_edges(x: WeylElement) -> PolygonProfile:
     return PolygonProfile(tuple(edge_list), tuple(vertex_list))
 
 
+def rational_core(shape) -> UniPoly:
+    """The core of a HomogShape with its rational coefficients nums[k]/den."""
+    return UniPoly(Fraction(c, shape.den) for c in shape.nums)
+
+
 def rehomogenize(shape) -> BiPoly:
     """Inverse of power_analysis.dehomogenize: rebuild the bivariate
     polynomial X^x_mult Y^y_mult times the homogenized core."""
     w = shape.weight
-    deg = shape.core.degree()
+    core = rational_core(shape)
+    deg = core.degree()
     terms: dict[tuple[int, int], Fraction] = {}
-    for t, c in enumerate(shape.core.coeffs()):
+    for t, c in enumerate(core.coeffs()):
         if c:
             if w.sigma == 1:
                 terms[(shape.x_mult + t, shape.y_mult + w.rho * (deg - t))] = c
@@ -249,7 +255,7 @@ def fraction_monic_root(f: UniPoly, r: int) -> UniPoly | None:
     the reversal G of h has G^r = F, the reversal of f, and F G' = (1/r) F' G
     gives G_k = (1/k) sum_j (j/r - (k - j)) F_j G_(k-j) on Fractions; f is an
     r-th power exactly when G_k = 0 for n/r < k <= n.  The reference for
-    power_analysis.monic_root."""
+    power_analysis._root_numerators."""
     n = f.degree()
     m = n // r
     F = f.coeffs()[::-1]
@@ -267,7 +273,7 @@ def fraction_power_index(shape) -> int:
     """HomogShape.power_index from the rational core: the largest divisor r
     of gcd(x_mult, y_mult, deg core) for which fraction_monic_root finds a
     root of the monic core."""
-    cs = shape.core.coeffs()
+    cs = rational_core(shape).coeffs()
     g = gcd(shape.x_mult, shape.y_mult, len(cs) - 1)
     monic = UniPoly(c / cs[-1] for c in cs)
     return max(r for r in range(1, g + 1) if g % r == 0 and fraction_monic_root(monic, r) is not None)

@@ -1,5 +1,7 @@
 """Support geometry: weighted degrees, edges, vertices, leading splits."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
@@ -30,6 +32,10 @@ from strategies import apply_word, exponent_pairs, homogeneous_elements, tame_wo
 
 SHOWCASE = WeylElement({(4, 0): 1, (3, 1): 1, (2, 2): 1, (0, 3): 1, (0, 1): 1})
 NO_EDGES = WeylElement({(2, 2): 1, (1, 1): 1, (0, 0): 1})
+
+
+def slope(w: Weight) -> Fraction:
+    return Fraction(w.rho, w.sigma)
 
 
 class TestWeight:
@@ -139,11 +145,11 @@ class TestSeparatingWeight:
     @settings(max_examples=50, deadline=None)
     @given(weights(), weights())
     def test_strictly_between(self, w1, w2):
-        if w1.ratio() == w2.ratio():
+        if slope(w1) == slope(w2):
             return
-        lo, hi = sorted([w1, w2], key=Weight.ratio)
+        lo, hi = sorted([w1, w2], key=slope)
         mid = separating_weight(lo, hi)
-        assert lo.ratio() < mid.ratio() < hi.ratio()
+        assert slope(lo) < slope(mid) < slope(hi)
 
 
 class TestFrontier:
@@ -199,7 +205,7 @@ class TestEdges:
             w for w in all_coprime_weights(12)
             if len(weight_support(x, w)) >= 2
         ]
-        assert enumerated == sorted(scanned, key=Weight.ratio)
+        assert enumerated == sorted(scanned, key=slope)
 
     @settings(max_examples=100, deadline=None)
     @given(st.one_of(

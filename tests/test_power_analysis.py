@@ -1,7 +1,7 @@
 """Weighted-homogeneous factor shapes, monic r-th roots, power index."""
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import factorial, gcd, lcm
 
 import pytest
 from hypothesis import assume, given, settings
@@ -16,13 +16,14 @@ from weylkit import (
     edges,
     power_index,
 )
-from weylkit.power_analysis import monic_root
+from weylkit.power_analysis import _root_numerators
 
 from oracles import (
     bipoly_nth_root,
     fraction_linear_root,
     fraction_monic_root,
     fraction_power_index,
+    rational_core,
     rational_nth_root,
     rehomogenize,
 )
@@ -67,19 +68,19 @@ class TestDehomogenize:
     def test_pure_monomial(self):
         shape = dehomogenize(B({(2, 2): 1}), Weight(1, 1))
         assert (shape.x_mult, shape.y_mult) == (2, 2)
-        assert shape.core == UniPoly((1,))
+        assert rational_core(shape) == UniPoly((1,))
 
     def test_perfect_square(self):
         f = B({(2, 0): 1, (1, 1): 2, (0, 2): 1})  # (X + Y)^2
         shape = dehomogenize(f, Weight(1, 1))
         assert (shape.x_mult, shape.y_mult) == (0, 0)
-        assert shape.core == UniPoly((1, 2, 1))
+        assert rational_core(shape) == UniPoly((1, 2, 1))
 
     def test_sigma_axis_case(self):
         f = B({(2, 2): 1, (0, 3): 1})  # Y^2 (X^2 + Y) for weight (1, 2)
         shape = dehomogenize(f, Weight(1, 2))
         assert (shape.x_mult, shape.y_mult) == (0, 2)
-        assert shape.core.degree() == 1
+        assert rational_core(shape).degree() == 1
         assert rehomogenize(shape) == f
 
     def test_non_axis_weight_rejected(self):
@@ -111,7 +112,7 @@ class TestDehomogenize:
         f = B({(3, 0): 2, (1, 2): -4})  # 2 X (X - sqrt2 Y)(X + sqrt2 Y) shape
         shape = dehomogenize(f, Weight(1, 1))
         assert shape.nums[0] != 0 and shape.nums[-1] != 0
-        assert shape.core.coeffs() == (Fraction(-4), 0, Fraction(2))
+        assert rational_core(shape).coeffs() == (Fraction(-4), 0, Fraction(2))
 
 
 class TestPowerIndex:
@@ -171,7 +172,7 @@ class TestPowerIndex:
         f, w, _ = fw
         r = power_index(f, w)
         shape = dehomogenize(f, w)
-        unit = shape.core.coeffs()[-1]
+        unit = rational_core(shape).coeffs()[-1]
         if rational_nth_root(unit, r) is not None:
             root = bipoly_nth_root(f, r)
             assert root is not None
@@ -236,11 +237,29 @@ monic_unipolys = st.lists(coefficients(fractional=True) | st.just(Fraction(0)), 
     lambda low: UniPoly(tuple(low) + (1,)))
 
 
+def root_by_numerators(f: UniPoly, r: int) -> UniPoly | None:
+    """fraction_monic_root(f, r), for f monic and r | deg f, once
+    _root_numerators on f's integer numerators N (over their lcm, lead
+    first) is checked against it: None exactly when the reference is None,
+    and otherwise g_k / (L^k r^k k!), L = N_0, is the reference root's
+    coefficient of Z^(m-k)."""
+    expected = fraction_monic_root(f, r)
+    cs = f.coeffs()
+    d = lcm(*(c.denominator for c in cs))
+    rev = [c.numerator * (d // c.denominator) for c in reversed(cs)]
+    g = _root_numerators(rev, r)
+    assert (g is None) == (expected is None)
+    if g is not None:
+        lr = rev[0] * r
+        assert [Fraction(gk, lr ** k * factorial(k)) for k, gk in enumerate(g)] == list(expected.coeffs()[::-1])
+    return expected
+
+
 class TestMonicRoot:
     @settings(max_examples=100, deadline=None)
     @given(monic_unipolys, st.integers(1, 6))
     def test_recovers_the_root(self, h, r):
-        assert monic_root(h ** r, r) == h
+        assert root_by_numerators(h ** r, r) == h
 
     @settings(max_examples=100, deadline=None)
     @given(monic_unipolys, st.integers(2, 6), coefficients(fractional=True), coefficients(fractional=True))
@@ -249,17 +268,17 @@ class TestMonicRoot:
         if c == d:
             return
         q = UniPoly((-c, 1)) ** (r - 1) * UniPoly((-d, 1))
-        assert monic_root(h ** r * q, r) is None
+        assert root_by_numerators(h ** r * q, r) is None
 
     @settings(max_examples=60, deadline=None)
     @given(monic_unipolys)
     def test_first_root_is_the_polynomial_itself(self, f):
-        assert monic_root(f, 1) == f
+        assert root_by_numerators(f, 1) == f
 
     def test_single_root_read_off(self):
         # lead (Z - mu)^k is read from the linear root Z - mu at r = k
-        assert monic_root(UniPoly((Fraction(-1, 2), 1)) ** 5, 5) == UniPoly((Fraction(-1, 2), 1))
-        assert monic_root(UniPoly((1, 1)) ** 2 * UniPoly((2, 1)), 3) is None
+        assert root_by_numerators(UniPoly((Fraction(-1, 2), 1)) ** 5, 5) == UniPoly((Fraction(-1, 2), 1))
+        assert root_by_numerators(UniPoly((1, 1)) ** 2 * UniPoly((2, 1)), 3) is None
 
 
 def monic(core: UniPoly) -> UniPoly:
@@ -267,8 +286,9 @@ def monic(core: UniPoly) -> UniPoly:
 
 
 def linear_by_monic_root(core: UniPoly) -> Fraction | None:
-    """mu read from a linear monic_root(monic core, k), the reference for linear_root."""
-    root = monic_root(monic(core), core.degree())
+    """mu read from a linear fraction_monic_root(monic core, k), the
+    reference for linear_root."""
+    root = fraction_monic_root(monic(core), core.degree())
     return None if root is None else -root.coeffs()[0]
 
 
@@ -293,7 +313,7 @@ class TestLinearRoot:
     @pytest.mark.parametrize("mu", MUS, ids=str)
     def test_one_perturbed_coefficient(self, k, mu):
         # every coefficient in turn, by +1 and by a fraction; at k = 1 the
-        # result is still linear, so only agreement with monic_root is asked
+        # result is still linear, so only agreement with the monic root is asked
         base = (UniPoly((-mu, 1)) ** k * UniPoly((Fraction(-3),))).coeffs()
         for j in range(k + 1):
             for delta in (Fraction(1), Fraction(-1, 7)):
@@ -349,7 +369,7 @@ class TestMatchesFractionReferences:
     def test_monic_root(self, core, r):
         f = monic(core)
         if f.degree() % r == 0:
-            assert monic_root(f, r) == fraction_monic_root(f, r)
+            root_by_numerators(f, r)
 
     @settings(max_examples=200, deadline=None)
     @given(cores(), st.integers(1, 3), st.integers(0, 2), st.integers(0, 2), st.integers(1, 3), st.booleans())
@@ -367,7 +387,7 @@ class TestMatchesFractionReferences:
         assert shape.nums == built.nums and (shape.x_mult, shape.y_mult) == (m * a, m * b)
         assert shape.power_index() == fraction_power_index(shape)
         if len(shape.nums) > 1:
-            assert shape.linear_root() == fraction_linear_root(shape.core)
+            assert shape.linear_root() == fraction_linear_root(rational_core(shape))
 
 
 class TestPowerProportionalityDivision:

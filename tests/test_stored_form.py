@@ -35,6 +35,7 @@ from oracles import (
     fraction_linear_root,
     fraction_power_index,
     naive_omega,
+    rational_core,
     reference_bracket,
     reference_mul,
     series_exp_ad,
@@ -126,6 +127,22 @@ class TestWeylKernels:
         with pytest.raises(ValueError):
             WeylElement({(1, -1): Fraction(1, 2)})
 
+    @pytest.mark.parametrize("cls", [WeylElement, BiPoly])
+    @pytest.mark.parametrize("i, j, coeff, error", [
+        (-1, 0, 1, ValueError),
+        (0, -2, Fraction(1, 2), ValueError),
+        (1.5, 0, 1, ValueError),
+        (1, 0, 0.5, TypeError),
+        (1, 0, 1.0, TypeError),
+    ])
+    def test_monomial_checks_like_the_constructor(self, cls, i, j, coeff, error):
+        # a monomial is built through the constructor, so a bad pair or a
+        # float coefficient raises as cls({(i, j): coeff}) does
+        with pytest.raises(error):
+            cls({(i, j): coeff})
+        with pytest.raises(error):
+            cls.monomial(i, j, coeff)
+
 
 class TestBiPoly:
     @settings(max_examples=80, deadline=None)
@@ -200,7 +217,7 @@ class TestKernelsMakeNoFraction:
             m.setattr(weylkit.power_analysis, "Fraction", counted)
             roots = [s.linear_root() for s in shapes]
         assert indices == [fraction_power_index(s) for s in shapes] == [3, 3, 1]
-        assert roots == [fraction_linear_root(s.core) for s in shapes] == [Fraction(2, 3)] * 2 + [None]
+        assert roots == [fraction_linear_root(rational_core(s)) for s in shapes] == [Fraction(2, 3)] * 2 + [None]
         assert made == [Fraction(2, 3)] * 2
 
     def test_parser_and_edges(self, monkeypatch):
