@@ -73,8 +73,10 @@ class MonomialMap:
         if terms:
             for key, value in terms.items():
                 i, j = key
-                if not (isinstance(i, int) and isinstance(j, int) and i >= 0 and j >= 0):
-                    raise ValueError(f"exponent pair {key!r} is not a pair of nonnegative integers")
+                if not (type(i) is int and type(j) is int and i >= 0 and j >= 0):
+                    if not (isinstance(i, int) and isinstance(j, int) and i >= 0 and j >= 0):
+                        raise ValueError(f"exponent pair {key!r} is not a pair of nonnegative integers")
+                    i, j = int(i), int(j)  # a bool exponent is stored as its int
                 if type(value) is int:
                     if value:
                         data[(i, j)] = value

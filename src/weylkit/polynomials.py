@@ -48,17 +48,6 @@ class UniPoly:
             return self._coeffs == other._coeffs
         return NotImplemented
 
-    def __add__(self, other) -> "UniPoly":
-        if not isinstance(other, UniPoly):
-            return NotImplemented
-        a, b = self._coeffs, other._coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for k, c in enumerate(b):
-            out[k] += c
-        return UniPoly(out)
-
     def __mul__(self, other) -> "UniPoly":
         if not isinstance(other, UniPoly):
             return NotImplemented

@@ -228,50 +228,53 @@ def _lift(v: dict[int, int], prime: int) -> tuple[int, dict[int, int]] | None:
 
 def _eliminate(rows: list[dict[int, int]], ncols: int, prime: int) -> tuple[dict[int, dict[int, int]], bool]:
     """The monic pivot rows mod prime by pivot column, in column order, each
-    holding no column left of its own, and whether a row was left holding
-    only a right-hand side; see _solve for the pivot rule."""
-    # rows mod prime in buckets by column: a row waits in a bucket at or
-    # left of its leftmost column, and moves on to that column when its
-    # bucket comes up without holding it
-    reduced = [{t: c % prime for t, c in row.items() if c % prime} for row in rows]
+    with its pivot column removed, so holding only columns right of it, and
+    whether a row was left holding only a right-hand side; see _solve for
+    the pivot rule.  A row waits in the bucket of its leftmost column, so
+    every row in a bucket holds its column.  A row reduced by the pivot
+    pops that column and moves to the bucket of its new leftmost column;
+    the rows left in bucket ncols hold only a right-hand side."""
+    reduced = [{t: r for t, c in row.items() if (r := c % prime)} for row in rows]
     waiting: dict[int, list[int]] = {}
     for k, row in enumerate(reduced):
         if row:
             waiting.setdefault(min(row), []).append(k)
     pivots: dict[int, dict[int, int]] = {}
     for col in range(ncols):
-        hits = []
-        for k in waiting.pop(col, ()):
-            if col in reduced[k]:
-                hits.append(k)
-            else:
-                waiting.setdefault(min(reduced[k]), []).append(k)
-        if not hits:
+        hits = waiting.pop(col, None)
+        if hits is None:
             continue
-        pk = min(hits, key=lambda k: (len(reduced[k]), k))
-        inv = pow(reduced[pk][col], -1, prime)
-        pivot = {t: c * inv % prime for t, c in reduced[pk].items()}
+        pk = hits[0]
+        fewest = len(reduced[pk])
+        for k in hits:
+            n = len(reduced[k])
+            if n < fewest or n == fewest and k < pk:
+                pk, fewest = k, n
+        row = reduced[pk]
+        inv = pow(row.pop(col), -1, prime)
+        pivot = {t: c * inv % prime for t, c in row.items()}
         for k in hits:
             if k != pk:
                 row = reduced[k]
-                f = row[col]
+                f = row.pop(col)
                 for t, c in pivot.items():
                     c = (row.get(t, 0) - f * c) % prime
                     if c:
                         row[t] = c
                     else:
-                        row.pop(t, None)
+                        del row[t]
                 if row:
-                    waiting.setdefault(col + 1, []).append(k)
+                    waiting.setdefault(min(row), []).append(k)
         pivots[col] = pivot
     return pivots, bool(waiting)
 
 
 def _solve(columns: list[dict], rhs: dict) -> dict[int, Fraction] | None:
-    """Solve a sparse system exactly.  Column t maps comparable row keys to
-    its nonzero int coefficients, and rhs maps them to the nonzero
-    right-hand side.  Returns the solution on the pivot columns (free
-    columns are zero), or None when the system is inconsistent.
+    """Solve a sparse system exactly.  Column t maps comparable row keys (the
+    int row codes of _box_system) to its nonzero int coefficients, and rhs
+    maps them to the nonzero right-hand side.  Returns the solution on the
+    pivot columns (free columns are zero), or None when the system is
+    inconsistent.
 
     Columns are taken in index order; the pivot is the remaining row with a
     nonzero there and the fewest nonzeros, ties to the earliest row in key
@@ -350,11 +353,12 @@ def _solve(columns: list[dict], rhs: dict) -> dict[int, Fraction] | None:
         pivots, inconsistent = _eliminate(remaining, ncols, prime)
 
         def back_substitute(y: dict[int, int], below: int, homogeneous: bool) -> dict[int, int]:
-            # pivot columns at or beyond `below` are zero
+            # pivot columns at or beyond `below` are zero; a pivot row holds
+            # only columns right of its own, and y nothing at ncols
             for col, row in reversed(pivots.items()):
                 if col < below:
                     acc = 0 if homogeneous else row.get(ncols, 0)
-                    y[col] = (acc - sum(c * y.get(t, 0) for t, c in row.items() if col < t < ncols)) % prime
+                    y[col] = (acc - sum(c * y.get(t, 0) for t, c in row.items())) % prime
             return y
 
         free = [t for t, col in enumerate(columns) if col and t not in peeled and t not in pivots]
@@ -376,10 +380,16 @@ def _check_box(box: int, cap: int) -> None:
         raise ValueError("box bound must be nonnegative")
 
 
-def _box_system(x: WeylElement, box: int) -> tuple[list[dict], list[tuple[int, int]], int]:
+def _box_system(x: WeylElement, box: int) -> tuple[list[dict[int, int]], list[tuple[int, int]], int]:
     """The integer columns of [x, y] = 1 for y inside the box that can reach
-    the unit row, as {monomial: nonzero int}, their exponent pairs, and the
-    right-hand side d at (0, 0); see find_witness_box.
+    the unit row, as {row code: nonzero int}, their exponent pairs, and the
+    right-hand side d at the unit row, code 0; see find_witness_box.
+
+    Row p^a q^b has the code a W + b, W = box + (largest q-exponent of x)
+    + 1.  Every row has b <= that exponent + box - 1 < W, since each
+    bracket term lowers the q-exponent of its term of x by k >= 1 before
+    the shift by q^j, j <= box; so the codes are distinct, and they sort
+    as the pairs (a, b) do.
 
     The bracket of x with p^i q^j has its terms in the grades j - i + g
     for g in the set G of grades of x's non-constant terms.  With g0 the
@@ -390,12 +400,14 @@ def _box_system(x: WeylElement, box: int) -> tuple[list[dict], list[tuple[int, i
     classes are the single grades, so that block is j - i = -g0.  Only its
     columns are kept, in their box order.
 
-    [X, p^i] and [X, q^j] are taken once for i, j <= box, and column (i, j)
-    sums the shifts [X, p^i] q^j + p^i [X, q^j] (the Leibniz rule of
-    element.commutator).  The loop is written out here, not shared with
-    commutator, because a shared call per column cost about 20% of the time.
+    [X, p^i] and [X, q^j] are taken once for i, j <= box and coded, and
+    column (i, j) sums the shifts [X, p^i] q^j + p^i [X, q^j] (the Leibniz
+    rule of element.commutator), which add j and i W to the codes.  The loop
+    is written out here, not shared with commutator, because a shared call
+    per column cost about 20% of the time.
     """
     d, xs = numerators(x)
+    width = box + max((j for _, j in xs), default=0) + 1
     grades = [j - i for i, j in xs if i or j]
     g0 = min(grades, default=0)
     m = gcd(*(g - g0 for g in grades))
@@ -405,18 +417,19 @@ def _box_system(x: WeylElement, box: int) -> tuple[list[dict], list[tuple[int, i
         for j in range(box + 1)
         if ((j - i + g0) % m if m else j - i + g0) == 0
     ]
-    left = [{k: c for k, c in power_bracket(xs, i, False).items() if c} for i in range(box + 1)]
-    right = [{k: c for k, c in power_bracket(xs, j, True).items() if c} for j in range(box + 1)]
+    left = [{a * width + b: c for (a, b), c in power_bracket(xs, i, False).items() if c} for i in range(box + 1)]
+    right = [{a * width + b: c for (a, b), c in power_bracket(xs, j, True).items() if c} for j in range(box + 1)]
     brackets = []
     for i, j in columns:
-        entry = {(a, b + j): c for (a, b), c in left[i].items()}
-        for (a, b), c in right[j].items():
-            key = (a + i, b)
-            c += entry.get(key, 0)
+        entry = {k + j: c for k, c in left[i].items()}
+        shift = i * width
+        for k, c in right[j].items():
+            k += shift
+            c += entry.get(k, 0)
             if c:
-                entry[key] = c
+                entry[k] = c
             else:
-                del entry[key]
+                del entry[k]
         brackets.append(entry)
     return brackets, columns, d
 
@@ -428,13 +441,14 @@ def find_witness_box(x: WeylElement, box: int, cap: int = DEFAULT_BOX_CAP) -> We
     It runs on integers: with d the common denominator of x and X = d*x,
     column (i, j) is the bracket [X, p^i q^j] = [X, p^i] q^j + p^i [X, q^j]
     on X's integer numerators, shifted from 2(box + 1) pure-power brackets
-    (see _box_system) and stored as a sparse column keyed by monomial, and
-    the right-hand side is d at (0, 0), because [X, y] = d exactly when
-    [x, y] = 1.  Each row is d times the row of the rational system, so the
-    nonzeros, the pivots and the witness are the same: the one supported
-    on the leftmost independent columns (see _solve), found modulo a prime
-    and certified exactly.  A returned witness is always verified.  None
-    means only that no witness exists within the box.
+    (see _box_system) and stored as a sparse column keyed by an integer
+    code of the row monomial, and the right-hand side is d at the unit row,
+    code 0, because [X, y] = d exactly when [x, y] = 1.  Each row is d
+    times the row of the rational system, so the nonzeros, the pivots and
+    the witness are the same: the one supported on the leftmost independent
+    columns (see _solve), found modulo a prime and certified exactly.  A
+    returned witness is always verified.  None means only that no witness
+    exists within the box.
 
     Three exact reductions shrink the system and change no answer:
     - the constant term of [x, y] is
@@ -458,7 +472,7 @@ def find_witness_box(x: WeylElement, box: int, cap: int = DEFAULT_BOX_CAP) -> We
     if not any(0 < i + j <= box for i, j in x.support() if i == 0 or j == 0):
         return None
     brackets, columns, d = _box_system(x, box)
-    solution = _solve(brackets, {(0, 0): d})
+    solution = _solve(brackets, {0: d})
     if solution is None:
         return None
     y = WeylElement({columns[col]: c for col, c in solution.items() if c})

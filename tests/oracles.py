@@ -153,9 +153,13 @@ def naive_h_form(x: WeylElement) -> HForm:
     shifts each rising factorial to start at X + m."""
     parts: dict[int, UniPoly] = {}
     for s, comp in grade_components(x).items():
-        f = UniPoly()
+        coeffs: list[Fraction] = []
         for (i, j), c in comp.terms().items():
-            f = f + UniPoly((c,)) * (_rising_factorial(i, 0) if s >= 0 else _rising_factorial(j, -s))
+            term = UniPoly((c,)) * (_rising_factorial(i, 0) if s >= 0 else _rising_factorial(j, -s))
+            coeffs += [Fraction(0)] * (len(term.coeffs()) - len(coeffs))
+            for k, a in enumerate(term.coeffs()):
+                coeffs[k] += a
+        f = UniPoly(coeffs)
         if not f.is_zero():
             parts[s] = f
     return HForm(parts)
@@ -364,6 +368,14 @@ def reference_box_columns(x: WeylElement, box: int, columns: list[tuple[int, int
         assert all((d * c).denominator == 1 for c in br.values())
         brackets.append({key: int(d * c) for key, c in br.items()})
     return brackets, d
+
+
+def decoded_box_columns(x: WeylElement, box: int, brackets: list[dict[int, int]]) -> list[dict[tuple[int, int], int]]:
+    """_box_system's columns keyed by monomial again: row code k is
+    divmod(k, W) = (a, b) for p^a q^b, with W = box + (largest q-exponent
+    of x) + 1, the width of the documented layout."""
+    width = box + max((j for _, j in x.support()), default=0) + 1
+    return [{divmod(k, width): c for k, c in col.items()} for col in brackets]
 
 
 def naive_box_witness(x: WeylElement, box: int) -> WeylElement | None:

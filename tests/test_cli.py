@@ -303,3 +303,7 @@ class TestOracleLayersScript:
         assert rows["p^3*q^2+q^4+p^2"][12:14] == ["61", "no"]
         assert rows["p+q^2"][13] == "yes"
         assert rows["h"][12:14] == ["-", "no"]
+        # 17 pivots mod 2^61 - 1 on the 19 columns the peel leaves, and an
+        # entry of 11 bits; the peel decides h alone, so it has no rank
+        assert rows["p^3*q^2+q^4+p^2"][16:] == ["17", "11"]
+        assert rows["h"][16:] == ["-", "1"]

@@ -39,8 +39,8 @@ from weylkit.cli import build_report
 from weylkit.polygon import exposed_face
 
 from oracles import (
-    all_coprime_weights, columns_of, naive_box_witness, naive_solve, reference_bracket, reference_box_columns,
-    reference_edges,
+    all_coprime_weights, columns_of, decoded_box_columns, naive_box_witness, naive_solve, reference_bracket,
+    reference_box_columns, reference_edges,
 )
 from test_golden import corpus_inputs
 from strategies import apply_word, coefficients, homogeneous_elements, tame_words, weyl_elements
@@ -271,11 +271,28 @@ class TestBoxReductions:
     def test_system_matches_reference_brackets(self, x):
         # the shift assembly of each column, and its zero pruning, against
         # brackets built by single-swap products: the same columns, the same
-        # integer entries and right-hand side, no stored zero
+        # integer entries and right-hand side, no stored zero; rows are keyed
+        # by int codes that decode to the reference monomials
         for box in range(6):
             brackets, columns, d = solvability._box_system(x, box)
-            assert (brackets, d) == reference_box_columns(x, box, columns), (str(x), box)
+            assert all(type(k) is int for col in brackets for k in col)
+            decoded = decoded_box_columns(x, box, brackets)
+            assert (decoded, d) == reference_box_columns(x, box, columns), (str(x), box)
             assert all(all(col.values()) for col in brackets)
+
+    def test_row_codes_at_the_width_bound(self):
+        # p + q^5 at box 4: W = 4 + 5 + 1 = 10, and the shift of [q^5, p^i]
+        # by q^4 reaches q^8 = q^(5 + 4 - 1), the largest q-exponent a row
+        # can have under the width bound
+        x, box, width = element_from_string("p + q^5"), 4, 10
+        brackets, columns, d = solvability._box_system(x, box)
+        decoded = decoded_box_columns(x, box, brackets)
+        assert (decoded, d) == reference_box_columns(x, box, columns)
+        assert max(b for col in decoded for _, b in col) == 8
+        codes = sorted({0}.union(*brackets))
+        pairs = [divmod(k, width) for k in codes]
+        assert pairs == sorted(pairs) == sorted({(0, 0)}.union(*decoded))
+        assert find_witness_box(x, box) == naive_box_witness(x, box)
 
     @settings(max_examples=40, deadline=None)
     @given(st.one_of(graded_elements(), without_pure_powers()))
@@ -509,7 +526,7 @@ class TestModularSolver(TestSparseSolver):
                 brackets, _, d = solvability._box_system(element_from_string(text), box)
                 primes.clear()
                 lifts.clear()
-                solvability._solve(brackets, {(0, 0): d})
+                solvability._solve(brackets, {0: d})
                 assert primes == [self.PRIME] or text == "h" and not primes, (text, box)
                 # every p^i q^i is a polynomial in h, so h's centralizer
                 # columns are zero and need no certificate

@@ -117,6 +117,16 @@ class TestWeylKernels:
         assert x == WeylElement._from_numerators(*pair)
         assert all(type(c) is int for c in numerators(x)[1].values())
 
+    def test_bool_exponents_are_stored_as_ints(self):
+        # True is an int exponent 1, so the key is the int pair (1, 0) and
+        # the element is p + q, equal and hashed alike
+        x = WeylElement({(True, 0): 1, (0, 1): 1})
+        assert set(numerators(x)[1]) == {(1, 0), (0, 1)}
+        assert all(type(i) is int and type(j) is int for i, j in numerators(x)[1])
+        assert all(type(i) is int and type(j) is int for i, j in x.terms())
+        y = element_from_string("p + q")
+        assert x == y and hash(x) == hash(y)
+
     def test_constructor_rejects_floats_and_negative_exponents(self):
         with pytest.raises(TypeError):
             WeylElement({(1, 0): 1, (0, 1): 0.5})
