@@ -13,7 +13,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .element import WeylElement, WeylInternalError, commutator, format_element, format_monomial
@@ -30,7 +30,7 @@ from .solvability import (
     find_witness_box,
 )
 
-SCHEMA_VERSION = "weyl-report/1"
+SCHEMA_VERSION = "weyl-report/2"
 
 BOX_CAP_ENV = "WEYL_BOX_CAP"
 
@@ -114,7 +114,6 @@ def _verdict_to_json(verdict: Verdict) -> dict:
         ],
         "attempted": [rule.value for rule in verdict.attempted],
         "box_bound": verdict.box_bound,
-        "notes": list(verdict.notes),
     }
 
 
@@ -130,7 +129,6 @@ class AnalysisReport:
     verdict: dict
     box_bound: int
     schema: str = SCHEMA_VERSION
-    notes: list[str] = field(default_factory=list)
 
     def to_json_dict(self) -> dict:
         # every field already holds JSON-ready data, so a shallow copy is
@@ -153,7 +151,6 @@ def build_report(text: str, x: WeylElement, box: int, cap: int) -> AnalysisRepor
         normal_form=format_element(x),
         verdict=_verdict_to_json(verdict),
         box_bound=box,
-        notes=list(verdict.notes),
         **facts,
     )
 
@@ -299,8 +296,6 @@ def _cmd_analyze(args) -> int:
     if verdict["outcome"] == "unknown":
         lines.append(f"attempted   : {', '.join(verdict['attempted'])}")
         lines.append(f"box bound   : {verdict['box_bound']}")
-    for note in report.notes:
-        lines.append(f"note        : {note}")
     _emit(report.to_json_dict(), args.json, lines)
     return 0
 

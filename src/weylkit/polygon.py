@@ -34,8 +34,11 @@ class Weight:
     sigma: int
 
     def __post_init__(self):
-        if not (isinstance(self.rho, int) and isinstance(self.sigma, int)):
-            raise ValueError("weight components must be integers")
+        if not (type(self.rho) is int and type(self.sigma) is int):
+            if not (isinstance(self.rho, int) and isinstance(self.sigma, int)):
+                raise ValueError("weight components must be integers")
+            object.__setattr__(self, "rho", int(self.rho))  # a bool is stored as its int
+            object.__setattr__(self, "sigma", int(self.sigma))
         if self.rho <= 0 or self.sigma <= 0:
             raise ValueError("weight components must be positive")
         if gcd(self.rho, self.sigma) != 1:

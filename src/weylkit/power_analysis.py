@@ -46,7 +46,8 @@ class HomogShape:
         """Largest m such that the shape is an m-th power over the algebraic
         closure: with g = gcd(x_mult, y_mult, deg core), the largest
         divisor r of g for which the core is lead times a monic r-th power
-        (_root_numerators)."""
+        (_root_numerators).  That root is rational, so m is the same over
+        the rationals for the shape over lead."""
         g = gcd(self.x_mult, self.y_mult, len(self.nums) - 1)
         if g == 0:
             raise ValueError("power index is undefined for constant polynomials")
@@ -182,9 +183,8 @@ def power_index(f: BiPoly, w: Weight) -> int:
     """Largest m such that f is an m-th power over the algebraic closure
     (HomogShape.power_index of its shape at w).
 
-    Index 1 certifies f is not a proper power over the closure, hence not
-    over the rationals either.  An index above 1 guarantees a root over the
-    closure only; a rational root may require the unit to be an m-th power
-    in the rationals.
+    The monic root is rational, so over the rationals the index is the
+    same up to the unit (the core's leading coefficient); a rational root
+    of f itself also needs the unit to be an m-th power in the rationals.
     """
     return dehomogenize(f, w).power_index()

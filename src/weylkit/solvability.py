@@ -27,12 +27,6 @@ from .power_analysis import HomogShape, dehomogenize
 DEFAULT_BOX_BOUND = 4
 DEFAULT_BOX_CAP = 8
 
-_CLOSURE_NOTE = (
-    "power indices are computed over the algebraic closure; an element whose "
-    "leading polynomial is a proper power only over an extension field may be "
-    "reported unknown rather than unsolvable"
-)
-
 
 class Outcome(enum.Enum):
     SOLVABLE = "solvable"
@@ -159,7 +153,6 @@ class Verdict:
     reasons: tuple[RuleCitation, ...] = ()
     attempted: tuple[RuleId, ...] = ()
     box_bound: int | None = None
-    notes: tuple[str, ...] = ()
     profile: ElementProfile | None = field(default=None, compare=False, repr=False)
 
 
@@ -495,11 +488,10 @@ def _axis_weights(points) -> Iterator[Weight]:
 _Found = tuple[RuleCitation, WeylElement | None]
 
 
-def _rules(profile: ElementProfile, notes: list[str]) -> _Found | None:
+def _rules(profile: ElementProfile) -> _Found | None:
     """The structural rules on one profile, in RuleId order: the first
     citation that fires, with its witness for affine-family and None for an
-    unsolvability rule; None when no rule fires.  An axis leading
-    polynomial of power index above 1 puts the closure note on notes."""
+    unsolvability rule; None when no rule fires."""
     x = profile.x
     if all(pt == (0, 0) for pt in profile.support):
         return RuleCitation(
@@ -565,7 +557,6 @@ def _rules(profile: ElementProfile, notes: list[str]) -> _Found | None:
                 "nilpotent adjoint action, ruling out [x, y] = 1",
             ), None
 
-    saw_power_index_above_one = False
     for w in _axis_weights(profile.frontier):
         v, face = profile.exposed(w)
         if v < w.rho + w.sigma:
@@ -579,9 +570,6 @@ def _rules(profile: ElementProfile, notes: list[str]) -> _Found | None:
                 "at least rho + sigma is not a proper power; a witness would "
                 "force an impossible leading-polynomial proportionality",
             ), None
-        saw_power_index_above_one = True
-    if saw_power_index_above_one and _CLOSURE_NOTE not in notes:
-        notes.append(_CLOSURE_NOTE)
 
     if len(polygon.edges) >= 2 and all(e.weight.is_axis() for e in polygon.edges) and profile.dominates_unit:
         indices = list(profile.edge_indices)
@@ -671,7 +659,7 @@ def _oracle(x: WeylElement, box: int, cap: int) -> _Found | None:
     ), y
 
 
-def _reduced(profile: ElementProfile, notes: list[str]) -> _Found | None:
+def _reduced(profile: ElementProfile) -> _Found | None:
     """Reduce x by leading-form steps to x', run the structural rules once
     on x', and carry a verdict back to x: the cited rule is x''s, its
     params gain the g of each step in order, and a witness is pulled back.
@@ -684,7 +672,7 @@ def _reduced(profile: ElementProfile, notes: list[str]) -> _Found | None:
     while (step := _reduction_step(profile)) is not None:
         g, profile = step
         steps.append(g)
-    found = _rules(profile, notes) if steps else None
+    found = _rules(profile) if steps else None
     if found is None:
         return None
     cit, y = found
@@ -723,12 +711,10 @@ def analyze(
     """
     _check_box(box, cap)
     profile = ElementProfile(x)
-    notes: list[str] = []
-    found = _rules(profile, notes) or _reduced(profile, notes) or _oracle(x, box, cap)
+    found = _rules(profile) or _reduced(profile) or _oracle(x, box, cap)
     ladder = tuple(RuleId)
     if found is None:
-        return Verdict(Outcome.UNKNOWN, attempted=ladder, box_bound=box,
-                       notes=tuple(notes), profile=profile)
+        return Verdict(Outcome.UNKNOWN, attempted=ladder, box_bound=box, profile=profile)
     cit, witness = found
     return Verdict(
         Outcome.UNSOLVABLE if witness is None else Outcome.SOLVABLE,
@@ -736,6 +722,5 @@ def analyze(
         reasons=(cit,),
         attempted=ladder[:ladder.index(cit.rule) + 1],
         box_bound=box,
-        notes=tuple(notes),
         profile=profile,
     )

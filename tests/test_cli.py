@@ -138,6 +138,23 @@ class TestAnalyze:
         assert payload["verdict"]["reasons"][0]["rule"] == "axis-power-index-one"
         assert payload["box_bound"] == 4
 
+    def test_v2_report_keys(self, capsys):
+        # weyl-report/2 carries no notes, at the top level or in the verdict
+        code, out, _ = run_cli(capsys, "analyze", "p^2*q^2 - q - 1", "--json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["schema"] == "weyl-report/2"
+        assert set(payload) == {
+            "schema", "input", "normal_form", "grade_span", "h_form",
+            "polygon", "verdict", "box_bound",
+        }
+        assert set(payload["verdict"]) == {"outcome", "witness", "reasons", "attempted", "box_bound"}
+        assert payload["verdict"]["outcome"] == "unknown"
+        code, out, _ = run_cli(capsys, "analyze", "p^2*q^2 - q - 1")
+        assert code == 0
+        assert "verdict     : unknown" in out
+        assert "note" not in out
+
     def test_box_flag(self, capsys):
         # a dominant point p^2*q^4 with a pure power p: no rule, reduction
         # step or box decides it, so the bound reaches the report as given

@@ -52,6 +52,12 @@ class TestWeight:
         assert Weight(1, 7).is_axis()
         assert not Weight(2, 3).is_axis()
 
+    def test_bool_component_stored_as_int(self):
+        w = Weight(True, 2)
+        assert type(w.rho) is int and type(w.sigma) is int
+        assert str(w) == "(1,2)"
+        assert w == Weight(1, 2)
+
 
 class TestSupport:
     def test_zero(self):

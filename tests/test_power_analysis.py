@@ -167,22 +167,45 @@ class TestPowerIndex:
     @settings(max_examples=60, deadline=None)
     @given(axis_homogeneous())
     def test_root_oracle_agreement(self, fw):
-        # when the leading unit is an r-th power in the rationals the
-        # undetermined-coefficient oracle must exhibit an exact root
+        # the index over the closure is the index over the rationals up to
+        # the unit: f over its unit always has an exact rational r-th root,
+        # and so does f itself when the unit is an r-th power in the rationals
         f, w, _ = fw
         r = power_index(f, w)
         shape = dehomogenize(f, w)
         unit = rational_core(shape).coeffs()[-1]
+        monic = f.scale(1 / unit)
+        root = bipoly_nth_root(monic, r)
+        assert root is not None
+        assert root ** r == monic
         if rational_nth_root(unit, r) is not None:
             root = bipoly_nth_root(f, r)
             assert root is not None
             assert root ** r == f
 
+    @pytest.mark.parametrize("f, r, root", [
+        # (X^2 - 2Y^2)^2: its core Z^2 - 2 has the irrational roots +-sqrt 2
+        (B({(2, 0): 1, (0, 2): -2}) ** 2, 2, B({(2, 0): 1, (0, 2): -2})),
+        # 3(X^2 + Y^2)^3: its core Z^2 + 1 has the roots +-i
+        (B({(2, 0): 3, (0, 2): 3}) * B({(2, 0): 1, (0, 2): 1}) ** 2, 3, B({(2, 0): 1, (0, 2): 1})),
+    ])
+    def test_irrational_core_roots_give_a_rational_root(self, f, r, root):
+        # the factors over the closure are irrational, yet the monic r-th
+        # root is rational; only the unit can stand in the way
+        w = Weight(1, 1)
+        assert power_index(f, w) == r
+        unit = rational_core(dehomogenize(f, w)).coeffs()[-1]
+        assert bipoly_nth_root(f.scale(1 / unit), r) in (root, -root)
+        assert (bipoly_nth_root(f, r) is None) == (unit != 1)
+
     def test_rational_gap_documented(self):
-        # 2 * (XY)^2 has power index 2 over the closure but no rational root
+        # the only gap between the index over the closure and a rational
+        # root is the unit: 2 * (XY)^2 has power index 2 and no rational
+        # square root, yet (XY)^2 = 2 * (XY)^2 / 2 has the root XY
         f = B({(2, 2): 2})
         assert power_index(f, Weight(1, 1)) == 2
         assert bipoly_nth_root(f, 2) is None
+        assert bipoly_nth_root(f.scale(Fraction(1, 2)), 2) == B({(1, 1): 1})
 
     def test_index_one_means_no_root_for_any_m(self):
         f = B({(3, 0): 1, (2, 1): 2, (1, 2): 1})  # X (X + Y)^2
