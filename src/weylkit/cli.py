@@ -13,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .element import WeylElement, WeylInternalError, commutator, format_element, format_monomial
@@ -117,22 +116,25 @@ def _verdict_to_json(verdict: Verdict) -> dict:
     }
 
 
-@dataclass
 class AnalysisReport:
     """Losslessly JSON-serializable summary of a full analysis run."""
 
-    input: str
-    normal_form: str
-    grade_span: dict | None
-    h_form: list[dict]
-    polygon: dict | None
-    verdict: dict
-    box_bound: int
-    schema: str = SCHEMA_VERSION
+    def __init__(self, input: str, normal_form: str, grade_span: dict | None, h_form: list[dict],
+                 polygon: dict | None, verdict: dict, box_bound: int, schema: str = SCHEMA_VERSION):
+        self.input = input
+        self.normal_form = normal_form
+        self.grade_span = grade_span
+        self.h_form = h_form
+        self.polygon = polygon
+        self.verdict = verdict
+        self.box_bound = box_bound
+        self.schema = schema
+
+    def __eq__(self, other):
+        return vars(self) == vars(other) if type(other) is type(self) else NotImplemented
 
     def to_json_dict(self) -> dict:
-        # every field already holds JSON-ready data, so a shallow copy is
-        # enough; dataclasses.asdict would deep-copy all of it
+        # every field already holds JSON-ready data, so a shallow copy is enough
         return dict(vars(self))
 
     @classmethod

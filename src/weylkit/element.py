@@ -13,15 +13,46 @@ is made only where a caller reads a coefficient.
 from __future__ import annotations
 
 import operator
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Mapping
 
 ExponentPair = tuple[int, int]
 
 
 class WeylInternalError(RuntimeError):
     """An internal invariant was violated; indicates a bug, not bad input."""
+
+
+class _Value:
+    """Base of the frozen record types: each lists its fields in __slots__ and
+    sets them in __init__ with object.__setattr__.  Equality (within one type),
+    hash and repr read _fields: every slot, unless the type names fewer."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._fields = cls.__dict__.get("_fields", cls.__slots__)
+        cls._key = property(operator.attrgetter(*cls._fields))  # what equality and hash compare
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        return self._key == other._key if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):  # copy and pickle through __init__
+        return type(self), tuple([getattr(self, name) for name in self.__slots__])
 
 
 def as_scalar(value) -> Fraction:

@@ -16,13 +16,13 @@ applies exp(ad g) by a commutative symbol sum; both sum on integers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
 from .element import (
     H,
     WeylElement,
+    _Value,
     mul,
     mul_numerators,
     numerators,
@@ -31,23 +31,24 @@ from .element import (
 from .polynomials import UniPoly
 
 
-@dataclass(frozen=True)
-class GradeSpan:
-    min_grade: int
-    max_grade: int
+class GradeSpan(_Value):
+    __slots__ = ("min_grade", "max_grade")
+
+    def __init__(self, min_grade: int, max_grade: int):
+        object.__setattr__(self, "min_grade", min_grade)
+        object.__setattr__(self, "max_grade", max_grade)
 
 
-@dataclass(frozen=True)
-class HForm:
+class HForm(_Value):
     """Map from grade s to the nonzero polynomial f_s of that grade."""
 
-    parts: dict[int, UniPoly]
+    __slots__ = ("parts",)
 
-    def __post_init__(self):
-        for s, f in self.parts.items():
+    def __init__(self, parts: dict[int, UniPoly]):
+        for s, f in parts.items():
             if f.is_zero():
                 raise ValueError(f"grade {s} stores a zero polynomial")
-        object.__setattr__(self, "parts", dict(self.parts))
+        object.__setattr__(self, "parts", dict(parts))
 
     def grades(self) -> list[int]:
         return sorted(self.parts)

@@ -16,33 +16,31 @@ used as the canonical choice).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
-from .element import WeylElement, WeylInternalError, commutator, numerators
+from .element import WeylElement, WeylInternalError, _Value, commutator, numerators
 from .polynomials import BiPoly
 
 #: Distinguished bottom value for the weighted degree of the zero element.
 NEG_INF = float("-inf")
 
 
-@dataclass(frozen=True)
-class Weight:
+class Weight(_Value):
     """A pair of coprime positive integers used as a weight direction."""
 
-    rho: int
-    sigma: int
+    __slots__ = ("rho", "sigma")
 
-    def __post_init__(self):
-        if not (type(self.rho) is int and type(self.sigma) is int):
-            if not (isinstance(self.rho, int) and isinstance(self.sigma, int)):
+    def __init__(self, rho: int, sigma: int):
+        if not (type(rho) is int and type(sigma) is int):
+            if not (isinstance(rho, int) and isinstance(sigma, int)):
                 raise ValueError("weight components must be integers")
-            object.__setattr__(self, "rho", int(self.rho))  # a bool is stored as its int
-            object.__setattr__(self, "sigma", int(self.sigma))
-        if self.rho <= 0 or self.sigma <= 0:
+            rho, sigma = int(rho), int(sigma)  # a bool is stored as its int
+        if rho <= 0 or sigma <= 0:
             raise ValueError("weight components must be positive")
-        if gcd(self.rho, self.sigma) != 1:
-            raise ValueError(f"weight ({self.rho},{self.sigma}) is not coprime")
+        if gcd(rho, sigma) != 1:
+            raise ValueError(f"weight ({rho},{sigma}) is not coprime")
+        object.__setattr__(self, "rho", rho)
+        object.__setattr__(self, "sigma", sigma)
 
     def degree_of(self, point: tuple[int, int]) -> int:
         return point[0] * self.rho + point[1] * self.sigma
@@ -101,27 +99,33 @@ def weight_polynomial(x: WeylElement, w: Weight) -> BiPoly:
     return BiPoly._from_numerators(d, {pt: xs[pt] for pt in weight_support(x, w)})
 
 
-@dataclass(frozen=True)
-class Edge:
-    weight: Weight
-    support: frozenset[tuple[int, int]]
-    polynomial: BiPoly
-    degree: int
+class Edge(_Value):
+    __slots__ = ("weight", "support", "polynomial", "degree")
+
+    def __init__(self, weight: Weight, support: frozenset[tuple[int, int]], polynomial: BiPoly, degree: int):
+        object.__setattr__(self, "weight", weight)
+        object.__setattr__(self, "support", support)
+        object.__setattr__(self, "polynomial", polynomial)
+        object.__setattr__(self, "degree", degree)
 
 
-@dataclass(frozen=True)
-class Vertex:
-    point: tuple[int, int]
-    separating_weight: Weight
+class Vertex(_Value):
+    __slots__ = ("point", "separating_weight")
+
+    def __init__(self, point: tuple[int, int], separating_weight: Weight):
+        object.__setattr__(self, "point", point)
+        object.__setattr__(self, "separating_weight", separating_weight)
 
 
-@dataclass(frozen=True)
-class PolygonProfile:
+class PolygonProfile(_Value):
     """Edges sorted by increasing slope, with the joining vertices between
     consecutive edges."""
 
-    edges: tuple[Edge, ...]
-    vertices: tuple[Vertex, ...]
+    __slots__ = ("edges", "vertices")
+
+    def __init__(self, edges: tuple[Edge, ...], vertices: tuple[Vertex, ...]):
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "vertices", vertices)
 
 
 def separating_weight(w1: Weight, w2: Weight) -> Weight:

@@ -10,8 +10,8 @@ modules need.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from fractions import Fraction
-from typing import Iterable
 
 from .element import MonomialMap, as_scalar, binary_power, format_monomial, format_terms
 

@@ -20,27 +20,28 @@ a core changes neither its roots nor their multiplicities.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
 from math import gcd
-from typing import Sequence
 
-from .element import numerators
+from .element import _Value, numerators
 from .polynomials import BiPoly
 from .polygon import Weight
 
 
-@dataclass(frozen=True)
-class HomogShape:
+class HomogShape(_Value):
     """Factored shape of an axis-weight homogeneous polynomial:
     X^x_mult * Y^y_mult * (homogenization of core), with core(0) != 0.
     The core is sum_k nums[k]/den Z^k, for integers nums and den > 0."""
 
-    x_mult: int
-    y_mult: int
-    den: int
-    nums: tuple[int, ...]
-    weight: Weight
+    __slots__ = ("x_mult", "y_mult", "den", "nums", "weight")
+
+    def __init__(self, x_mult: int, y_mult: int, den: int, nums: tuple[int, ...], weight: Weight):
+        object.__setattr__(self, "x_mult", x_mult)
+        object.__setattr__(self, "y_mult", y_mult)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "nums", nums)
+        object.__setattr__(self, "weight", weight)
 
     def power_index(self) -> int:
         """Largest m such that the shape is an m-th power over the algebraic

@@ -13,13 +13,12 @@ coefficients of y.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from collections.abc import Iterator
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, isqrt, lcm
-from typing import Iterator
 
-from .element import WeylElement, WeylInternalError, commutator, numerators, power_bracket
+from .element import WeylElement, WeylInternalError, _Value, commutator, numerators, power_bracket
 from .grading import GradeSpan, HForm, exp_ad, grade_span, to_h_form
 from .polygon import PolygonProfile, Weight, edges, exposed_face, frontier, weight_polynomial
 from .power_analysis import HomogShape, dehomogenize
@@ -48,11 +47,13 @@ class RuleId(enum.Enum):
     ORACLE_WITNESS = "oracle-witness"
 
 
-@dataclass(frozen=True)
-class RuleCitation:
-    rule: RuleId
-    params: dict
-    citation: str
+class RuleCitation(_Value):
+    __slots__ = ("rule", "params", "citation")
+
+    def __init__(self, rule: RuleId, params: dict, citation: str):
+        object.__setattr__(self, "rule", rule)
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "citation", citation)
 
 
 class ElementProfile:
@@ -146,14 +147,19 @@ class ElementProfile:
         )
 
 
-@dataclass(frozen=True)
-class Verdict:
-    outcome: Outcome
-    witness: WeylElement | None = None
-    reasons: tuple[RuleCitation, ...] = ()
-    attempted: tuple[RuleId, ...] = ()
-    box_bound: int | None = None
-    profile: ElementProfile | None = field(default=None, compare=False, repr=False)
+class Verdict(_Value):
+    _fields = ("outcome", "witness", "reasons", "attempted", "box_bound")
+    __slots__ = (*_fields, "profile")  # the report's profile: outside equality, hash and repr
+
+    def __init__(self, outcome: Outcome, witness: WeylElement | None = None,
+                 reasons: tuple[RuleCitation, ...] = (), attempted: tuple[RuleId, ...] = (),
+                 box_bound: int | None = None, profile: ElementProfile | None = None):
+        object.__setattr__(self, "outcome", outcome)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "reasons", reasons)
+        object.__setattr__(self, "attempted", attempted)
+        object.__setattr__(self, "box_bound", box_bound)
+        object.__setattr__(self, "profile", profile)
 
 
 def verify_witness(x: WeylElement, y: WeylElement) -> bool:
