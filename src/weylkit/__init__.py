@@ -8,20 +8,17 @@ from .element import (
     Q,
     WeylElement,
     WeylInternalError,
-    ad_power,
     as_scalar,
     commutator,
     format_element,
     mul,
     normalize_qp,
     power,
-    substitute_poly,
 )
 from .grading import (
     GradeSpan,
     HForm,
     exp_ad,
-    from_h_form,
     grade_components,
     grade_span,
     omega,
@@ -29,18 +26,14 @@ from .grading import (
 )
 from .parser import ExprSyntaxError, element_from_string
 from .polygon import (
-    NEG_INF,
     Edge,
     PolygonProfile,
     Vertex,
     Weight,
     convex_hull,
     edges,
-    leading_split,
     separating_weight,
-    weight_degree,
     weight_polynomial,
-    weight_support,
 )
 from .polynomials import BiPoly, UniPoly
 from .power_analysis import HomogShape, dehomogenize, power_index

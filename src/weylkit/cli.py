@@ -137,10 +137,6 @@ class AnalysisReport:
         # every field already holds JSON-ready data, so a shallow copy is enough
         return dict(vars(self))
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "AnalysisReport":
-        return cls(**data)
-
 
 def build_report(text: str, x: WeylElement, box: int, cap: int) -> AnalysisReport:
     verdict = analyze(x, box=box, cap=cap)

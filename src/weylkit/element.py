@@ -89,10 +89,10 @@ class MonomialMap:
     the pair.
 
     The value-type half of WeylElement and polynomials.BiPoly: validation,
-    equality, hashing, addition, scaling, powering and printing are written
-    here once, and each subclass supplies its own product and the names of
-    its two variables.  Values of different subclasses never compare equal
-    and never add.
+    equality, hashing, addition, scaling, copying and printing are written
+    here once, and each subclass supplies the names of its two variables;
+    WeylElement adds its product and powers.  Values of different
+    subclasses never compare equal and never add.
     """
 
     __slots__ = ("_den", "_nums", "_hash")
@@ -214,8 +214,8 @@ class MonomialMap:
             return NotImplemented
         return self.scale(c)
 
-    def __pow__(self, n: int):
-        return binary_power(self, n, self.one())
+    def __reduce__(self):  # copy and pickle through the stored pair
+        return type(self)._from_numerators, (self._den, self._nums)
 
     def __str__(self) -> str:
         """Terms sorted by (i+j, i) descending, reduced fractional
@@ -248,6 +248,9 @@ class WeylElement(MonomialMap):
         if isinstance(other, WeylElement):
             return mul(self, other)
         return self.__rmul__(other)
+
+    def __pow__(self, n: int):
+        return binary_power(self, n, self.one())
 
 
 def normalize_qp(m: int, n: int) -> WeylElement:
@@ -345,27 +348,9 @@ def commutator(x: WeylElement, y: WeylElement) -> WeylElement:
     return WeylElement._from_numerators(dx * dy, acc)
 
 
-def ad_power(x: WeylElement, y: WeylElement, n: int) -> WeylElement:
-    """n-fold nested commutator (ad x)^n y; n = 0 returns y."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    out = y
-    for _ in range(n):
-        out = commutator(x, out)
-    return out
-
-
 def power(x: WeylElement, n: int) -> WeylElement:
     """x^n by binary powering; x^0 = 1."""
     return x ** n
-
-
-def substitute_poly(f, x: WeylElement) -> WeylElement:
-    """Evaluate a univariate polynomial at a Weyl element (Horner scheme)."""
-    result = WeylElement.zero()
-    for c in reversed(f.coeffs()):
-        result = mul(result, x) + WeylElement.monomial(0, 0, c)
-    return result
 
 
 P = WeylElement.monomial(1, 0)

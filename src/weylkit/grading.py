@@ -19,15 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
-from .element import (
-    H,
-    WeylElement,
-    _Value,
-    mul,
-    mul_numerators,
-    numerators,
-    substitute_poly,
-)
+from .element import WeylElement, _Value, mul_numerators, numerators
 from .polynomials import UniPoly
 
 
@@ -92,18 +84,6 @@ def to_h_form(x: WeylElement) -> HForm:
             row[r] += c * v
     # the terms of a grade differ in k, so no f_s is zero
     return HForm({s: UniPoly([Fraction(v, d) for v in rows[s]]) for s in sorted(rows)})
-
-
-def from_h_form(hf: HForm) -> WeylElement:
-    out = WeylElement.zero()
-    for s, f in hf.parts.items():
-        piece = substitute_poly(f, H)
-        if s > 0:
-            piece = mul(piece, WeylElement.monomial(0, s))
-        elif s < 0:
-            piece = mul(piece, WeylElement.monomial(-s, 0))
-        out = out + piece
-    return out
 
 
 def omega(x: WeylElement) -> WeylElement:

@@ -18,11 +18,8 @@ from __future__ import annotations
 
 from math import gcd
 
-from .element import WeylElement, WeylInternalError, _Value, commutator, numerators
+from .element import WeylElement, WeylInternalError, _Value, numerators
 from .polynomials import BiPoly
-
-#: Distinguished bottom value for the weighted degree of the zero element.
-NEG_INF = float("-inf")
 
 
 class Weight(_Value):
@@ -41,9 +38,6 @@ class Weight(_Value):
             raise ValueError(f"weight ({rho},{sigma}) is not coprime")
         object.__setattr__(self, "rho", rho)
         object.__setattr__(self, "sigma", sigma)
-
-    def degree_of(self, point: tuple[int, int]) -> int:
-        return point[0] * self.rho + point[1] * self.sigma
 
     def is_axis(self) -> bool:
         """True for weights of the form (n,1) or (1,n)."""
@@ -80,23 +74,12 @@ def exposed_face(support, w: Weight) -> tuple[int, frozenset[tuple[int, int]]]:
     return v, frozenset(face)
 
 
-def weight_degree(x: WeylElement, w: Weight):
-    """max(i*rho + j*sigma) over the support; NEG_INF for the zero element."""
-    return exposed_face(x.support(), w)[0] if x else NEG_INF
-
-
-def weight_support(x: WeylElement, w: Weight) -> frozenset[tuple[int, int]]:
-    if x.is_zero():
-        raise ValueError("zero element has no weighted support")
-    return exposed_face(x.support(), w)[1]
-
-
 def weight_polynomial(x: WeylElement, w: Weight) -> BiPoly:
     """The commutative polynomial collecting the leading-support terms."""
     if x.is_zero():
         raise ValueError("zero element has no weighted leading polynomial")
     d, xs = numerators(x)
-    return BiPoly._from_numerators(d, {pt: xs[pt] for pt in weight_support(x, w)})
+    return BiPoly._from_numerators(d, {pt: xs[pt] for pt in exposed_face(xs, w)[1]})
 
 
 class Edge(_Value):
@@ -219,30 +202,3 @@ def edges(x: WeylElement, front: list[tuple[int, int]] | None = None) -> Polygon
         vertex_list.append(Vertex(point, sw))
 
     return PolygonProfile(tuple(edge_list), tuple(vertex_list))
-
-
-def leading_split(x: WeylElement, y: WeylElement, w: Weight) -> tuple[WeylElement, WeylElement]:
-    """Split [x, y] into the part t supported exactly on weighted degree
-    v(x) + v(y) - (rho + sigma) and the strictly lower remainder u.
-
-    t vanishes exactly when the leading polynomials f of x and g of y are
-    power-proportional (g^v(x) a scalar multiple of f^v(y)); the remainder
-    always sits strictly below the threshold degree.
-    """
-    if x.is_zero() or y.is_zero():
-        raise ValueError("leading split requires nonzero inputs")
-    threshold = weight_degree(x, w) + weight_degree(y, w) - (w.rho + w.sigma)
-    den, bracket = numerators(commutator(x, y))
-    t_terms: dict[tuple[int, int], int] = {}
-    u_terms: dict[tuple[int, int], int] = {}
-    for pt, c in bracket.items():
-        d = w.degree_of(pt)
-        if d == threshold:
-            t_terms[pt] = c
-        elif d < threshold:
-            u_terms[pt] = c
-        else:
-            raise WeylInternalError(
-                f"commutator exceeds the split threshold at {pt} for weight {w}"
-            )
-    return WeylElement._from_numerators(den, t_terms), WeylElement._from_numerators(den, u_terms)

@@ -6,6 +6,14 @@ hulls, and undetermined-coefficient root extraction instead of squarefree
 multiplicities.  Slow but obviously correct.  The one exception is
 swap_normal_qp, a memoised recurrence that is checked against the literal
 rewriting on small exponents and stays fast on large ones.
+
+It also holds the helpers that only tests call, kept out of the library:
+the schoolbook product and power of UniPoly and BiPoly (poly_mul,
+poly_pow, swap_vars), the inverse of to_h_form (from_h_form, through
+substitute_poly), nested commutators (ad_power) and the split of a bracket
+at its leading weighted degree (leading_split).  The last four run on the
+library's own mul and commutator, so they check the facts they state, not
+those kernels.
 """
 
 from __future__ import annotations
@@ -27,15 +35,106 @@ from weylkit import (
     WeylElement,
     WeylInternalError,
     Weight,
-    ad_power,
+    commutator,
     convex_hull,
     grade_components,
     mul,
     power,
     separating_weight,
+    weight_polynomial,
 )
 from weylkit.element import numerators
 from weylkit.polygon import exposed_face
+
+
+def poly_mul(f, g):
+    """f g for two UniPolys or two BiPolys, by the schoolbook product."""
+    if isinstance(f, UniPoly):
+        out = [Fraction(0)] * (len(f.coeffs()) + len(g.coeffs()))
+        for i, a in enumerate(f.coeffs()):
+            for j, b in enumerate(g.coeffs()):
+                out[i + j] += a * b
+        return UniPoly(out)
+    acc: dict[tuple[int, int], Fraction] = {}
+    for (a, b), ca in f.terms().items():
+        for (c, d), cb in g.terms().items():
+            key = (a + c, b + d)
+            acc[key] = acc.get(key, Fraction(0)) + ca * cb
+    return BiPoly(acc)
+
+
+def poly_pow(f, m: int):
+    """f^m for a UniPoly or a BiPoly, by m products with poly_mul."""
+    if m < 0:
+        raise ValueError("negative powers are not defined")
+    out = UniPoly((1,)) if isinstance(f, UniPoly) else BiPoly.one()
+    for _ in range(m):
+        out = poly_mul(out, f)
+    return out
+
+
+def swap_vars(f: BiPoly) -> BiPoly:
+    """f with X and Y exchanged."""
+    return BiPoly({(j, i): c for (i, j), c in f.terms().items()})
+
+
+def substitute_poly(f: UniPoly, x: WeylElement) -> WeylElement:
+    """f(x) by Horner's rule on mul."""
+    result = WeylElement.zero()
+    for c in reversed(f.coeffs()):
+        result = mul(result, x) + WeylElement.monomial(0, 0, c)
+    return result
+
+
+def from_h_form(hf: HForm) -> WeylElement:
+    """The inverse of to_h_form: the sum of f_s(h) q^s over grades s >= 0
+    and of f_s(h) p^(-s) over s < 0."""
+    out = WeylElement.zero()
+    for s, f in hf.parts.items():
+        piece = substitute_poly(f, H)
+        if s > 0:
+            piece = mul(piece, WeylElement.monomial(0, s))
+        elif s < 0:
+            piece = mul(piece, WeylElement.monomial(-s, 0))
+        out = out + piece
+    return out
+
+
+def ad_power(x: WeylElement, y: WeylElement, n: int) -> WeylElement:
+    """n-fold nested commutator (ad x)^n y; n = 0 returns y."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    out = y
+    for _ in range(n):
+        out = commutator(x, out)
+    return out
+
+
+def leading_split(x: WeylElement, y: WeylElement, w: Weight) -> tuple[WeylElement, WeylElement]:
+    """Split [x, y] into the part t supported exactly on weighted degree
+    v(x) + v(y) - (rho + sigma) and the strictly lower remainder u.
+
+    t vanishes exactly when the leading polynomials f of x and g of y are
+    power-proportional (g^v(x) a scalar multiple of f^v(y)); the remainder
+    always sits strictly below the threshold degree.
+    """
+    if x.is_zero() or y.is_zero():
+        raise ValueError("leading split requires nonzero inputs")
+    threshold = exposed_face(x.support(), w)[0] + exposed_face(y.support(), w)[0] - (w.rho + w.sigma)
+    den, bracket = numerators(commutator(x, y))
+    t_terms: dict[tuple[int, int], int] = {}
+    u_terms: dict[tuple[int, int], int] = {}
+    for pt, c in bracket.items():
+        d = pt[0] * w.rho + pt[1] * w.sigma
+        if d == threshold:
+            t_terms[pt] = c
+        elif d < threshold:
+            u_terms[pt] = c
+        else:
+            raise WeylInternalError(
+                f"commutator exceeds the split threshold at {pt} for weight {w}"
+            )
+    return WeylElement._from_numerators(den, t_terms), WeylElement._from_numerators(den, u_terms)
 
 
 def rewrite_normal_qp(m: int, n: int) -> WeylElement:
@@ -142,7 +241,7 @@ def _rising_factorial(k: int, offset: int) -> UniPoly:
     UniPolys."""
     out = UniPoly((1,))
     for t in range(k):
-        out = out * UniPoly((offset + t, 1))
+        out = poly_mul(out, UniPoly((offset + t, 1)))
     return out
 
 
@@ -155,7 +254,7 @@ def naive_h_form(x: WeylElement) -> HForm:
     for s, comp in grade_components(x).items():
         coeffs: list[Fraction] = []
         for (i, j), c in comp.terms().items():
-            term = UniPoly((c,)) * (_rising_factorial(i, 0) if s >= 0 else _rising_factorial(j, -s))
+            term = poly_mul(UniPoly((c,)), _rising_factorial(i, 0) if s >= 0 else _rising_factorial(j, -s))
             coeffs += [Fraction(0)] * (len(term.coeffs()) - len(coeffs))
             for k, a in enumerate(term.coeffs()):
                 coeffs[k] += a
@@ -229,7 +328,7 @@ def rehomogenize(shape) -> BiPoly:
     polynomial X^x_mult Y^y_mult times the homogenized core."""
     w = shape.weight
     core = rational_core(shape)
-    deg = core.degree()
+    deg = len(core.coeffs()) - 1
     terms: dict[tuple[int, int], Fraction] = {}
     for t, c in enumerate(core.coeffs()):
         if c:
@@ -260,7 +359,7 @@ def fraction_monic_root(f: UniPoly, r: int) -> UniPoly | None:
     gives G_k = (1/k) sum_j (j/r - (k - j)) F_j G_(k-j) on Fractions; f is an
     r-th power exactly when G_k = 0 for n/r < k <= n.  The reference for
     power_analysis._root_numerators."""
-    n = f.degree()
+    n = len(f.coeffs()) - 1
     m = n // r
     F = f.coeffs()[::-1]
     G = [Fraction(1)]
@@ -286,17 +385,15 @@ def fraction_power_index(shape) -> int:
 def power_proportional(x: WeylElement, y: WeylElement, w: Weight) -> bool:
     """Does g^v(x) equal c * f^v(y) for some nonzero scalar c, where f and g
     are the leading polynomials of x and y at weight w?"""
-    from weylkit import weight_degree, weight_polynomial
-
     f = weight_polynomial(x, w)
     g = weight_polynomial(y, w)
-    gp = g ** weight_degree(x, w)
-    fp = f ** weight_degree(y, w)
+    gp = poly_pow(g, exposed_face(x.support(), w)[0])
+    fp = poly_pow(f, exposed_face(y.support(), w)[0])
     if gp.support() != fp.support():
         return False
     pt = next(iter(fp.support()))
     c = gp.coeff(*pt) / fp.coeff(*pt)
-    return c != 0 and gp == fp * c
+    return c != 0 and gp == c * fp
 
 
 def series_exp_ad(g: WeylElement, x: WeylElement, cap: int = 64) -> WeylElement:
@@ -427,17 +524,6 @@ def rational_nth_root(c: Fraction, m: int) -> Fraction | None:
     return -root if c < 0 else root
 
 
-def _poly_pow(coeffs: list[Fraction], m: int) -> list[Fraction]:
-    out = [Fraction(1)]
-    for _ in range(m):
-        new = [Fraction(0)] * (len(out) + len(coeffs) - 1)
-        for i, a in enumerate(out):
-            for j, b in enumerate(coeffs):
-                new[i + j] += a * b
-        out = new
-    return out
-
-
 def bipoly_nth_root(f: BiPoly, m: int) -> BiPoly | None:
     """Exact rational m-th root of a polynomial whose support is a single
     point or a set of collinear points (every weighted leading polynomial
@@ -486,10 +572,10 @@ def bipoly_nth_root(f: BiPoly, m: int) -> BiPoly | None:
     root_seq = [head]
     lead_factor = m * head ** (m - 1)
     for s in range(1, root_len):
-        partial = _poly_pow(root_seq, m)
+        partial = poly_pow(UniPoly(root_seq), m).coeffs()
         known = partial[s] if s < len(partial) else Fraction(0)
         root_seq.append((seq[s] - known) / lead_factor)
-    if _poly_pow(root_seq, m) != seq:
+    if poly_pow(UniPoly(root_seq), m) != UniPoly(seq):
         return None
     base = (lo[0] // m, lo[1] // m)
     root = BiPoly(
@@ -499,5 +585,5 @@ def bipoly_nth_root(f: BiPoly, m: int) -> BiPoly | None:
             if c
         }
     )
-    assert root ** m == f
+    assert poly_pow(root, m) == f
     return root

@@ -168,7 +168,7 @@ class TestAnalyze:
         x = element_from_string("p^4+p^3*q+p^2*q^2+q^3+q")
         report = build_report("p^4+p^3*q+p^2*q^2+q^3+q", x, box=3, cap=8)
         wire = json.dumps(report.to_json_dict())
-        back = AnalysisReport.from_json_dict(json.loads(wire))
+        back = AnalysisReport(**json.loads(wire))
         assert back == report
         assert back.to_json_dict() == report.to_json_dict()
 

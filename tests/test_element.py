@@ -14,15 +14,13 @@ from weylkit import (
     Q,
     UniPoly,
     WeylElement,
-    ad_power,
     commutator,
     mul,
     normalize_qp,
     power,
-    substitute_poly,
 )
 
-from oracles import reference_bracket, reference_mul, rewrite_normal_qp, swap_normal_qp
+from oracles import ad_power, reference_bracket, reference_mul, rewrite_normal_qp, substitute_poly, swap_normal_qp
 from strategies import coefficients, exponent_pairs, weyl_elements
 
 

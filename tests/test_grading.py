@@ -18,17 +18,15 @@ from weylkit import (
     WeylElement,
     commutator,
     exp_ad,
-    from_h_form,
     grade_components,
     grade_span,
     mul,
     omega,
     power,
-    substitute_poly,
     to_h_form,
 )
 
-from oracles import naive_h_form, naive_omega, series_exp_ad
+from oracles import from_h_form, naive_h_form, naive_omega, series_exp_ad, substitute_poly
 from strategies import apply_word, coefficients, tame_words, unipolys, weyl_elements
 
 SHOWCASE = WeylElement({(4, 0): 1, (3, 1): 1, (2, 2): 1, (0, 3): 1, (0, 1): 1})

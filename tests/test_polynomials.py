@@ -1,5 +1,6 @@
 """The shared sparse-map value type behind WeylElement and BiPoly: the two
-agree on every operation but the product, and never mix."""
+agree on every operation they share, never mix, and only WeylElement has
+a product; the commutative product of BiPoly is tests/oracles.py's."""
 
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ import hypothesis.strategies as st
 
 from weylkit import BiPoly, WeylElement
 
+from oracles import poly_pow, swap_vars
 from strategies import coefficients, exponent_pairs
 
 term_maps = st.dictionaries(
@@ -29,8 +31,7 @@ class TestSharedArithmetic:
         assert (bs - bt).terms() == (ws - wt).terms()
         assert (-bs).terms() == (-ws).terms()
         assert bs.scale(c).terms() == ws.scale(c).terms()
-        assert (c * bs).terms() == (c * ws).terms()
-        assert (bs * c).terms() == (ws * c).terms()
+        assert (c * bs).terms() == (c * ws).terms() == (ws * c).terms()
 
     @settings(max_examples=100, deadline=None)
     @given(term_maps)
@@ -88,12 +89,12 @@ class TestBiPolyValueType:
 
     def test_rejects_negative_power(self):
         with pytest.raises(ValueError):
-            BiPoly({(1, 0): 1}) ** -1
+            poly_pow(BiPoly({(1, 0): 1}), -1)
 
     def test_power_is_commutative(self):
         f = BiPoly({(1, 0): 1, (0, 1): 1})
-        assert f ** 0 == BiPoly.one()
-        assert f ** 2 == BiPoly({(2, 0): 1, (1, 1): 2, (0, 2): 1})
+        assert poly_pow(f, 0) == BiPoly.one()
+        assert poly_pow(f, 2) == BiPoly({(2, 0): 1, (1, 1): 2, (0, 2): 1})
 
     def test_rejects_bad_exponents(self):
         with pytest.raises(ValueError):
@@ -102,4 +103,4 @@ class TestBiPolyValueType:
             BiPoly({(1, 0): 0.5})
 
     def test_swap_vars(self):
-        assert BiPoly({(2, 1): 3}).swap_vars() == BiPoly({(1, 2): 3})
+        assert swap_vars(BiPoly({(2, 1): 3})) == BiPoly({(1, 2): 3})

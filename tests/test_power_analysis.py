@@ -16,6 +16,7 @@ from weylkit import (
     edges,
     power_index,
 )
+from weylkit.polygon import exposed_face
 from weylkit.power_analysis import _root_numerators
 
 from oracles import (
@@ -23,9 +24,12 @@ from oracles import (
     fraction_linear_root,
     fraction_monic_root,
     fraction_power_index,
+    poly_mul,
+    poly_pow,
     rational_core,
     rational_nth_root,
     rehomogenize,
+    swap_vars,
 )
 from strategies import coefficients, weyl_elements
 
@@ -50,7 +54,7 @@ def axis_homogeneous(draw, max_factors=2, max_mult=2):
     for _ in range(n_factors):
         c = draw(st.integers(-3, 3))
         e = draw(st.integers(1, max_mult))
-        f = f * (B({(1, 0): 1, (0, n): c}) ** e)
+        f = poly_mul(f, poly_pow(B({(1, 0): 1, (0, n): c}), e))
         factors.append((c, e))
     return f, Weight(n, 1), (a, b, tuple(factors))
 
@@ -80,7 +84,7 @@ class TestDehomogenize:
         f = B({(2, 2): 1, (0, 3): 1})  # Y^2 (X^2 + Y) for weight (1, 2)
         shape = dehomogenize(f, Weight(1, 2))
         assert (shape.x_mult, shape.y_mult) == (0, 2)
-        assert rational_core(shape).degree() == 1
+        assert len(rational_core(shape).coeffs()) - 1 == 1
         assert rehomogenize(shape) == f
 
     def test_non_axis_weight_rejected(self):
@@ -105,7 +109,7 @@ class TestDehomogenize:
     @given(axis_homogeneous())
     def test_mirrored_weight_round_trip(self, fw):
         f, w, _ = fw
-        mirrored = f.swap_vars()
+        mirrored = swap_vars(f)
         assert rehomogenize(dehomogenize(mirrored, Weight(w.sigma, w.rho))) == mirrored
 
     def test_core_has_nonzero_constant_term(self):
@@ -126,7 +130,7 @@ class TestPowerIndex:
         assert power_index(B({(2, 0): 1, (1, 1): 2, (0, 2): 1}), Weight(1, 1)) == 2
 
     def test_extra_factor_breaks_square(self):
-        f = B({(2, 0): 1, (1, 1): 2, (0, 2): 1}) * B({(1, 0): 1})
+        f = poly_mul(B({(2, 0): 1, (1, 1): 2, (0, 2): 1}), B({(1, 0): 1}))
         assert power_index(f, Weight(1, 1)) == 1
 
     def test_constant_rejected(self):
@@ -139,7 +143,7 @@ class TestPowerIndex:
         # the factorization is known by construction, so the index is too
         f, w, (a, b, factors) = fw
         if mirrored:
-            f, w = f.swap_vars(), Weight(w.sigma, w.rho)
+            f, w = swap_vars(f), Weight(w.sigma, w.rho)
         assert power_index(f, w) == index_by_construction(a, b, factors)
 
     @pytest.mark.parametrize("a, b, mults, expected", [
@@ -155,14 +159,14 @@ class TestPowerIndex:
         # X^a Y^b prod (X + c Y)^e over distinct c
         f = B({(a, b): 3})
         for c, e in enumerate(mults, start=1):
-            f = f * B({(1, 0): 1, (0, 1): c}) ** e
+            f = poly_mul(f, poly_pow(B({(1, 0): 1, (0, 1): c}), e))
         assert power_index(f, Weight(1, 1)) == expected
 
     @settings(max_examples=60, deadline=None)
     @given(axis_homogeneous(), st.integers(1, 4))
     def test_scaling_under_powers(self, fw, m):
         f, w, _ = fw
-        assert power_index(f ** m, w) == m * power_index(f, w)
+        assert power_index(poly_pow(f, m), w) == m * power_index(f, w)
 
     @settings(max_examples=60, deadline=None)
     @given(axis_homogeneous())
@@ -177,17 +181,17 @@ class TestPowerIndex:
         monic = f.scale(1 / unit)
         root = bipoly_nth_root(monic, r)
         assert root is not None
-        assert root ** r == monic
+        assert poly_pow(root, r) == monic
         if rational_nth_root(unit, r) is not None:
             root = bipoly_nth_root(f, r)
             assert root is not None
-            assert root ** r == f
+            assert poly_pow(root, r) == f
 
     @pytest.mark.parametrize("f, r, root", [
         # (X^2 - 2Y^2)^2: its core Z^2 - 2 has the irrational roots +-sqrt 2
-        (B({(2, 0): 1, (0, 2): -2}) ** 2, 2, B({(2, 0): 1, (0, 2): -2})),
+        (poly_pow(B({(2, 0): 1, (0, 2): -2}), 2), 2, B({(2, 0): 1, (0, 2): -2})),
         # 3(X^2 + Y^2)^3: its core Z^2 + 1 has the roots +-i
-        (B({(2, 0): 3, (0, 2): 3}) * B({(2, 0): 1, (0, 2): 1}) ** 2, 3, B({(2, 0): 1, (0, 2): 1})),
+        (poly_mul(B({(2, 0): 3, (0, 2): 3}), poly_pow(B({(2, 0): 1, (0, 2): 1}), 2)), 3, B({(2, 0): 1, (0, 2): 1})),
     ])
     def test_irrational_core_roots_give_a_rational_root(self, f, r, root):
         # the factors over the closure are irrational, yet the monic r-th
@@ -247,7 +251,7 @@ class TestSympyCrossChecks:
             faces = [(e.polynomial, e.weight) for e in edges(case[0]).edges if e.weight.is_axis()]
         else:
             (f, w, _), mirrored = case
-            faces = [(f.swap_vars(), Weight(w.sigma, w.rho)) if mirrored else (f, w)]
+            faces = [(swap_vars(f), Weight(w.sigma, w.rho)) if mirrored else (f, w)]
         for f, w in faces:
             side = 0 if w.sigma == 1 else 1
             terms = {pt[side]: c for pt, c in f.terms().items()}
@@ -282,7 +286,7 @@ class TestMonicRoot:
     @settings(max_examples=100, deadline=None)
     @given(monic_unipolys, st.integers(1, 6))
     def test_recovers_the_root(self, h, r):
-        assert root_by_numerators(h ** r, r) == h
+        assert root_by_numerators(poly_pow(h, r), r) == h
 
     @settings(max_examples=100, deadline=None)
     @given(monic_unipolys, st.integers(2, 6), coefficients(fractional=True), coefficients(fractional=True))
@@ -290,8 +294,8 @@ class TestMonicRoot:
         # the root c of h^r (Z - c)^(r-1) (Z - d) has a multiplicity r does not divide
         if c == d:
             return
-        q = UniPoly((-c, 1)) ** (r - 1) * UniPoly((-d, 1))
-        assert root_by_numerators(h ** r * q, r) is None
+        q = poly_mul(poly_pow(UniPoly((-c, 1)), r - 1), UniPoly((-d, 1)))
+        assert root_by_numerators(poly_mul(poly_pow(h, r), q), r) is None
 
     @settings(max_examples=60, deadline=None)
     @given(monic_unipolys)
@@ -300,8 +304,8 @@ class TestMonicRoot:
 
     def test_single_root_read_off(self):
         # lead (Z - mu)^k is read from the linear root Z - mu at r = k
-        assert root_by_numerators(UniPoly((Fraction(-1, 2), 1)) ** 5, 5) == UniPoly((Fraction(-1, 2), 1))
-        assert root_by_numerators(UniPoly((1, 1)) ** 2 * UniPoly((2, 1)), 3) is None
+        assert root_by_numerators(poly_pow(UniPoly((Fraction(-1, 2), 1)), 5), 5) == UniPoly((Fraction(-1, 2), 1))
+        assert root_by_numerators(poly_mul(poly_pow(UniPoly((1, 1)), 2), UniPoly((2, 1))), 3) is None
 
 
 def monic(core: UniPoly) -> UniPoly:
@@ -311,7 +315,7 @@ def monic(core: UniPoly) -> UniPoly:
 def linear_by_monic_root(core: UniPoly) -> Fraction | None:
     """mu read from a linear fraction_monic_root(monic core, k), the
     reference for linear_root."""
-    root = fraction_monic_root(monic(core), core.degree())
+    root = fraction_monic_root(monic(core), len(core.coeffs()) - 1)
     return None if root is None else -root.coeffs()[0]
 
 
@@ -329,7 +333,7 @@ class TestLinearRoot:
     @pytest.mark.parametrize("mu", MUS, ids=str)
     def test_reads_mu_of_a_pure_power(self, k, mu):
         for lead in self.LEADS:
-            core = UniPoly((-mu, 1)) ** k * UniPoly((lead,))
+            core = poly_mul(poly_pow(UniPoly((-mu, 1)), k), UniPoly((lead,)))
             assert shape_of(core).linear_root() == mu == linear_by_monic_root(core)
 
     @pytest.mark.parametrize("k", range(1, 9))
@@ -337,7 +341,7 @@ class TestLinearRoot:
     def test_one_perturbed_coefficient(self, k, mu):
         # every coefficient in turn, by +1 and by a fraction; at k = 1 the
         # result is still linear, so only agreement with the monic root is asked
-        base = (UniPoly((-mu, 1)) ** k * UniPoly((Fraction(-3),))).coeffs()
+        base = poly_mul(poly_pow(UniPoly((-mu, 1)), k), UniPoly((Fraction(-3),))).coeffs()
         for j in range(k + 1):
             for delta in (Fraction(1), Fraction(-1, 7)):
                 cs = list(base)
@@ -370,7 +374,7 @@ def cores(draw):
         return UniPoly((draw(nonzero), *middle, draw(nonzero)))
     r = draw(st.integers(1, 4))
     low = draw(st.lists(nonzero | st.just(Fraction(0)), max_size=8 // r - 1))
-    core = UniPoly((draw(nonzero), *low, 1)) ** r * UniPoly((draw(nonzero),))
+    core = poly_mul(poly_pow(UniPoly((draw(nonzero), *low, 1)), r), UniPoly((draw(nonzero),)))
     if kind == "perturbed":
         cs = list(core.coeffs())
         cs[draw(st.integers(0, len(cs) - 1))] += draw(nonzero)
@@ -391,7 +395,7 @@ class TestMatchesFractionReferences:
     @given(cores(), st.integers(1, 8))
     def test_monic_root(self, core, r):
         f = monic(core)
-        if f.degree() % r == 0:
+        if (len(f.coeffs()) - 1) % r == 0:
             root_by_numerators(f, r)
 
     @settings(max_examples=200, deadline=None)
@@ -405,7 +409,7 @@ class TestMatchesFractionReferences:
         assume(len(built.nums) > 1 or a or b)
         f = rehomogenize(built)
         if mirrored:
-            assert dehomogenize(f.swap_vars(), Weight(n, 1)).nums == built.nums
+            assert dehomogenize(swap_vars(f), Weight(n, 1)).nums == built.nums
         shape = dehomogenize(f, w)
         assert shape.nums == built.nums and (shape.x_mult, shape.y_mult) == (m * a, m * b)
         assert shape.power_index() == fraction_power_index(shape)
@@ -422,11 +426,11 @@ class TestPowerProportionalityDivision:
         f, w, _ = fw
         if power_index(f, w) != 1:
             return
-        deg_f = max(w.degree_of(pt) for pt in f.support())
+        deg_f = exposed_face(f.support(), w)[0]
         if deg_f == 0:
             return
-        g = f ** k
-        deg_g = max(w.degree_of(pt) for pt in g.support())
-        assert (g ** deg_f) == (f ** deg_g)
+        g = poly_pow(f, k)
+        deg_g = exposed_face(g.support(), w)[0]
+        assert poly_pow(g, deg_f) == poly_pow(f, deg_g)
         assert deg_g % deg_f == 0
-        assert g == f ** (deg_g // deg_f)
+        assert g == poly_pow(f, deg_g // deg_f)

@@ -6,6 +6,7 @@ import copy
 import pickle
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -26,6 +27,7 @@ from weylkit import (
     Verdict,
     Vertex,
     Weight,
+    WeylElement,
 )
 from weylkit.cli import AnalysisReport, build_report
 
@@ -58,8 +60,12 @@ MAKERS = {
 # a dict field (or, for the mutable report, the type itself) makes a value unhashable
 UNHASHABLE = {"HForm", "RuleCitation", "AnalysisReport"}
 FROZEN = sorted(set(MAKERS) - {"AnalysisReport"})
-# element and polynomial fields do not copy, so neither do the values that hold them
-COPYABLE = sorted(set(MAKERS) - {"HForm", "Edge", "PolygonProfile"})
+# the element types, which the records hold as fields
+ELEMENTS = {
+    "WeylElement": lambda: WeylElement({(2, 1): Fraction(-3, 4), (0, 0): 5}),
+    "BiPoly": lambda: BiPoly({(1, 2): Fraction(2, 3), (3, 0): -1}),
+    "UniPoly": lambda: UniPoly([Fraction(1, 2), 0, 3]),
+}
 
 
 @pytest.mark.parametrize("name", sorted(MAKERS))
@@ -99,12 +105,11 @@ def test_fields_cannot_be_set_or_deleted(name):
     assert repr(v) == before
 
 
-@pytest.mark.parametrize("name", COPYABLE)
+@pytest.mark.parametrize("name", sorted(MAKERS) + sorted(ELEMENTS))
 def test_values_copy_and_pickle(name):
-    v, _ = MAKERS[name]()
-    assert copy.copy(v) == v
-    assert copy.deepcopy(v) == v
-    assert pickle.loads(pickle.dumps(v)) == v
+    v = ELEMENTS[name]() if name in ELEMENTS else MAKERS[name]()[0]
+    for out in (copy.copy(v), copy.deepcopy(v), pickle.loads(pickle.dumps(v))):
+        assert type(out) is type(v) and out == v
 
 
 def test_repr_names_each_field():
@@ -166,8 +171,8 @@ def test_h_form_owns_its_parts():
 
 def test_analysis_report_round_trip():
     report = build_report("p", P, 4, 8)
-    assert AnalysisReport.from_json_dict(report.to_json_dict()) == report
-    other = AnalysisReport.from_json_dict({**report.to_json_dict(), "box_bound": 5})
+    assert AnalysisReport(**report.to_json_dict()) == report
+    other = AnalysisReport(**{**report.to_json_dict(), "box_bound": 5})
     assert other != report and other.box_bound == 5
     data = report.to_json_dict()
     data.pop("schema")
