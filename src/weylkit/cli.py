@@ -153,68 +153,49 @@ def build_report(text: str, x: WeylElement, box: int, cap: int) -> AnalysisRepor
     )
 
 
+#: Largest p or q exponent the lattice sketch draws; its size grows with the square.
+SKETCH_MAX_EXPONENT = 60
+
+
 def lattice_sketch(x: WeylElement, polygon: PolygonProfile) -> str:
     """ASCII picture of the support lattice of x with its polygon: '*'
-    support points, 'E' points on an edge, 'V' joining vertices.
-    Presentation only."""
+    support points, 'E' points on an edge, 'V' joining vertices.  One line
+    instead when an exponent exceeds SKETCH_MAX_EXPONENT.  Presentation only."""
     pts = x.support()
     if not pts:
         return "(empty support)"
-    edge_points = set().union(*(e.support for e in polygon.edges)) if polygon.edges else set()
-    vertex_points = {v.point for v in polygon.vertices}
     imax = max(i for i, _ in pts)
     jmax = max(j for _, j in pts)
-    rows = []
-    for j in range(jmax, -1, -1):
-        cells = []
-        for i in range(imax + 1):
-            pt = (i, j)
-            if pt in vertex_points:
-                cells.append("V")
-            elif pt in edge_points:
-                cells.append("E")
-            elif pt in pts:
-                cells.append("*")
-            else:
-                cells.append(".")
-        rows.append(f"q^{j:<2} | " + " ".join(cells))
+    if max(imax, jmax) > SKETCH_MAX_EXPONENT:
+        return f"(sketch omitted: an exponent exceeds {SKETCH_MAX_EXPONENT})"
+    # a later mark wins: a vertex over an edge point over a support point
+    marks = dict.fromkeys(pts, "*")
+    marks.update((pt, "E") for e in polygon.edges for pt in e.support)
+    marks.update((v.point, "V") for v in polygon.vertices)
+    rows = [f"q^{j:<2} | " + " ".join(marks.get((i, j), ".") for i in range(imax + 1))
+            for j in range(jmax, -1, -1)]
     rows.append("      " + "--" * (imax + 1))
     rows.append("       " + " ".join(f"{i}" if i < 10 else "+" for i in range(imax + 1)))
     rows.append("       (p exponent along the bottom; V vertex, E edge point, * support)")
     return "\n".join(rows)
 
 
-def _emit(payload, as_json: bool, text_lines):
-    if as_json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        for line in text_lines:
-            print(line)
+# each _cmd_* handler returns (JSON payload, text lines); main prints one
 
 
-def _cmd_normalize(args) -> int:
+def _cmd_normalize(args) -> tuple[dict, list[str]]:
     x = element_from_string(args.expr)
-    _emit(
-        {"input": args.expr, "normal_form": format_element(x)},
-        args.json,
-        [format_element(x)],
-    )
-    return 0
+    return {"input": args.expr, "normal_form": format_element(x)}, [format_element(x)]
 
 
-def _cmd_commutator(args) -> int:
+def _cmd_commutator(args) -> tuple[dict, list[str]]:
     x = element_from_string(args.left)
     y = element_from_string(args.right)
-    result = commutator(x, y)
-    _emit(
-        {"left": args.left, "right": args.right, "commutator": format_element(result)},
-        args.json,
-        [format_element(result)],
-    )
-    return 0
+    result = format_element(commutator(x, y))
+    return {"left": args.left, "right": args.right, "commutator": result}, [result]
 
 
-def _cmd_grade(args) -> int:
+def _cmd_grade(args) -> tuple[dict, list[str]]:
     x = element_from_string(args.expr)
     if x.is_zero():
         raise _UsageError("the zero element has no grading data")
@@ -240,11 +221,10 @@ def _cmd_grade(args) -> int:
         tail = format_monomial((max(0, -s), max(0, s)), "pq")
         term = f"({f}) * {tail}" if tail else str(f)
         lines.append(f"  grade {s:+d}: {term}   [X stands for h]")
-    _emit(payload, args.json, lines)
-    return 0
+    return payload, lines
 
 
-def _cmd_polygon(args) -> int:
+def _cmd_polygon(args) -> tuple[dict, list[str]]:
     x = element_from_string(args.expr)
     if x.is_zero():
         raise _UsageError("the zero element has no support polygon")
@@ -274,11 +254,10 @@ def _cmd_polygon(args) -> int:
             lines.append(f"  point {v.point} with separating weight {v.separating_weight}")
     lines.append("")
     lines.append(lattice_sketch(x, polygon))
-    _emit(payload, args.json, lines)
-    return 0
+    return payload, lines
 
 
-def _cmd_analyze(args) -> int:
+def _cmd_analyze(args) -> tuple[dict, list[str]]:
     x = element_from_string(args.expr)
     report = build_report(args.expr, x, box=args.box, cap=_box_cap())
     verdict = report.verdict
@@ -294,11 +273,10 @@ def _cmd_analyze(args) -> int:
     if verdict["outcome"] == "unknown":
         lines.append(f"attempted   : {', '.join(verdict['attempted'])}")
         lines.append(f"box bound   : {verdict['box_bound']}")
-    _emit(report.to_json_dict(), args.json, lines)
-    return 0
+    return report.to_json_dict(), lines
 
 
-def _cmd_oracle(args) -> int:
+def _cmd_oracle(args) -> tuple[dict, list[str]]:
     x = element_from_string(args.expr)
     y = find_witness_box(x, args.box, cap=_box_cap())
     payload = {
@@ -310,47 +288,30 @@ def _cmd_oracle(args) -> int:
         lines = [f"witness within box {args.box}: {format_element(y)}"]
     else:
         lines = [f"no witness with exponents at most {args.box}"]
-    _emit(payload, args.json, lines)
-    return 0
+    return payload, lines
 
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="weyl", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("normalize", help="normal form of an expression")
-    sp.add_argument("expr")
-    sp.add_argument("--json", action="store_true")
-    sp.set_defaults(func=_cmd_normalize)
-
-    sp = sub.add_parser("commutator", help="[left, right]")
-    sp.add_argument("left")
-    sp.add_argument("right")
-    sp.add_argument("--json", action="store_true")
-    sp.set_defaults(func=_cmd_commutator)
-
-    sp = sub.add_parser("grade", help="graded components, span and h-form")
-    sp.add_argument("expr")
-    sp.add_argument("--json", action="store_true")
-    sp.set_defaults(func=_cmd_grade)
-
-    sp = sub.add_parser("polygon", help="edges, vertices and lattice sketch")
-    sp.add_argument("expr")
-    sp.add_argument("--json", action="store_true")
-    sp.set_defaults(func=_cmd_polygon)
-
-    sp = sub.add_parser("analyze", help="run the solvability decision ladder")
-    sp.add_argument("expr")
-    sp.add_argument("--box", type=int, default=DEFAULT_BOX_BOUND)
-    sp.add_argument("--json", action="store_true")
-    sp.set_defaults(func=_cmd_analyze)
-
-    sp = sub.add_parser("oracle", help="witness search in an exponent box")
-    sp.add_argument("expr")
-    sp.add_argument("--box", type=int, required=True)
-    sp.add_argument("--json", action="store_true")
-    sp.set_defaults(func=_cmd_oracle)
-
+    # name, handler, help, positionals, and the --box settings (None: no --box)
+    commands = (
+        ("normalize", _cmd_normalize, "normal form of an expression", ("expr",), None),
+        ("commutator", _cmd_commutator, "[left, right]", ("left", "right"), None),
+        ("grade", _cmd_grade, "graded components, span and h-form", ("expr",), None),
+        ("polygon", _cmd_polygon, "edges, vertices and lattice sketch", ("expr",), None),
+        ("analyze", _cmd_analyze, "run the solvability decision ladder", ("expr",),
+         {"default": DEFAULT_BOX_BOUND}),
+        ("oracle", _cmd_oracle, "witness search in an exponent box", ("expr",), {"required": True}),
+    )
+    for name, handler, help_text, positionals, box in commands:
+        sp = sub.add_parser(name, help=help_text)
+        for positional in positionals:
+            sp.add_argument(positional)
+        if box is not None:
+            sp.add_argument("--box", type=int, **box)
+        sp.add_argument("--json", action="store_true")
+        sp.set_defaults(func=handler)
     return parser
 
 
@@ -358,9 +319,14 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        code = args.func(args)
+        payload, lines = args.func(args)
+        if args.json:
+            print(json.dumps(payload, indent=2, sort_keys=True))
+        else:
+            for line in lines:
+                print(line)
         sys.stdout.flush()  # a reader that went away shows here, not at exit
-        return code
+        return 0
     except BrokenPipeError:
         # stdout's reader is gone: point stdout at devnull, so that the flush
         # at interpreter exit has nowhere to fail (the recipe in the Python

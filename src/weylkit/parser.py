@@ -44,39 +44,40 @@ _TOKEN = re.compile(r"\s*(?:(?P<number>\d+(?:/\d+)?)|(?P<name>[pqh])|(?P<op>[-+*
 
 
 class _Tokens:
+    """The (kind, value, offset) tokens of a text, ended by ("end", "", len(text)).
+    A number's kind is "number", a variable's "name", an operator's the
+    operator itself."""
+
     def __init__(self, text: str):
-        self.text = text
-        self.items: list[tuple[str, str, int]] = []  # (kind, value, offset)
+        self.items: list[tuple[str, str, int]] = []
         for m in _TOKEN.finditer(text):
             kind = m.lastgroup
             if kind == "bad":
                 raise ExprSyntaxError(f"unexpected character {m[kind]!r}", m.start(kind))
-            self.items.append((kind, m[kind], m.start(kind)))
+            self.items.append((m[kind] if kind == "op" else kind, m[kind], m.start(kind)))
+        self.items.append(("end", "", len(text)))
         self.index = 0
         self.depth = 0  # parentheses open at the current position
 
-    def peek(self) -> tuple[str, str, int] | None:
-        return self.items[self.index] if self.index < len(self.items) else None
+    def peek(self) -> str:
+        """The kind of the next token."""
+        return self.items[self.index][0]
 
-    def next(self) -> tuple[str, str, int] | None:
-        tok = self.peek()
-        if tok is not None:
-            self.index += 1
+    def next(self) -> tuple[str, str, int]:
+        tok = self.items[self.index]
+        self.index += 1
         return tok
-
-    def end_offset(self) -> int:
-        return len(self.text)
 
 
 def _parse(text: str) -> _Numerators:
     """The (d, numerators) pair of the element text denotes."""
     tokens = _Tokens(text)
-    if not tokens.items:
+    if tokens.peek() == "end":
         raise ExprSyntaxError("empty expression", 0)
     value = _parse_sum(tokens)
-    trailing = tokens.peek()
-    if trailing is not None:
-        raise ExprSyntaxError(f"unexpected {trailing[1]!r}", trailing[2])
+    kind, trailing, offset = tokens.next()
+    if kind != "end":
+        raise ExprSyntaxError(f"unexpected {trailing!r}", offset)
     return value
 
 
@@ -87,19 +88,13 @@ def element_from_string(text: str) -> WeylElement:
 
 def _parse_sum(tokens: _Tokens) -> _Numerators:
     parts: list[_Numerators] = []
-    tok = tokens.peek()
-    sign = "+"
-    if tok is not None and tok[0] == "op" and tok[1] in "+-":
-        tokens.next()
-        sign = tok[1]
+    sign = tokens.next()[0] if tokens.peek() in _SIGNS else "+"
     while True:
         d, xs = _parse_term(tokens)
         parts.append((d, {key: -c for key, c in xs.items()}) if sign == "-" else (d, xs))
-        tok = tokens.peek()
-        if tok is None or tok[0] != "op" or tok[1] not in "+-":
+        if tokens.peek() not in _SIGNS:
             break
-        tokens.next()
-        sign = tok[1]
+        sign = tokens.next()[0]
     if len(parts) == 1:
         return parts[0]
     d = lcm(*(e for e, _ in parts))
@@ -112,24 +107,20 @@ def _parse_sum(tokens: _Tokens) -> _Numerators:
 
 def _parse_term(tokens: _Tokens) -> _Numerators:
     out = _parse_factor(tokens)
-    while True:
-        tok = tokens.peek()
-        if tok is None or tok[0] != "op" or tok[1] != "*":
-            return out
+    while tokens.peek() == "*":
         tokens.next()
         out = _times(out, _parse_factor(tokens))
+    return out
 
 
 def _parse_factor(tokens: _Tokens) -> _Numerators:
     base = _parse_atom(tokens)
-    tok = tokens.peek()
-    if tok is None or tok[0] != "op" or tok[1] != "^":
+    if tokens.peek() != "^":
         return base
     tokens.next()
-    exp_tok = tokens.next()
-    if exp_tok is None:
-        raise ExprSyntaxError("expected an exponent", tokens.end_offset())
-    kind, value, offset = exp_tok
+    kind, value, offset = tokens.next()
+    if kind == "end":
+        raise ExprSyntaxError("expected an exponent", offset)
     if kind != "number" or "/" in value:
         raise ExprSyntaxError("exponent must be a nonnegative integer", offset)
     # divide out d's common factor with the base, or (2*(1/2))^n carries 2^n in d
@@ -145,10 +136,7 @@ def _parse_factor(tokens: _Tokens) -> _Numerators:
 
 
 def _parse_atom(tokens: _Tokens) -> _Numerators:
-    tok = tokens.next()
-    if tok is None:
-        raise ExprSyntaxError("unexpected end of input", tokens.end_offset())
-    kind, value, offset = tok
+    kind, value, offset = tokens.next()
     if kind == "number":
         num, _, den = value.partition("/")
         a, b = int(num), int(den or 1)
@@ -158,19 +146,20 @@ def _parse_atom(tokens: _Tokens) -> _Numerators:
         return b // g, {(0, 0): a // g} if a else {}
     if kind == "name":
         return 1, {_VAR_KEYS[value]: 1}
-    if kind == "op" and value == "(":
+    if kind == "(":
         if tokens.depth == MAX_NESTING:
             raise ExprSyntaxError(f"parentheses nested deeper than {MAX_NESTING} levels", offset)
         tokens.depth += 1
         inner = _parse_sum(tokens)
         tokens.depth -= 1
-        closing = tokens.next()
-        if closing is None or closing[1] != ")":
-            raise ExprSyntaxError("expected ')'", closing[2] if closing else tokens.end_offset())
+        kind, _, offset = tokens.next()
+        if kind != ")":
+            raise ExprSyntaxError("expected ')'", offset)
         return inner
-    raise ExprSyntaxError(f"unexpected {value!r}", offset)
+    raise ExprSyntaxError("unexpected end of input" if kind == "end" else f"unexpected {value!r}", offset)
 
 
+_SIGNS = ("+", "-")
 _VAR_KEYS = {"p": (1, 0), "q": (0, 1), "h": (1, 1)}  # h = p*q is normal ordered
 
 

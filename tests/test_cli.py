@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -98,6 +99,25 @@ class TestPolygon:
             if cell in "*EV"
         }
         assert marked == {(4, 0), (3, 1), (2, 2), (0, 3), (0, 1)}
+
+    @pytest.mark.parametrize("text, rows", [("p^60*q^60", 61), ("p^60 + q", 2)])
+    def test_sketch_at_exponent_bound(self, capsys, text, rows):
+        code, out, _ = run_cli(capsys, "polygon", text)
+        assert code == 0
+        assert sum(line.startswith("q^") for line in out.splitlines()) == rows
+
+    @pytest.mark.parametrize("text", ["p^61 + q", "q^61", "p^100000*q^100000", "p^2000*q^2000 + p"])
+    def test_sketch_omitted_past_exponent_bound(self, capsys, text):
+        # the sketch grows with the square of the largest exponent: the second
+        # input would ask for about 10^10 characters, the last printed 8 MB
+        start = time.perf_counter()
+        code, out, _ = run_cli(capsys, "polygon", text)
+        assert time.perf_counter() - start < 10
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[-1] == f"(sketch omitted: an exponent exceeds {cli.SKETCH_MAX_EXPONENT})"
+        assert not any(line.startswith("q^") for line in lines)
+        assert len(out) < 1000
 
     def test_json_power_index(self, capsys):
         code, out, _ = run_cli(capsys, "polygon", "p^2 + 2*p*q^2 + q^4 - 2*q", "--json")
@@ -247,6 +267,42 @@ class TestBoxBound:
         code, out, err = run_cli(capsys, *argv)
         assert code == 0
         assert out and err == ""
+
+
+class TestHelp:
+    # the argument surface: each subcommand's arguments in their order
+    USAGE = {
+        "normalize": "usage: weyl normalize [-h] [--json] expr",
+        "commutator": "usage: weyl commutator [-h] [--json] left right",
+        "grade": "usage: weyl grade [-h] [--json] expr",
+        "polygon": "usage: weyl polygon [-h] [--json] expr",
+        "analyze": "usage: weyl analyze [-h] [--box BOX] [--json] expr",
+        "oracle": "usage: weyl oracle [-h] --box BOX [--json] expr",
+    }
+
+    def help_lines(self, capsys, monkeypatch, *argv):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
+        with pytest.raises(SystemExit) as info:
+            main([*argv, "--help"])
+        assert info.value.code == 0
+        return capsys.readouterr().out.splitlines()
+
+    @pytest.mark.parametrize("command", list(USAGE))
+    def test_subcommand_usage(self, capsys, monkeypatch, command):
+        assert self.help_lines(capsys, monkeypatch, command)[0] == self.USAGE[command]
+
+    def test_subcommands_listed_in_order(self, capsys, monkeypatch):
+        lines = self.help_lines(capsys, monkeypatch)
+        assert lines[0] == "usage: weyl [-h] {normalize,commutator,grade,polygon,analyze,oracle} ..."
+        listed = [line.split(None, 1) for line in lines if line.startswith("    ")]
+        assert listed == [
+            ["normalize", "normal form of an expression"],
+            ["commutator", "[left, right]"],
+            ["grade", "graded components, span and h-form"],
+            ["polygon", "edges, vertices and lattice sketch"],
+            ["analyze", "run the solvability decision ladder"],
+            ["oracle", "witness search in an exponent box"],
+        ]
 
 
 class TestExitCodes:

@@ -116,41 +116,56 @@ class TestEval:
         assert element_from_string(ast_text(ast)) == naive_eval(ast)
 
 
+# every rejected text, with the byte offset and the message of its error
+SYNTAX_ERRORS = {
+    "": (0, "empty expression"),
+    "   ": (0, "empty expression"),
+    "p q": (2, "unexpected 'q'"),
+    "p +": (3, "unexpected end of input"),
+    "* p": (0, "unexpected '*'"),
+    "p^": (2, "expected an exponent"),
+    "p^-2": (2, "exponent must be a nonnegative integer"),
+    "p^(1/2)": (2, "exponent must be a nonnegative integer"),
+    "p^1/2q": (2, "exponent must be a nonnegative integer"),
+    "2p": (1, "unexpected 'p'"),
+    "p**2": (2, "unexpected '*'"),
+    "(p + q": (6, "expected ')'"),
+    "p + q)": (5, "unexpected ')'"),
+    "x + y": (0, "unexpected character 'x'"),
+    "1//2": (1, "unexpected character '/'"),
+    "p^q": (2, "exponent must be a nonnegative integer"),
+    "3 * * q": (4, "unexpected '*'"),
+    "q^2.5": (3, "unexpected character '.'"),
+    "p & q": (2, "unexpected character '&'"),
+    "((p)": (4, "expected ')'"),
+    "-": (1, "unexpected end of input"),
+    "p -": (3, "unexpected end of input"),
+    "p + \u0663*q": (4, "unexpected character '\u0663'"),
+    "\u3000": (0, "unexpected character '\\u3000'"),  # repr escapes the space
+    "(" * 101 + "p" + ")" * 101: (100, "parentheses nested deeper than 100 levels"),
+    "(" * 5000 + "p" + ")" * 5000: (100, "parentheses nested deeper than 100 levels"),
+    ")": (0, "unexpected ')'"),
+    "(": (1, "unexpected end of input"),
+    "()": (1, "unexpected ')'"),
+    "p)": (1, "unexpected ')'"),
+    "2/0": (0, "zero denominator"),
+    "p^1/0": (2, "exponent must be a nonnegative integer"),
+}
+
 BAD_INPUTS = [
-    "",
-    "   ",
-    "p q",
-    "p +",
-    "* p",
-    "p^",
-    "p^-2",
-    "p^(1/2)",
-    "p^1/2q",
-    "2p",
-    "p**2",
-    "(p + q",
-    "p + q)",
-    "x + y",
-    "1//2",
-    "p^q",
-    "3 * * q",
-    "q^2.5",
-    "p & q",
-    "((p)",
-    "-",
-    "p -",
-    "p + \u0663*q",
-    "\u3000",
-    pytest.param("(" * 101 + "p" + ")" * 101, id="nested-101"),
-    pytest.param("(" * 5000 + "p" + ")" * 5000, id="nested-5000"),
+    pytest.param(text, id=f"nested-{text.count('(')}") if len(text) > 100 else text
+    for text in SYNTAX_ERRORS
 ]
 
 
 class TestErrors:
     @pytest.mark.parametrize("text", BAD_INPUTS)
     def test_rejected(self, text):
-        with pytest.raises(ExprSyntaxError):
+        position, message = SYNTAX_ERRORS[text]
+        with pytest.raises(ExprSyntaxError) as info:
             element_from_string(text)
+        assert str(info.value) == f"syntax error at byte {position}: {message}"
+        assert info.value.position == position
 
     def test_error_carries_offset(self):
         with pytest.raises(ExprSyntaxError) as info:
