@@ -13,9 +13,9 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
-from .element import WeylElement, WeylInternalError, commutator, format_element, format_monomial
+from .element import (WeylElement, WeylInternalError, commutator, format_element, format_monomial,
+                      format_ratio, numerators)
 from .grading import grade_components
 from .parser import element_from_string
 from .polygon import PolygonProfile
@@ -29,7 +29,7 @@ from .solvability import (
     find_witness_box,
 )
 
-SCHEMA_VERSION = "weyl-report/2"
+SCHEMA_VERSION = "weyl-report/3"
 
 BOX_CAP_ENV = "WEYL_BOX_CAP"
 
@@ -56,20 +56,15 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def scalar_to_json(c: Fraction) -> dict:
-    # decimal strings keep arbitrary-precision values lossless in JSON
-    return {"num": str(c.numerator), "den": str(c.denominator)}
-
-
-def unipoly_to_json(f: UniPoly) -> list[dict]:
-    return [scalar_to_json(c) for c in f.coeffs()]
+# each rational is one decimal string, "-5" or "3/4", lossless at any size
+def unipoly_to_json(f: UniPoly) -> list[str]:
+    d, nums = numerators(f)
+    return [format_ratio(c, d) for c in nums]
 
 
 def bipoly_to_json(f: BiPoly) -> list[dict]:
-    return [
-        {"i": i, "j": j, "coeff": scalar_to_json(f.coeff(i, j))}
-        for (i, j) in sorted(f.support())
-    ]
+    d, nums = numerators(f)
+    return [{"i": i, "j": j, "coeff": format_ratio(nums[i, j], d)} for i, j in sorted(nums)]
 
 
 def _grading_to_json(profile: ElementProfile) -> dict:
@@ -112,7 +107,6 @@ def _verdict_to_json(verdict: Verdict) -> dict:
             for cit in verdict.reasons
         ],
         "attempted": [rule.value for rule in verdict.attempted],
-        "box_bound": verdict.box_bound,
     }
 
 
@@ -272,7 +266,7 @@ def _cmd_analyze(args) -> tuple[dict, list[str]]:
         lines.append(f"              {reason['citation']}")
     if verdict["outcome"] == "unknown":
         lines.append(f"attempted   : {', '.join(verdict['attempted'])}")
-        lines.append(f"box bound   : {verdict['box_bound']}")
+        lines.append(f"box bound   : {report.box_bound}")
     return report.to_json_dict(), lines
 
 

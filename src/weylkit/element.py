@@ -268,10 +268,12 @@ def normalize_qp(m: int, n: int) -> WeylElement:
     return WeylElement._from_numerators(1, mul_numerators({(0, m): 1}, {(n, 0): 1}))
 
 
-def numerators(x: MonomialMap) -> tuple[int, dict[ExponentPair, int]]:
-    """The stored pair (d, terms of d*x) of x: d is the lcm of the
-    denominators of x (1 for zero), so every coefficient of d*x is an
-    integer.  The map is x's own: read it, never change it."""
+def numerators(x) -> tuple[int, dict[ExponentPair, int] | tuple[int, ...]]:
+    """The stored pair (d, numerators of d*x) of a MonomialMap or a
+    polynomials.UniPoly x: d is the lcm of the denominators of x (1 for
+    zero), so every coefficient of d*x is an integer.  The numerators are a
+    map from exponent pairs, or for a UniPoly a tuple in ascending degree;
+    they are x's own: read them, never change them."""
     return x._den, x._nums
 
 
@@ -369,16 +371,41 @@ def format_monomial(exponents: Iterable[int], names: str) -> str:
     return "*".join(parts)
 
 
+def format_ratio(n: int, d: int) -> str:
+    """The rational n/d (d > 0) in lowest terms as one string, "-5" or
+    "3/4": the text of str(Fraction(n, d)), also past the interpreter's
+    limit on int-to-str conversion."""
+    g = gcd(n, d)
+    if g != 1:
+        n //= g
+        d //= g
+    try:
+        return str(n) if d == 1 else f"{n}/{d}"
+    except ValueError:  # past sys.get_int_max_str_digits()
+        return _digits(n) if d == 1 else f"{_digits(n)}/{_digits(d)}"
+
+
+def _digits(n: int) -> str:
+    """str(n) for an n of any size: split at a power of ten into halves
+    short enough to convert, the lower one padded with zeros."""
+    try:
+        return str(n)
+    except ValueError:
+        pass
+    k = n.bit_length() * 3 // 20  # about half of n's decimal digits
+    high, low = divmod(abs(n), 10 ** k)
+    return ("-" if n < 0 else "") + _digits(high) + _digits(low).zfill(k)
+
+
 def format_terms(terms: Iterable[tuple[int, int, str]]) -> str:
     """Join (numerator, denominator, monomial) triples in the given order,
-    shared by every printer in the kit: each coefficient n/d (d > 0) is
-    reduced by one gcd, signs become " + " / " - " separators (a leading "-"
-    on the first term), a unit magnitude is elided before a monomial, an
-    empty monomial prints the bare magnitude, and no terms print "0"."""
+    shared by every printer in the kit: each coefficient's magnitude is
+    format_ratio(|n|, d), signs become " + " / " - " separators (a leading
+    "-" on the first term), a unit magnitude is elided before a monomial,
+    an empty monomial prints the bare magnitude, and no terms print "0"."""
     parts: list[str] = []
     for n, d, mono in terms:
-        g = gcd(n, d)
-        mag = str(abs(n) // g) if d == g else f"{abs(n) // g}/{d // g}"
+        mag = format_ratio(abs(n), d)
         body = mag if not mono else mono if mag == "1" else f"{mag}*{mono}"
         if parts:
             parts.append(f" - {body}" if n < 0 else f" + {body}")

@@ -16,7 +16,6 @@ applies exp(ad g) by a commutative symbol sum; both sum on integers.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb
 
 from .element import WeylElement, _Value, mul_numerators, numerators
@@ -66,7 +65,7 @@ def to_h_form(x: WeylElement) -> HForm:
     k = min(i, j), m = max(0, i - j), n = max(0, j - i); p^k q^k is
     h(h+1)...(h+k-1), and f(h) p^m = p^m f(h - m), so the term adds c times
     (X+m)(X+m+1)...(X+m+k-1) to f_s.  The sums run on the integer numerators
-    of x (see element.numerators); each coefficient becomes one Fraction."""
+    of x (see element.numerators), and each f_s is its integer row over d."""
     d, xs = numerators(x)
     rows: dict[int, list[int]] = {}
     for (i, j), c in xs.items():
@@ -83,7 +82,7 @@ def to_h_form(x: WeylElement) -> HForm:
         for r, v in enumerate(rising):
             row[r] += c * v
     # the terms of a grade differ in k, so no f_s is zero
-    return HForm({s: UniPoly([Fraction(v, d) for v in rows[s]]) for s in sorted(rows)})
+    return HForm({s: UniPoly._from_numerators(d, rows[s]) for s in sorted(rows)})
 
 
 def omega(x: WeylElement) -> WeylElement:

@@ -20,7 +20,8 @@ from math import gcd, isqrt, lcm
 
 from .element import WeylElement, WeylInternalError, _Value, commutator, numerators, power_bracket
 from .grading import GradeSpan, HForm, exp_ad, grade_span, to_h_form
-from .polygon import PolygonProfile, Weight, edges, exposed_face, frontier, weight_polynomial
+from .polygon import PolygonProfile, Weight, edges, exposed_face, frontier
+from .polynomials import BiPoly
 from .power_analysis import HomogShape, dehomogenize
 
 DEFAULT_BOX_BOUND = 4
@@ -568,10 +569,11 @@ def _rules(profile: ElementProfile) -> _Found | None:
         if v < w.rho + w.sigma:
             continue
         if profile.leading_index(face) == 1:
+            d, xs = numerators(x)
+            leading = BiPoly._from_numerators(d, {pt: xs[pt] for pt in face})
             return RuleCitation(
                 RuleId.AXIS_POWER_INDEX_ONE,
-                {"weight": str(w), "weighted_degree": v,
-                 "leading_polynomial": str(weight_polynomial(x, w))},
+                {"weight": str(w), "weighted_degree": v, "leading_polynomial": str(leading)},
                 "the leading polynomial at an axis weight with weighted degree "
                 "at least rho + sigma is not a proper power; a witness would "
                 "force an impossible leading-polynomial proportionality",

@@ -2,18 +2,27 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 import time
+from fractions import Fraction
+from math import factorial
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
 from weylkit import cli
 from weylkit.cli import AnalysisReport, SCHEMA_VERSION, build_report, main
-from weylkit import element_from_string
+from weylkit import ElementProfile, element_from_string
 
+from strategies import weyl_elements
+from test_element import int_str_limit
 from test_parser import BAD_INPUTS
+
+# a rational of the report: an integer, or a fraction with a positive denominator
+RATIONAL = re.compile(r"-?\d+(/[1-9]\d*)?")
 
 
 def run_cli(capsys, *argv):
@@ -60,11 +69,7 @@ class TestGrade:
         payload = json.loads(out)
         assert payload["grade_span"] == {"min": 0, "max": 0}
         coeffs = payload["h_form"][0]["coeffs"]
-        assert coeffs == [
-            {"num": "0", "den": "1"},
-            {"num": "1", "den": "1"},
-            {"num": "1", "den": "1"},
-        ]
+        assert coeffs == ["0", "1", "1"]
 
     def test_zero_rejected(self, capsys):
         code, _, err = run_cli(capsys, "grade", "0")
@@ -158,22 +163,33 @@ class TestAnalyze:
         assert payload["verdict"]["reasons"][0]["rule"] == "axis-power-index-one"
         assert payload["box_bound"] == 4
 
-    def test_v2_report_keys(self, capsys):
-        # weyl-report/2 carries no notes, at the top level or in the verdict
+    def test_v3_report_keys(self, capsys):
+        # weyl-report/3 carries no notes, and box_bound at the top level only
         code, out, _ = run_cli(capsys, "analyze", "p^2*q^2 - q - 1", "--json")
         assert code == 0
         payload = json.loads(out)
-        assert payload["schema"] == "weyl-report/2"
+        assert payload["schema"] == "weyl-report/3"
         assert set(payload) == {
             "schema", "input", "normal_form", "grade_span", "h_form",
             "polygon", "verdict", "box_bound",
         }
-        assert set(payload["verdict"]) == {"outcome", "witness", "reasons", "attempted", "box_bound"}
+        assert set(payload["verdict"]) == {"outcome", "witness", "reasons", "attempted"}
         assert payload["verdict"]["outcome"] == "unknown"
         code, out, _ = run_cli(capsys, "analyze", "p^2*q^2 - q - 1")
         assert code == 0
         assert "verdict     : unknown" in out
         assert "note" not in out
+        # every rational is one string in lowest terms, in the h-form and
+        # in the edge polynomials
+        code, out, _ = run_cli(capsys, "analyze", "1/2*p^2*q^2 + 6/8*p*q^3 - p + 4/6", "--json")
+        assert code == 0
+        payload = json.loads(out)
+        rationals = [c for part in payload["h_form"] for c in part["coeffs"]]
+        rationals += [t["coeff"] for e in payload["polygon"]["edges"] for t in e["polynomial"]]
+        assert sorted(rationals) == ["-1", "0", "1/2", "1/2", "1/2", "2/3", "3/4", "3/4"]
+        for c in rationals:
+            assert type(c) is str and RATIONAL.fullmatch(c)
+            assert str(Fraction(c)) == c
 
     def test_box_flag(self, capsys):
         # a dominant point p^2*q^4 with a pure power p: no rule, reduction
@@ -182,7 +198,25 @@ class TestAnalyze:
         assert code == 0
         payload = json.loads(out)
         assert payload["verdict"]["outcome"] == "unknown"
-        assert payload["verdict"]["box_bound"] == 2
+        assert payload["box_bound"] == 2
+
+    @settings(max_examples=60, deadline=None)
+    @given(weyl_elements(max_exp=4, max_terms=5, nonzero=True, fractional=True))
+    def test_json_rationals_read_back_exactly(self, x):
+        payload = json.loads(json.dumps(build_report(str(x), x, box=2, cap=8).to_json_dict()))
+        profile = ElementProfile(x)
+        hf, polygon = profile.h_form, profile.polygon
+        assert [part["grade"] for part in payload["h_form"]] == hf.grades()
+        for part in payload["h_form"]:
+            assert [Fraction(c) for c in part["coeffs"]] == list(hf.parts[part["grade"]].coeffs())
+        assert len(payload["polygon"]["edges"]) == len(polygon.edges)
+        for item, edge in zip(payload["polygon"]["edges"], polygon.edges):
+            assert {(t["i"], t["j"]): Fraction(t["coeff"]) for t in item["polynomial"]} == {
+                (i, j): edge.polynomial.coeff(i, j) for i, j in edge.polynomial.support()
+            }
+        rationals = [c for part in payload["h_form"] for c in part["coeffs"]]
+        rationals += [t["coeff"] for e in payload["polygon"]["edges"] for t in e["polynomial"]]
+        assert all(RATIONAL.fullmatch(c) and str(Fraction(c)) == c for c in rationals)
 
     def test_report_round_trip(self, capsys):
         x = element_from_string("p^4+p^3*q+p^2*q^2+q^3+q")
@@ -191,6 +225,32 @@ class TestAnalyze:
         back = AnalysisReport(**json.loads(wire))
         assert back == report
         assert back.to_json_dict() == report.to_json_dict()
+
+
+class TestLongIntegers:
+    # the h-form of p^2000*q^2000 is h(h+1)...(h+1999), whose coefficients
+    # have up to 5735 digits: past the default limit of 4300 digits on
+    # int-to-str conversion, which the printers convert past on purpose
+    TEXT = "p^2000*q^2000 + p"
+
+    def test_reports_print_exactly(self, capsys):
+        with int_str_limit(4300):
+            code, out, err = run_cli(capsys, "analyze", "--json", "--", self.TEXT)
+            assert (code, err) == (0, "")
+            payload = json.loads(out)
+            code, text, err = run_cli(capsys, "analyze", "--", self.TEXT)
+            assert (code, err) == (0, "")
+            code, grade, err = run_cli(capsys, "grade", "--", self.TEXT)
+            assert (code, err) == (0, "")
+        assert payload["verdict"]["outcome"] == "unknown"
+        assert "verdict     : unknown" in text
+        grade_zero = payload["h_form"][1]
+        assert grade_zero["grade"] == 0 and len(grade_zero["coeffs"]) == 2001
+        # the coefficient of h is 1999!, 5733 digits
+        assert len(grade_zero["coeffs"][1]) == 5733
+        with int_str_limit(0):
+            assert int(grade_zero["coeffs"][1]) == factorial(1999)
+            assert f" + {factorial(1999)}*X   [X stands for h]\n" in grade
 
 
 class TestOracle:

@@ -1,5 +1,8 @@
 """Core arithmetic: normal ordering, ring axioms, commutator identities."""
 
+import contextlib
+import random
+import sys
 from fractions import Fraction
 from math import gcd
 
@@ -19,6 +22,7 @@ from weylkit import (
     normalize_qp,
     power,
 )
+from weylkit.element import format_ratio, format_terms
 
 from oracles import ad_power, reference_bracket, reference_mul, rewrite_normal_qp, substitute_poly, swap_normal_qp
 from strategies import coefficients, exponent_pairs, weyl_elements
@@ -293,3 +297,41 @@ class TestCanonicalForm:
     def test_floats_rejected(self):
         with pytest.raises(TypeError):
             WeylElement({(0, 0): 0.5})
+
+
+@contextlib.contextmanager
+def int_str_limit(digits: int):
+    """Run the block under the given limit on int-to-str conversion (0: no
+    limit), on an interpreter that has one."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(digits)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(before)
+
+
+class TestFormatRatio:
+    CASES = [(-5, 1), (6, 8), (-6, 8), (0, 7), (12, 4)]
+
+    def test_lowest_terms(self):
+        assert [format_ratio(n, d) for n, d in self.CASES] == ["-5", "3/4", "-3/4", "0", "3"]
+        assert [format_ratio(n, d) for n, d in self.CASES] == [str(Fraction(n, d)) for n, d in self.CASES]
+
+    def test_past_the_int_str_limit(self):
+        # at the smallest limit (640 digits) every number here is converted
+        # in pieces: the sign kept, the zeros of each lower piece padded
+        rng = random.Random(5)
+        big = [10**700, 10**700 - 1, 10**1400 + 1, 7 * 10**2100, 3**5000]
+        big += [rng.randrange(10**rng.randrange(641, 6000)) for _ in range(40)]
+        cases = [(n * s, d) for n in big for s, d in ((1, 1), (-1, 1), (-1, 10**650 + 3), (1, 9 * 10**800))]
+        cases += self.CASES
+        with int_str_limit(640):
+            got = [format_ratio(n, d) for n, d in cases]
+            terms = format_terms((n, d, "X") for n, d in cases)
+        with int_str_limit(0):
+            assert got == [str(Fraction(n, d)) for n, d in cases]
+            assert terms == format_terms((n, d, "X") for n, d in cases)

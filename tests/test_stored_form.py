@@ -1,5 +1,6 @@
 """The one stored form of WeylElement and BiPoly: a denominator d > 0 and a
-map of nonzero integer numerators with gcd(d, all numerators) = 1.
+map of nonzero integer numerators with gcd(d, all numerators) = 1; and
+UniPoly's, the same pair with a tuple of numerators in ascending degree.
 
 Every kernel builds its output on that pair, so each output is checked for
 the form itself, for agreement with the value rebuilt from its Fractions
@@ -18,6 +19,7 @@ import weylkit.grading
 import weylkit.power_analysis
 from weylkit import (
     BiPoly,
+    UniPoly,
     Weight,
     WeylElement,
     commutator,
@@ -28,12 +30,15 @@ from weylkit import (
     mul,
     normalize_qp,
     omega,
+    to_h_form,
 )
+from weylkit.cli import bipoly_to_json, unipoly_to_json
 from weylkit.element import numerators
 
 from oracles import (
     fraction_linear_root,
     fraction_power_index,
+    naive_h_form,
     naive_omega,
     poly_mul,
     poly_pow,
@@ -198,11 +203,29 @@ class TestKernelsMakeNoFraction:
     def test_mul_commutator_omega_exp_ad(self, monkeypatch):
         x, y, gq, gp = self.X, self.Y, self.GQ, self.GP
         with monkeypatch.context() as m:
+            # grading imports no Fraction, so Fraction.__new__ itself is forbidden
             m.setattr(weylkit.element, "Fraction", forbidden)
-            m.setattr(weylkit.grading, "Fraction", forbidden)
+            m.setattr(Fraction, "__new__", forbidden)
             outs = (mul(x, y), commutator(x, y), omega(x), exp_ad(gq, x), exp_ad(gp, x))
         assert outs == (reference_mul(x, y), reference_bracket(x, y), naive_omega(x),
                         series_exp_ad(gq, x), series_exp_ad(gp, x))
+
+    def test_h_form_and_its_json(self, monkeypatch):
+        # to_h_form stores each integer row as it is, and the report writes
+        # each rational straight from the numerators
+        x = self.X + self.Y + self.GQ
+        with monkeypatch.context() as m:
+            m.setattr(Fraction, "__new__", forbidden)
+            hf = to_h_form(x)
+            parts = {s: unipoly_to_json(f) for s, f in hf.parts.items()}
+            polys = [e.polynomial for e in edges(x).edges]
+            terms = [bipoly_to_json(f) for f in polys]
+        assert hf == naive_h_form(x)
+        assert parts == {s: [str(c) for c in f.coeffs()] for s, f in hf.parts.items()}
+        assert len(polys) == 1 and terms == [
+            [{"i": i, "j": j, "coeff": str(f.coeff(i, j))} for i, j in sorted(f.support())]
+            for f in polys
+        ]
 
     # X^3 Y^3 (X - 2/3 Y^2)^3 at (2,1), its mirror at (1,2), and
     # 3/2 X^2 Y^2 (X^2 + XY + Y^2) at (1,1), whose core is no square
@@ -250,3 +273,33 @@ class TestKernelsMakeNoFraction:
         assert numerators(showcase) == (1, {(4, 0): 1, (3, 1): 1, (2, 2): 1, (0, 3): 1, (0, 1): 1})
         assert [e.weight for e in profile.edges] == [Weight(1, 2), Weight(1, 1)]
         assert [v.separating_weight for v in profile.vertices] == [Weight(2, 3)]
+
+
+class TestUniPoly:
+    """UniPoly stores one pair too: d > 0 and the integer numerators of d*f
+    in ascending degree, trailing zeros trimmed, gcd(d, all numerators) = 1."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(scalars, max_size=6), st.integers(1, 6), st.integers(0, 2))
+    def test_from_fractions_and_from_numerators_agree(self, cs, k, pad):
+        f = UniPoly(cs)
+        d, nums = numerators(f)
+        assert type(d) is int and d > 0 and all(type(c) is int for c in nums)
+        assert gcd(d, *nums) == 1 and (not nums or nums[-1])
+        trimmed = list(cs)
+        while trimmed and not trimmed[-1]:
+            trimmed.pop()
+        assert f.coeffs() == tuple(trimmed) == tuple(Fraction(c, d) for c in nums)
+        # the same value over k*d with trailing zeros: both come off
+        g = UniPoly._from_numerators(k * d, [k * c for c in nums] + [0] * pad)
+        assert g == f and hash(g) == hash(f) and numerators(g) == (d, nums)
+        assert str(g) == str(f)
+
+    def test_constructor_stores_the_pair(self):
+        f = UniPoly([Fraction(1, 2), 0, Fraction(3, 4), Fraction(0)])
+        assert numerators(f) == (4, (2, 0, 3))
+        assert f == UniPoly._from_numerators(8, [4, 0, 6, 0])
+        assert str(f) == "3/4*X^2 + 1/2"
+        assert numerators(UniPoly([2, -4])) == (1, (2, -4))
+        assert numerators(UniPoly([0, Fraction(0)])) == numerators(UniPoly()) == (1, ())
+        assert f != UniPoly([Fraction(1, 2), 0, Fraction(3, 4), 1])
