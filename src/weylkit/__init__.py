@@ -30,7 +30,6 @@ from .polygon import (
     PolygonProfile,
     Vertex,
     Weight,
-    convex_hull,
     edges,
     separating_weight,
     weight_polynomial,

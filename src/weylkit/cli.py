@@ -251,12 +251,14 @@ def _cmd_polygon(args) -> tuple[dict, list[str]]:
     return payload, lines
 
 
-def _cmd_analyze(args) -> tuple[dict, list[str]]:
+def _cmd_analyze(args) -> tuple[dict | None, list[str]]:
     x = element_from_string(args.expr)
-    report = build_report(args.expr, x, box=args.box, cap=_box_cap())
-    verdict = report.verdict
+    if args.json:
+        return build_report(args.expr, x, box=args.box, cap=_box_cap()).to_json_dict(), []
+    # the text form prints no h-form or polygon, so it builds no report
+    verdict = _verdict_to_json(analyze(x, box=args.box, cap=_box_cap()))
     lines = [
-        f"normal form : {report.normal_form}",
+        f"normal form : {format_element(x)}",
         f"verdict     : {verdict['outcome']}",
     ]
     if verdict["witness"] is not None:
@@ -266,8 +268,8 @@ def _cmd_analyze(args) -> tuple[dict, list[str]]:
         lines.append(f"              {reason['citation']}")
     if verdict["outcome"] == "unknown":
         lines.append(f"attempted   : {', '.join(verdict['attempted'])}")
-        lines.append(f"box bound   : {report.box_bound}")
-    return report.to_json_dict(), lines
+        lines.append(f"box bound   : {args.box}")
+    return None, lines
 
 
 def _cmd_oracle(args) -> tuple[dict, list[str]]:

@@ -7,11 +7,10 @@ more points is an edge; with one point, a vertex.  Every maximizer lies on
 the support's frontier, the points that no other support point dominates
 coordinatewise: a dominated point has a strictly lower weighted degree at
 every positive weight.  Enumerating the faces over all weights reduces to
-the convex hull of the frontier: the edges are the hull segments whose
-primitive outward normal has both components positive, and consecutive
-edges are joined by a single shared vertex exposed by any weight whose
-slope lies strictly between the two edge slopes (the reduced mediant is
-used as the canonical choice).
+one monotone chain over the frontier, which is already sorted: its
+segments are the edges, and consecutive edges are joined by a single
+shared vertex exposed by any weight whose slope lies strictly between the
+two edge slopes (the reduced mediant is used as the canonical choice).
 """
 
 from __future__ import annotations
@@ -122,68 +121,42 @@ def separating_weight(w1: Weight, w2: Weight) -> Weight:
     return Weight(r // g, s // g)
 
 
-def convex_hull(points) -> list[tuple[int, int]]:
-    """Convex hull in counterclockwise order (monotone chain); collinear
-    boundary points are dropped.  Degenerate inputs yield 1 or 2 points."""
-    pts = sorted(set(points))
-    if len(pts) <= 1:
-        return pts
-
-    def cross(o, a, b):
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-    lower: list[tuple[int, int]] = []
-    for pt in pts:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], pt) <= 0:
-            lower.pop()
-        lower.append(pt)
-    upper: list[tuple[int, int]] = []
-    for pt in reversed(pts):
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], pt) <= 0:
-            upper.pop()
-        upper.append(pt)
-    return lower[:-1] + upper[:-1]
-
-
 def edges(x: WeylElement, front: list[tuple[int, int]] | None = None) -> PolygonProfile:
     """Enumerate every edge of x (weights in increasing slope) and the
     joining vertices between consecutive edges; front is the frontier of
     x's support when the caller already holds it.
 
-    A hull segment contributes an edge exactly when its primitive outward
-    normal (rho, sigma) has rho > 0 and sigma > 0, which reduces the search
-    over infinitely many weights to the finitely many hull directions.  The
-    hull and the faces are taken over the frontier: it exposes the same
-    face as the support at every positive weight, so its hull has the same
-    positive-normal edges, and the joining vertices are the same points.
+    The edges are the segments of one monotone chain over the frontier
+    (Andrew 1979).  The frontier is a strict staircase, so in increasing i
+    its j decreases, and the chain keeps a point only where it turns right:
+    a segment (i0, j0) -> (i1, j1) then has the outward normal
+    (j0 - j1, i1 - i0), positive in both components, and the normals come
+    in increasing slope.  A point on a straight run is popped, so each
+    segment is one whole edge.  The frontier exposes the same face as the
+    support at every positive weight, so it has the same edges, and the
+    joining vertices are the same points.
     """
     if x.is_zero():
         raise ValueError("zero element has no edges")
     d, xs = numerators(x)
     if front is None:
         front = frontier(xs)
-    hull = convex_hull(front)
-    weights: list[Weight] = []
-    if len(hull) >= 2:
-        for k in range(len(hull)):
-            a = hull[k]
-            b = hull[(k + 1) % len(hull)]
-            dx = b[0] - a[0]
-            dy = b[1] - a[1]
-            # outward normal of the CCW-oriented segment a -> b
-            nr, ns = dy, -dx
-            if nr > 0 and ns > 0:
-                g = gcd(nr, ns)
-                weights.append(Weight(nr // g, ns // g))
-    # from the lowest leftmost point the outward normals turn counterclockwise,
-    # so the positive ones come as one run of decreasing slope rho/sigma
-    weights.reverse()
+    chain: list[tuple[int, int]] = []
+    for i, j in reversed(front):
+        while len(chain) >= 2:
+            (i0, j0), (i1, j1) = chain[-2], chain[-1]
+            if (i1 - i0) * (j - j0) < (j1 - j0) * (i - i0):  # a right turn at (i1, j1)
+                break
+            chain.pop()
+        chain.append((i, j))
 
     edge_list: list[Edge] = []
-    for w in weights:
+    for (i0, j0), (i1, j1) in zip(chain, chain[1:]):
+        g = gcd(j0 - j1, i1 - i0)
+        w = Weight((j0 - j1) // g, (i1 - i0) // g)
         v, sup = exposed_face(front, w)
         if len(sup) < 2:
-            raise WeylInternalError(f"hull segment at weight {w} exposes a single point")
+            raise WeylInternalError(f"chain segment at weight {w} exposes a single point")
         edge_list.append(Edge(w, sup, BiPoly._from_numerators(d, {pt: xs[pt] for pt in sup}), v))
 
     vertex_list: list[Vertex] = []

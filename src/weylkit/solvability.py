@@ -149,17 +149,16 @@ class ElementProfile:
 
 
 class Verdict(_Value):
-    _fields = ("outcome", "witness", "reasons", "attempted", "box_bound")
+    _fields = ("outcome", "witness", "reasons", "attempted")
     __slots__ = (*_fields, "profile")  # the report's profile: outside equality, hash and repr
 
     def __init__(self, outcome: Outcome, witness: WeylElement | None = None,
                  reasons: tuple[RuleCitation, ...] = (), attempted: tuple[RuleId, ...] = (),
-                 box_bound: int | None = None, profile: ElementProfile | None = None):
+                 profile: ElementProfile | None = None):
         object.__setattr__(self, "outcome", outcome)
         object.__setattr__(self, "witness", witness)
         object.__setattr__(self, "reasons", reasons)
         object.__setattr__(self, "attempted", attempted)
-        object.__setattr__(self, "box_bound", box_bound)
         object.__setattr__(self, "profile", profile)
 
 
@@ -722,13 +721,12 @@ def analyze(
     found = _rules(profile) or _reduced(profile) or _oracle(x, box, cap)
     ladder = tuple(RuleId)
     if found is None:
-        return Verdict(Outcome.UNKNOWN, attempted=ladder, box_bound=box, profile=profile)
+        return Verdict(Outcome.UNKNOWN, attempted=ladder, profile=profile)
     cit, witness = found
     return Verdict(
         Outcome.UNSOLVABLE if witness is None else Outcome.SOLVABLE,
         witness=witness,
         reasons=(cit,),
         attempted=ladder[:ladder.index(cit.rule) + 1],
-        box_bound=box,
         profile=profile,
     )

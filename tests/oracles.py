@@ -13,7 +13,9 @@ poly_pow, swap_vars), the inverse of to_h_form (from_h_form, through
 substitute_poly), nested commutators (ad_power) and the split of a bracket
 at its leading weighted degree (leading_split).  The last four run on the
 library's own mul and commutator, so they check the facts they state, not
-those kernels.
+those kernels.  The general convex hull (convex_hull) is here too: only
+reference_edges runs it, over the whole support, while the library reads
+its edges off one chain over the frontier.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ from weylkit import (
     WeylInternalError,
     Weight,
     commutator,
-    convex_hull,
     grade_components,
     mul,
     power,
@@ -273,10 +274,36 @@ def all_coprime_weights(bound: int) -> list[Weight]:
     ]
 
 
+def convex_hull(points) -> list[tuple[int, int]]:
+    """Convex hull in counterclockwise order (Andrew's monotone chain, a
+    lower and an upper chain over every point); collinear boundary points
+    are dropped.  Degenerate inputs yield 1 or 2 points."""
+    pts = sorted(set(points))
+    if len(pts) <= 1:
+        return pts
+
+    def cross(o, a, b):
+        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+    lower: list[tuple[int, int]] = []
+    for pt in pts:
+        while len(lower) >= 2 and cross(lower[-2], lower[-1], pt) <= 0:
+            lower.pop()
+        lower.append(pt)
+    upper: list[tuple[int, int]] = []
+    for pt in reversed(pts):
+        while len(upper) >= 2 and cross(upper[-2], upper[-1], pt) <= 0:
+            upper.pop()
+        upper.append(pt)
+    return lower[:-1] + upper[:-1]
+
+
 def reference_edges(x: WeylElement) -> PolygonProfile:
-    """polygon.edges over the whole support: the convex hull of every
-    support point, the edge weights sorted by slope, and each edge's face
-    and each joining vertex's check from a scan of every support point."""
+    """polygon.edges over the whole support: the full convex hull of every
+    support point (its own hull above, sharing no code with the library's
+    chain over the frontier), the hull segments with a positive outward
+    normal, their weights sorted by slope, and each edge's face and each
+    joining vertex's check from a scan of every support point."""
     if x.is_zero():
         raise ValueError("zero element has no edges")
     d, xs = numerators(x)

@@ -200,6 +200,18 @@ class TestAnalyze:
         assert payload["verdict"]["outcome"] == "unknown"
         assert payload["box_bound"] == 2
 
+    def test_text_builds_no_report(self, capsys, monkeypatch):
+        # the text form prints the verdict only, so the h-form and polygon
+        # of the report are never built for it
+        def forbidden(*args, **kwargs):
+            raise AssertionError("build_report called for the text form")
+        monkeypatch.setattr(cli, "build_report", forbidden)
+        code, out, _ = run_cli(capsys, "analyze", "9*p^2*q^4 - 4*p", "--box", "2")
+        assert code == 0
+        assert out.splitlines()[-1] == "box bound   : 2"
+        code, out, _ = run_cli(capsys, "analyze", "p + q^2")
+        assert code == 0 and "witness     : q" in out
+
     @settings(max_examples=60, deadline=None)
     @given(weyl_elements(max_exp=4, max_terms=5, nonzero=True, fractional=True))
     def test_json_rationals_read_back_exactly(self, x):

@@ -196,6 +196,27 @@ class TestEdges:
         assert profile.edges == ()
         assert profile.vertices == ()
 
+    def test_collinear_run_hidden_by_a_later_point(self):
+        # (1,5) sits on the line from (0,6) to (2,4), and (4,3) then lies
+        # above that line, so the chain pops both (2,4) and (1,5)
+        x = WeylElement({(0, 6): 1, (1, 5): 1, (2, 4): 1, (4, 3): 1})  # q^6 + p*q^5 + p^2*q^4 + p^4*q^3
+        profile = edges(x)
+        assert [(e.weight, e.support, e.degree) for e in profile.edges] == [
+            (Weight(3, 4), {(0, 6), (4, 3)}, 24)
+        ]
+        assert profile.vertices == ()
+        assert profile == reference_edges(x)
+
+    def test_later_point_pops_two(self):
+        # (10,0) turns left at (2,7), then runs straight on from (0,10)
+        # through (1,9), so one point pops two and the edge keeps (1,9)
+        x = WeylElement({(0, 10): 1, (1, 9): 1, (2, 7): 1, (10, 0): 1})
+        profile = edges(x)
+        assert [(e.weight, e.support, e.degree) for e in profile.edges] == [
+            (Weight(1, 1), {(0, 10), (1, 9), (10, 0)}, 10)
+        ]
+        assert profile == reference_edges(x)
+
     def test_single_monomial_has_no_edges(self):
         assert edges(power(Q, 5)).edges == ()
 

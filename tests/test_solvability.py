@@ -700,7 +700,6 @@ class TestLadderVerdicts:
         assert rules_of(v) == [RuleId.LOW_GRADE_BAND]
         assert v.reasons[0].params["steps"] == ["1/3*q^3"]
         assert v.attempted == (RuleId.CONSTANT_ELEMENT, RuleId.LOW_GRADE_BAND)
-        assert v.box_bound == 4
 
     @pytest.mark.parametrize("text, step", [
         ("q^4*(p - q^3)^2 + p^2", "-1/4*q^4"),

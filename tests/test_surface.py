@@ -24,7 +24,7 @@ PUBLIC_NAMES = {
     # parser
     "ExprSyntaxError", "element_from_string",
     # polygon
-    "Edge", "PolygonProfile", "Vertex", "Weight", "convex_hull", "edges", "separating_weight",
+    "Edge", "PolygonProfile", "Vertex", "Weight", "edges", "separating_weight",
     "weight_polynomial",
     # polynomials
     "BiPoly", "UniPoly",
@@ -37,7 +37,7 @@ PUBLIC_NAMES = {
 
 
 def test_public_names_are_pinned():
-    assert len(PUBLIC_NAMES) == 52
+    assert len(PUBLIC_NAMES) == 51
     assert set(weylkit.__all__) == PUBLIC_NAMES
 
 

@@ -54,7 +54,10 @@ MAKERS = {
         RuleCitation(RuleId.CONSTANT_ELEMENT, {"c": 1}, "a constant"),
         (RuleId.CONSTANT_ELEMENT, {"c": 1}, "a constant"),
     ),
-    "Verdict": lambda: (Verdict(Outcome.UNKNOWN, box_bound=4), (Outcome.UNKNOWN, None, (), (), 4)),
+    "Verdict": lambda: (
+        Verdict(Outcome.UNKNOWN, attempted=(RuleId.CONSTANT_ELEMENT,)),
+        (Outcome.UNKNOWN, None, (), (RuleId.CONSTANT_ELEMENT,)),
+    ),
     "AnalysisReport": lambda: _report(),
 }
 # a dict field (or, for the mutable report, the type itself) makes a value unhashable
@@ -125,14 +128,15 @@ def test_repr_names_each_field():
 
 
 def test_verdict_ignores_its_profile():
-    bare = Verdict(Outcome.UNKNOWN, box_bound=4)
-    held = Verdict(Outcome.UNKNOWN, box_bound=4, profile=ElementProfile(P))
+    bare = Verdict(Outcome.UNKNOWN, attempted=(RuleId.CONSTANT_ELEMENT,))
+    held = Verdict(Outcome.UNKNOWN, attempted=(RuleId.CONSTANT_ELEMENT,), profile=ElementProfile(P))
     assert held == bare and hash(held) == hash(bare)
     assert held.profile is not None
     assert repr(held) == repr(bare) == (
-        "Verdict(outcome=<Outcome.UNKNOWN: 'unknown'>, witness=None, reasons=(), attempted=(), box_bound=4)"
+        "Verdict(outcome=<Outcome.UNKNOWN: 'unknown'>, witness=None, reasons=(), "
+        "attempted=(<RuleId.CONSTANT_ELEMENT: 'constant-element'>,))"
     )
-    assert held != Verdict(Outcome.UNKNOWN, box_bound=5)
+    assert held != Verdict(Outcome.UNKNOWN)
 
 
 def test_constructor_order_and_defaults():
@@ -141,9 +145,10 @@ def test_constructor_order_and_defaults():
     assert (e.weight, e.support, e.polynomial, e.degree) == (w, sup, poly, 1)
     assert Edge(weight=w, support=sup, polynomial=poly, degree=1) == e
     v = Verdict(Outcome.SOLVABLE)
-    assert (v.witness, v.reasons, v.attempted, v.box_bound, v.profile) == (None, (), (), None, None)
-    assert Verdict(Outcome.SOLVABLE, P, (), (RuleId.AFFINE_FAMILY,), 3).box_bound == 3
-    assert Verdict(outcome=Outcome.SOLVABLE, box_bound=3).box_bound == 3
+    assert (v.witness, v.reasons, v.attempted, v.profile) == (None, (), (), None)
+    assert Verdict(Outcome.SOLVABLE, P, (), (RuleId.AFFINE_FAMILY,)).attempted == (RuleId.AFFINE_FAMILY,)
+    assert Verdict(outcome=Outcome.SOLVABLE, attempted=(RuleId.AFFINE_FAMILY,)).attempted == (RuleId.AFFINE_FAMILY,)
+    assert not hasattr(v, "box_bound")
     s = HomogShape(x_mult=1, y_mult=2, den=3, nums=(4, 5), weight=Weight(2, 1))
     assert (s.x_mult, s.y_mult, s.den, s.nums, s.weight) == (1, 2, 3, (4, 5), Weight(2, 1))
     with pytest.raises(TypeError):
