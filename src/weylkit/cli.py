@@ -228,7 +228,7 @@ def _cmd_polygon(args) -> tuple[dict, list[str]]:
         "input": args.expr,
         "normal_form": format_element(x),
         "polygon": _polygon_to_json(profile),
-        "support": [list(pt) for pt in sorted(profile.support)],
+        "support": [list(pt) for pt in sorted(x.support())],
     }
     lines = [f"normal form : {format_element(x)}"]
     if polygon.edges:

@@ -72,6 +72,13 @@ class HomogShape(_Value):
         at any scale.  It is trivial at j = k and j = k-1; for j < k-1 the
         two powers and C(k,j) = C(k,j+1) (j+1)/(k-j) are updated step by
         step.  The one Fraction made is the mu returned.
+
+        _root_numerators(rev, k) runs the same test at r = k, yet this one
+        is kept apart: folded into that call, it gave the same answers, but
+        each call took 2.4x as long on the 209 step cores of one orbit pass
+        (that recurrence carries powers of L r and factorials), and orbit
+        p50 rose 2.1% and tail 2.7% over eight 6 s benchmark pairs
+        (Python 3.11.7, 2-vCPU shared guest).
         """
         c = self.nums
         k = len(c) - 1

@@ -69,10 +69,6 @@ class ElementProfile:
         self.x = x
 
     @cached_property
-    def support(self) -> frozenset[tuple[int, int]]:
-        return self.x.support()
-
-    @cached_property
     def span(self) -> GradeSpan:
         return grade_span(self.x)
 
@@ -83,8 +79,9 @@ class ElementProfile:
     @cached_property
     def frontier(self) -> list[tuple[int, int]]:
         """The support points no other support point dominates
-        coordinatewise (polygon.frontier): every face and weighted degree at
-        a positive weight, and the largest i, j and i + j, are read off it."""
+        coordinatewise (polygon.frontier), in decreasing i: every face and
+        weighted degree at a positive weight, the largest i, j and i + j,
+        and the constant and generator tests are read off it."""
         return frontier(numerators(self.x)[1])
 
     @cached_property
@@ -104,28 +101,6 @@ class ElementProfile:
         """Power index of each polygon edge; None at a non-axis weight."""
         return tuple(s.power_index() if s else None for s in self.edge_shapes)
 
-    def exposed(self, w: Weight) -> tuple[int, frozenset[tuple[int, int]]]:
-        """The weighted degree v of x at w and the face of support points
-        where it is reached, from one scan of the frontier."""
-        return exposed_face(self.frontier, w)
-
-    def leading_index(self, face: frozenset[tuple[int, int]]) -> int:
-        """The power index of the leading polynomial of a face exposed by
-        an axis weight, from facts the profile already holds.
-
-        A one-point face X^a Y^b is its single term, of power index
-        gcd(a, b) at every weight.  A face of two or more points is exposed
-        by exactly one weight, so it is the polygon edge with that support,
-        whose index edge_indices holds.
-        """
-        if len(face) == 1:
-            (pt,) = face
-            return gcd(*pt)
-        for e, r in zip(self.polygon.edges, self.edge_indices):
-            if e.support == face:
-                return r
-        raise WeylInternalError(f"face {sorted(face)} is no edge of the polygon")
-
     @cached_property
     def dominates_unit(self) -> bool:
         """True iff v(w) >= rho + sigma at every coprime positive weight w,
@@ -137,13 +112,14 @@ class ElementProfile:
         maximum, i.e. at the edge weights of the polygon, so its minimum
         over the cone sits at an edge weight or at one of the limit
         directions (1,0) and (0,1), where it equals max i - 1 and
-        max j - 1.  Coprime weights are dense among the directions, so the
-        condition holds exactly when max i >= 1, max j >= 1 and every edge
-        has degree at least rho + sigma.
+        max j - 1 (the frontier's first i and last j, less 1).  Coprime
+        weights are dense among the directions, so the condition holds
+        exactly when max i >= 1, max j >= 1 and every edge has degree at
+        least rho + sigma.
         """
         return (
-            max(i for i, _ in self.frontier) >= 1
-            and max(j for _, j in self.frontier) >= 1
+            self.frontier[0][0] >= 1
+            and self.frontier[-1][1] >= 1
             and all(e.degree >= e.weight.rho + e.weight.sigma for e in self.polygon.edges)
         )
 
@@ -480,13 +456,13 @@ def find_witness_box(x: WeylElement, box: int, cap: int = DEFAULT_BOX_CAP) -> We
     return y
 
 
-def _axis_weights(points) -> Iterator[Weight]:
+def _axis_weights(front: list[tuple[int, int]]) -> Iterator[Weight]:
     """(1,1), then (n,1) and (1,n) for n up to max exponent + 1: every face
     an axis direction can expose on a support.  Hull slopes are bounded by
     the exponent spans, so beyond that the exposed face is stable.  The
-    largest exponent is the same over the support and over its frontier."""
+    largest exponent is the nonempty frontier's first i or last j."""
     yield Weight(1, 1)
-    for n in range(2, max(max(pt) for pt in points) + 2):
+    for n in range(2, max(front[0][0], front[-1][1]) + 2):
         yield Weight(n, 1)
         yield Weight(1, n)
 
@@ -498,8 +474,8 @@ def _rules(profile: ElementProfile) -> _Found | None:
     """The structural rules on one profile, in RuleId order: the first
     citation that fires, with its witness for affine-family and None for an
     unsolvability rule; None when no rule fires."""
-    x = profile.x
-    if all(pt == (0, 0) for pt in profile.support):
+    x, front = profile.x, profile.frontier
+    if front in ([], [(0, 0)]):
         return RuleCitation(
             RuleId.CONSTANT_ELEMENT,
             {"value": str(x)},
@@ -520,16 +496,19 @@ def _rules(profile: ElementProfile) -> _Found | None:
     # x = f(h)*q or f(h)*p with deg f >= 1 needs no rule of its own:
     # axis-power-index-one decides it at (1,1), where the leading term is
     # the monomial X^d Y^(d+1) (or its mirror) of power index 1
-    pts = profile.support
-    if all(i == 0 for i, _ in pts):
-        gen, deg = "q", max(j for _, j in pts)
-    elif all(j == 0 for _, j in pts):
-        gen, deg = "p", max(i for i, _ in pts)
-    elif span.min_grade == span.max_grade == 0:
-        # p^k q^k = h(h+1)...(h+k-1) has degree k in h
-        gen, deg = "h", max(i for i, _ in pts)
-    else:
-        gen, deg = None, 0
+    gen, deg = None, 0
+    if len(front) == 1:
+        # the one frontier point (a, b) dominates every support point: with
+        # a = 0 (or b = 0) all of them lie on that axis, and with grade span
+        # 0 all lie on the diagonal, at (k, k) for k <= a
+        ((a, b),) = front
+        if a == 0:
+            gen, deg = "q", b
+        elif b == 0:
+            gen, deg = "p", a
+        elif span.min_grade == span.max_grade == 0:
+            # p^k q^k = h(h+1)...(h+k-1) has degree k in h
+            gen, deg = "h", a
     # degree 1 (a*q + c, a*p + c) falls through to affine-family
     if deg >= 2:
         if gen == "h":
@@ -563,11 +542,21 @@ def _rules(profile: ElementProfile) -> _Found | None:
                 "nilpotent adjoint action, ruling out [x, y] = 1",
             ), None
 
-    for w in _axis_weights(profile.frontier):
-        v, face = profile.exposed(w)
+    # the power index of each face: a one-point face X^a Y^b is its single
+    # term, of index gcd(a, b) at every weight; a face of two or more points
+    # is exposed by w alone, so it is the polygon edge at w
+    for w in _axis_weights(front):
+        v, face = exposed_face(front, w)
         if v < w.rho + w.sigma:
             continue
-        if profile.leading_index(face) == 1:
+        if len(face) == 1:
+            (pt,) = face
+            index = gcd(*pt)
+        else:
+            index = next((r for e, r in zip(polygon.edges, profile.edge_indices) if e.weight == w), None)
+            if index is None:
+                raise WeylInternalError(f"face {sorted(face)} at weight {w} is no edge of the polygon")
+        if index == 1:
             d, xs = numerators(x)
             leading = BiPoly._from_numerators(d, {pt: xs[pt] for pt in face})
             return RuleCitation(

@@ -53,6 +53,13 @@ def W(terms):
     return WeylElement(terms)
 
 
+def reference_axis_weights(support):
+    """(1,1), then (n,1) and (1,n) for n up to the largest exponent of the
+    support plus one, as the axis-power-index-one sweep takes them."""
+    top = max(max(pt) for pt in support)
+    return [Weight(1, 1)] + [w for n in range(2, top + 2) for w in (Weight(n, 1), Weight(1, n))]
+
+
 class TestVerifyWitness:
     def test_generators_reversed(self):
         assert verify_witness(Q, -P)
@@ -637,6 +644,26 @@ class TestLadderVerdicts:
         assert rules_of(v) == [RuleId.POLYNOMIAL_IN_GENERATOR]
         assert v.reasons[0].params["generator"] == "q"
 
+    @pytest.mark.parametrize("text, front, outcome, cited", [
+        ("0", [], Outcome.UNSOLVABLE, (RuleId.CONSTANT_ELEMENT, {"value": "0"})),
+        ("5", [(0, 0)], Outcome.UNSOLVABLE, (RuleId.CONSTANT_ELEMENT, {"value": "5"})),
+        ("q^3 + q", [(0, 3)], Outcome.UNSOLVABLE,
+         (RuleId.POLYNOMIAL_IN_GENERATOR, {"generator": "q", "degree": 3})),
+        ("p^2 + 3", [(2, 0)], Outcome.UNSOLVABLE,
+         (RuleId.POLYNOMIAL_IN_GENERATOR, {"generator": "p", "degree": 2})),
+        ("p^2*q^2 + 2*p*q", [(2, 2)], Outcome.UNSOLVABLE,
+         (RuleId.POLYNOMIAL_IN_GENERATOR, {"generator": "h", "degree": 2})),
+        # one diagonal frontier point, but grades 0 and 1: not f(h)
+        ("p^2*q^2 + p*q^2", [(2, 2)], Outcome.UNKNOWN, None),
+    ])
+    def test_frontier_readings(self, text, front, outcome, cited):
+        # the constant and generator tests read the frontier alone
+        x = element_from_string(text)
+        assert ElementProfile(x).frontier == front
+        v = analyze(x)
+        assert v.outcome == outcome
+        assert [(c.rule, c.params) for c in v.reasons] == ([cited] if cited else [])
+
     def test_h_polynomial_unsolvable(self):
         v = analyze(power(H, 2))
         assert v.outcome == Outcome.UNSOLVABLE
@@ -772,7 +799,6 @@ class TestElementProfile:
     @given(weyl_elements(max_exp=4, max_terms=5, nonzero=True))
     def test_facts_match_direct_computation(self, x):
         profile = ElementProfile(x)
-        assert profile.support == x.support()
         assert profile.span == grade_span(x)
         assert profile.h_form == to_h_form(x)
         polygon = edges(x)
@@ -792,12 +818,9 @@ class TestElementProfile:
         # on every support point (edges from the hull of the whole support)
         profile = ElementProfile(x)
         support = x.support()
-        top = max(max(pt) for pt in support)
-        assert list(solvability._axis_weights(profile.frontier)) == [Weight(1, 1)] + [
-            w for n in range(2, top + 2) for w in (Weight(n, 1), Weight(1, n))
-        ]
+        assert list(solvability._axis_weights(profile.frontier)) == reference_axis_weights(support)
         for w in solvability._axis_weights(profile.frontier):
-            assert profile.exposed(w) == exposed_face(support, w)
+            assert exposed_face(profile.frontier, w) == exposed_face(support, w)
         assert solvability._size(profile) == (max(i + j for i, j in support), len(support))
         assert profile.dominates_unit == (
             max(i for i, _ in support) >= 1
@@ -805,15 +828,33 @@ class TestElementProfile:
             and all(e.degree >= e.weight.rho + e.weight.sigma for e in reference_edges(x).edges)
         )
 
-    @settings(max_examples=80, deadline=None)
-    @given(weyl_elements(max_exp=4, max_terms=5, nonzero=True, fractional=True))
+    @settings(max_examples=120, deadline=None)
+    @given(st.one_of(
+        weyl_elements(max_exp=4, max_terms=5, nonzero=True, fractional=True),
+        st.builds(apply_word, tame_words(), weyl_elements(max_exp=3, max_terms=4, nonzero=True)),
+    ))
+    @example(H)  # a one-point face, (1,1), of index 1
+    @example(element_from_string("p^2*q + p*q^2"))  # an edge at (1,1) of index 1
+    @example(element_from_string("(p + q^2)^2 + p*q"))  # an edge at (2,1) of index 2; no citation
+    # the first edge, at (1,1), is -q^2 (p - q)^2 of index 2; the second, at
+    # (2,1), has index 1, so the face at (2,1) must take its own edge's index
+    @example(element_from_string("-p^2*q^2 + 2*p*q^3 - q^4 - p^3 - p^2 + 3*p*q"))
     def test_leading_matches_weight_polynomial(self, x):
-        # the faces the axis-power-index-one sweep reads
-        profile = ElementProfile(x)
-        for w in solvability._axis_weights(profile.support):
-            v, face = profile.exposed(w)
-            if v >= w.rho + w.sigma:
-                assert profile.leading_index(face) == power_index(weight_polynomial(x, w), w)
+        # the axis-power-index-one citation, or its absence, against a sweep
+        # over the whole support that factors each weight polynomial afresh
+        ladder = list(RuleId)
+        found = solvability._rules(ElementProfile(x))
+        assume(found is None or ladder.index(found[0].rule) >= ladder.index(RuleId.AXIS_POWER_INDEX_ONE))
+        cited = found[0].params if found and found[0].rule == RuleId.AXIS_POWER_INDEX_ONE else None
+        support = x.support()
+        expected = None
+        for w in reference_axis_weights(support):
+            v = exposed_face(support, w)[0]
+            leading = weight_polynomial(x, w)
+            if v >= w.rho + w.sigma and power_index(leading, w) == 1:
+                expected = {"weight": str(w), "weighted_degree": v, "leading_polynomial": str(leading)}
+                break
+        assert cited == expected
 
     @settings(max_examples=60, deadline=None)
     @given(st.dictionaries(st.integers(0, 5).map(lambda k: (k, k)), coefficients(fractional=True),
