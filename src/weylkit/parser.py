@@ -14,6 +14,12 @@ least such), zeros pruned.  Products are normal ordered as they are read,
 so "q*p" becomes p*q - 1.  The atom h stands for the product p*q.
 Parentheses nest at most MAX_NESTING levels deep.  A syntax error after a
 well-formed prefix is found once that prefix has been evaluated.
+
+A term c*p^i*q^j (an optional rational, then p^i, then q^j, at least one
+of the two) is normal ordered as written.  One that starts where a term
+may start (the start, "+", "-" or "(" before it) and ends where a term
+must end ("+", "-", ")" or the end after it) is read as one token and
+evaluated in closed form, with no product; it means what the grammar says.
 """
 
 from __future__ import annotations
@@ -38,23 +44,32 @@ _Numerators = tuple[int, dict[ExponentPair, int]]
 MAX_NESTING = 100
 
 # ASCII only: a Unicode digit or space is an unexpected character, so every
-# character before an error is one byte and offsets are byte offsets
-_TOKEN = re.compile(r"\s*(?:(?P<number>\d+(?:/\d+)?)|(?P<name>[pqh])|(?P<op>[-+*^()])|(?P<bad>\S))",
-                    re.ASCII)
+# character before an error is one byte and offsets are byte offsets.  Each
+# token takes the whitespace before it, so the lookbehind sees the last token.
+_TOKEN = re.compile(r"""
+    (?<![^-+(]) \s* (?P<term>  # c*p^i*q^j after no token, "+", "-" or "(" ...
+        (?: (?P<num>\d+) (?: / (?P<den>\d+) )? \s*\*\s* )? (?=[pq])
+        (?: (?P<p>p) (?: \s*\^\s* (?P<i>\d+) )? )?
+        (?: (?(p) \s*\*\s* ) (?P<q>q) (?: \s*\^\s* (?P<j>\d+) )? )?
+    ) (?= \s* (?: [-+)] | \Z ) )  # ... that ends at "+", "-", ")" or the end
+    | \s* (?: (?P<number>\d+(?:/\d+)?) | (?P<name>[pqh]) | (?P<op>[-+*^()]) | (?P<bad>\S) )
+""", re.ASCII | re.VERBOSE)
 
 
 class _Tokens:
     """The (kind, value, offset) tokens of a text, ended by ("end", "", len(text)).
     A number's kind is "number", a variable's "name", an operator's the
-    operator itself."""
+    operator itself.  A whole term's kind is "term" and its value the texts
+    (or None) of its numerator, denominator, p, i, q and j."""
 
     def __init__(self, text: str):
-        self.items: list[tuple[str, str, int]] = []
+        self.items: list[tuple[str, str | tuple, int]] = []
         for m in _TOKEN.finditer(text):
             kind = m.lastgroup
             if kind == "bad":
                 raise ExprSyntaxError(f"unexpected character {m[kind]!r}", m.start(kind))
-            self.items.append((m[kind] if kind == "op" else kind, m[kind], m.start(kind)))
+            value = m.group("num", "den", "p", "i", "q", "j") if kind == "term" else m[kind]
+            self.items.append((value if kind == "op" else kind, value, m.start(kind)))
         self.items.append(("end", "", len(text)))
         self.index = 0
         self.depth = 0  # parentheses open at the current position
@@ -63,7 +78,7 @@ class _Tokens:
         """The kind of the next token."""
         return self.items[self.index][0]
 
-    def next(self) -> tuple[str, str, int]:
+    def next(self) -> tuple[str, str | tuple, int]:
         tok = self.items[self.index]
         self.index += 1
         return tok
@@ -137,16 +152,15 @@ def _parse_factor(tokens: _Tokens) -> _Numerators:
 
 def _parse_atom(tokens: _Tokens) -> _Numerators:
     kind, value, offset = tokens.next()
-    if kind == "number":
+    if kind == "term":  # c*p^i*q^j is normal ordered as written
+        num, den, p, i, q, j = value
+        key = int(i or 1) if p else 0, int(j or 1) if q else 0
+    elif kind == "number":
         num, _, den = value.partition("/")
-        a, b = int(num), int(den or 1)
-        if b == 0:
-            raise ExprSyntaxError("zero denominator", offset)
-        g = gcd(a, b)
-        return b // g, {(0, 0): a // g} if a else {}
-    if kind == "name":
+        key = (0, 0)
+    elif kind == "name":
         return 1, {_VAR_KEYS[value]: 1}
-    if kind == "(":
+    elif kind == "(":
         if tokens.depth == MAX_NESTING:
             raise ExprSyntaxError(f"parentheses nested deeper than {MAX_NESTING} levels", offset)
         tokens.depth += 1
@@ -156,7 +170,13 @@ def _parse_atom(tokens: _Tokens) -> _Numerators:
         if kind != ")":
             raise ExprSyntaxError("expected ')'", offset)
         return inner
-    raise ExprSyntaxError("unexpected end of input" if kind == "end" else f"unexpected {value!r}", offset)
+    else:
+        raise ExprSyntaxError("unexpected end of input" if kind == "end" else f"unexpected {value!r}", offset)
+    a, b = int(num or 1), int(den or 1)
+    if b == 0:
+        raise ExprSyntaxError("zero denominator", offset)
+    g = gcd(a, b)
+    return b // g, {key: a // g} if a else {}
 
 
 _SIGNS = ("+", "-")

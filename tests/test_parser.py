@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weylkit import (
     H,
@@ -68,6 +69,16 @@ class TestEval:
         ("(2/3*h - q*p)^2 * 3/2", "1/6*p^2*q^2 - 7/6*p*q + 3/2"),
         # only a one-term base with an exponent 0 is raised in closed form
         ("(p*q)^2", "p^2*q^2 - p*q"),
+        # a term is one token only at a term start and when it ends at "+",
+        # "-", ")" or the end; these are read factor by factor
+        ("(p+q)^2*q", "p^2*q + 2*p*q^2 + q^3 - q"),
+        ("2*3*p", "6*p"),
+        ("q*p^2", "p^2*q - 2*p"),
+        ("p*q*p", "p^2*q - p"),
+        # and these are one token each
+        ("( 3/4 * p ^ 2 * q )", "3/4*p^2*q"),
+        ("p^0*q^0", "1"),
+        ("0*p*q", "0"),
     ])
     def test_canonical_form(self, text, expected):
         # cancellation in the integer fold stores no zero coefficient and
@@ -98,12 +109,20 @@ class TestEval:
         assert element_from_string(text) == naive_eval(self.ONE_TERM_POWERS[text])
 
     def test_axis_monomial_powers_take_no_binary_power(self, monkeypatch):
-        def forbidden(*args):
-            raise AssertionError("binary_power called")
+        def forbid(name):
+            def forbidden(*args):
+                raise AssertionError(f"{name} called")
+            monkeypatch.setattr(parser, name, forbidden)
 
-        monkeypatch.setattr(parser, "binary_power", forbidden)
-        x = element_from_string("-6*p^3*q^3 + 3*q^3 - 5*p")
+        # "*1" makes each term a product read factor by factor, whose axis
+        # powers p^3 and q^3 are raised in closed form
+        forbid("binary_power")
+        x = element_from_string("-6*p^3*q^3*1 + 3*q^3*1 - 5*p")
         assert format_element(x) == "-6*p^3*q^3 + 3*q^3 - 5*p"
+        # a normal-ordered term at a term start is one token: no product
+        forbid("_times")
+        x = element_from_string("-6*p^3*q^3 + 3/4*q^3 - 5*p + 7")
+        assert format_element(x) == "-6*p^3*q^3 + 3/4*q^3 - 5*p + 7"
 
     def test_power_of_fractional_sum(self):
         tree = Pow(Sum((Prod((Num(Fraction(1, 3)), Var("p"))),
@@ -150,6 +169,17 @@ SYNTAX_ERRORS = {
     "p)": (1, "unexpected ')'"),
     "2/0": (0, "zero denominator"),
     "p^1/0": (2, "exponent must be a nonnegative integer"),
+    # the whole text is tokenized before anything is evaluated, and a term
+    # read as one token raises its zero denominator only when evaluated
+    "3/0*p + $": (8, "unexpected character '$'"),
+    "3/0*p + (": (0, "zero denominator"),
+    "2*p^2*q^3 + 3/0*q": (12, "zero denominator"),
+    # none of these is one term token
+    "p^2^3": (3, "unexpected '^'"),
+    "p^2 q": (4, "unexpected 'q'"),
+    "2p^3": (1, "unexpected 'p'"),
+    "p^1/2": (2, "exponent must be a nonnegative integer"),
+    "--p": (1, "unexpected '-'"),
 }
 
 BAD_INPUTS = [
@@ -248,3 +278,22 @@ class TestPrintParseRoundTrip:
     @given(weyl_elements(max_exp=5, max_terms=6, fractional=True))
     def test_round_trip_random(self, x):
         assert element_from_string(format_element(x)) == x
+
+    @settings(max_examples=300, deadline=None)
+    @given(weyl_elements(max_exp=5, max_terms=6, fractional=True), st.data())
+    def test_respelled_terms_parse_to_the_element(self, x, data):
+        # each term is one token as printed or in parentheses, and is read
+        # factor by factor when "*1" follows it; every spelling is x
+        def op(symbol):
+            space = st.text(" \t\n\r\f\v", max_size=2)
+            return data.draw(space) + symbol + data.draw(space)
+
+        text = ""
+        for (i, j), c in sorted(x.terms().items()):
+            text += op("-" if c < 0 else "+") if text or c < 0 else ""
+            parts = [str(abs(c))] if abs(c) != 1 or not i + j else []
+            parts += [f"p{op('^')}{i}" if i > 1 else "p"] if i else []
+            parts += [f"q{op('^')}{j}" if j > 1 else "q"] if j else []
+            term = op("*").join(parts)
+            text += data.draw(st.sampled_from([term, f"({term})", term + op("*") + "1"]))
+        assert element_from_string(text or "0") == x
