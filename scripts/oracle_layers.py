@@ -3,14 +3,16 @@
 elements: building the system (_box_system) and solving it (_solve).
 
 For each element and box it prints the system's columns, rows and nonzeros
-(right-hand side included) before and after the peel, the Mersenne
-exponents e of the primes 2^e - 1 the elimination ran at ("-" when the peel
+(right-hand side included) before and after the peel, the bit length of
+the largest pivot-row entry of the integer elimination ("-" when the peel
 decided alone), whether a witness was found, the best-of-N milliseconds of
-each layer, the rank (the number of pivots of the last elimination, which
-the proof makes the rational rank of the rows the peel leaves; "-" when the
-peel decided alone) and the bit length of the system's largest absolute
-entry, right-hand side included.  Rows are keyed by the integer codes of
-_box_system; the unit row is code 0.
+each layer, the rank (the number of pivots left of the right-hand side,
+which the echelon form makes the rank of the rows the peel leaves; "-"
+when the peel decided alone) and the bit length of the system's largest
+absolute entry, right-hand side included.  The pivot bits and the rank
+come from eliminating the right-hand side as one more column, so an
+inconsistent system, where _eliminate stops early, has them too.  Rows
+are keyed by the integer codes of _box_system; the unit row is code 0.
 
 Run with:  python scripts/oracle_layers.py --boxes 4 8 12 16 --repeat 15
 """
@@ -44,10 +46,9 @@ def layers(text, box, repeat):
     seen = []
     eliminate = solvability._eliminate
 
-    def recorded(rows, ncols, prime):
-        pivots, inconsistent = eliminate(rows, ncols, prime)
-        seen.append((rows, ncols, prime, len(pivots)))
-        return pivots, inconsistent
+    def recorded(rows, ncols):
+        seen.append((rows, ncols, eliminate(rows, ncols + 1)))
+        return eliminate(rows, ncols)
 
     solvability._eliminate = recorded
     try:
@@ -55,17 +56,17 @@ def layers(text, box, repeat):
     finally:
         solvability._eliminate = eliminate
     if seen:
-        left, ncols, _, _ = seen[0]
+        ((left, ncols, pivots),) = seen
         cols = {t for row in left for t in row if t != ncols}
         after = (len(cols), len(left), sum(map(len, left)))
-        rank = str(seen[-1][3])
+        rank = str(sum(col < ncols for col in pivots))
+        growth = str(max(abs(c) for a, row in pivots.values() for c in (a, *row.values())).bit_length())
     else:
         after = (0, 0, 0)
-        rank = "-"
-    primes = ",".join(str(prime.bit_length()) for _, _, prime, _ in seen) or "-"
+        rank = growth = "-"
     build = best_ms(lambda: solvability._box_system(x, box), repeat)
     solve = best_ms(lambda: solvability._solve(brackets, rhs), repeat)
-    return before, after, primes, found, build, solve, rank, bits
+    return before, after, growth, found, build, solve, rank, bits
 
 
 def main():
@@ -77,12 +78,12 @@ def main():
         print("error: --repeat must be at least 1 and every box nonnegative", file=sys.stderr)
         return 1
     print(f"{'element':<18}{'box':>4}  {'cols x rows / nnz before':>25}  {'after peel':>16}"
-          f"  {'primes':<10}{'found':<7}{'build ms':>9}{'solve ms':>10}{'rank':>6}{'bits':>6}")
+          f"  {'pivot bits':<12}{'found':<7}{'build ms':>9}{'solve ms':>10}{'rank':>6}{'bits':>6}")
     for box in args.boxes:
         for text in ELEMENTS:
-            before, after, primes, found, build, solve, rank, bits = layers(text, box, args.repeat)
+            before, after, growth, found, build, solve, rank, bits = layers(text, box, args.repeat)
             print(f"{text:<18}{box:>4}  {'%d x %d / %d' % before:>25}  {'%d x %d / %d' % after:>16}"
-                  f"  {primes:<10}{'yes' if found else 'no':<7}{build:>9.3f}{solve:>10.3f}{rank:>6}{bits:>6}")
+                  f"  {growth:<12}{'yes' if found else 'no':<7}{build:>9.3f}{solve:>10.3f}{rank:>6}{bits:>6}")
     return 0
 
 

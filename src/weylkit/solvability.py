@@ -16,12 +16,11 @@ import enum
 from collections.abc import Iterator
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, isqrt, lcm
+from math import gcd
 
 from .element import WeylElement, WeylInternalError, _Value, commutator, numerators, power_bracket
 from .grading import GradeSpan, HForm, exp_ad, grade_span, to_h_form
-from .polygon import PolygonProfile, Weight, edges, exposed_face, frontier
-from .polynomials import BiPoly
+from .polygon import PolygonProfile, Weight, edges, exposed_face, frontier, weight_polynomial
 from .power_analysis import HomogShape, dehomogenize
 
 DEFAULT_BOX_BOUND = 4
@@ -164,84 +163,61 @@ def witness_for_affine(x: WeylElement) -> WeylElement | None:
 # the value of every peeled column, shared: Fractions are immutable
 _ZERO = Fraction(0)
 
-# Mersenne exponents e, each about twice the one before, with 2^e - 1 prime
-_MERSENNE_EXPONENTS = (
-    61, 127, 521, 1279, 2203, 4423, 9689, 19937, 44497, 86243, 216091, 756839,
-    1257787, 2976221, 6972593, 13466917, 32582657, 74207281, 136279841,
-)
 
+def _eliminate(rows: list[dict[int, int]], ncols: int) -> dict[int, tuple[int, dict[int, int]]] | None:
+    """The pivot rows of a fraction-free elimination over the integers, by
+    pivot column in column order, each as (a, row): a its pivot entry and
+    row the rest, holding only columns right of it; None as soon as a row
+    is left holding only a right-hand side (column ncols).  See _solve for
+    the pivot rule and the proofs.  The rows passed in are not changed.
 
-def _reconstruct(u: int, prime: int) -> tuple[int, int] | None:
-    """The fraction r/s = u mod prime with |r|, s <= sqrt(prime/2), by the
-    half-extended Euclidean algorithm (Wang 1981); None if there is none.
-    Such a fraction is unique when it exists."""
-    bound = isqrt(prime // 2)
-    r0, s0, r1, s1 = prime, 0, u, 1
-    while r1 > bound:
-        q = r0 // r1
-        r0, r1 = r1, r0 - q * r1
-        s0, s1 = s1, s0 - q * s1
-    if s1 < 0:
-        r1, s1 = -r1, -s1
-    if s1 > bound or gcd(r1, s1) != 1:
-        return None
-    return r1, s1
-
-
-def _lift(v: dict[int, int], prime: int) -> tuple[int, dict[int, int]] | None:
-    """A vector mod prime reconstructed over Q, as a common denominator
-    and integer numerators; None if some entry does not reconstruct."""
-    fracs = []
-    for t, u in v.items():
-        rs = _reconstruct(u, prime)
-        if rs is None:
-            return None
-        fracs.append((t, rs))
-    d = lcm(*(s for _, (_, s) in fracs))
-    return d, {t: r * (d // s) for t, (r, s) in fracs}
-
-
-def _eliminate(rows: list[dict[int, int]], ncols: int, prime: int) -> tuple[dict[int, dict[int, int]], bool]:
-    """The monic pivot rows mod prime by pivot column, in column order, each
-    with its pivot column removed, so holding only columns right of it, and
-    whether a row was left holding only a right-hand side; see _solve for
-    the pivot rule.  A row waits in the bucket of its leftmost column, so
-    every row in a bucket holds its column.  A row reduced by the pivot
-    pops that column and moves to the bucket of its new leftmost column;
-    the rows left in bucket ncols hold only a right-hand side."""
-    reduced = [{t: r for t, c in row.items() if (r := c % prime)} for row in rows]
+    A row waits in the bucket of its leftmost column, so every row in a
+    bucket holds its column.  The pivot row is divided by its content (the
+    gcd of its entries).  A waiting row holding f at the pivot column
+    becomes (a/g) row - (f/g) pivot, g = gcd(a, f), which drops that column,
+    and moves to the bucket of its new leftmost column.
+    """
+    current = list(rows)
     waiting: dict[int, list[int]] = {}
-    for k, row in enumerate(reduced):
+    for k, row in enumerate(current):
         if row:
             waiting.setdefault(min(row), []).append(k)
-    pivots: dict[int, dict[int, int]] = {}
+    pivots: dict[int, tuple[int, dict[int, int]]] = {}
     for col in range(ncols):
         hits = waiting.pop(col, None)
         if hits is None:
             continue
         pk = hits[0]
-        fewest = len(reduced[pk])
+        fewest = len(current[pk])
         for k in hits:
-            n = len(reduced[k])
+            n = len(current[k])
             if n < fewest or n == fewest and k < pk:
                 pk, fewest = k, n
-        row = reduced[pk]
-        inv = pow(row.pop(col), -1, prime)
-        pivot = {t: c * inv % prime for t, c in row.items()}
+        row = current[pk]
+        content = gcd(*row.values())
+        pivot = {t: c // content for t, c in row.items() if t != col}
+        a = row[col] // content
         for k in hits:
             if k != pk:
-                row = reduced[k]
-                f = row.pop(col)
+                row = current[k]
+                f = row[col]
+                g = gcd(a, f)
+                s, f = a // g, f // g
+                row = {t: s * c for t, c in row.items() if t != col}
                 for t, c in pivot.items():
-                    c = (row.get(t, 0) - f * c) % prime
+                    c = row.get(t, 0) - f * c
                     if c:
                         row[t] = c
                     else:
                         del row[t]
+                current[k] = row
                 if row:
-                    waiting.setdefault(min(row), []).append(k)
-        pivots[col] = pivot
-    return pivots, bool(waiting)
+                    left = min(row)
+                    if left >= ncols:
+                        return None
+                    waiting.setdefault(left, []).append(k)
+        pivots[col] = a, pivot
+    return None if waiting else pivots
 
 
 def _solve(columns: list[dict], rhs: dict) -> dict[int, Fraction] | None:
@@ -250,11 +226,6 @@ def _solve(columns: list[dict], rhs: dict) -> dict[int, Fraction] | None:
     maps them to the nonzero right-hand side.  Returns the solution on the
     pivot columns (free columns are zero), or None when the system is
     inconsistent.
-
-    Columns are taken in index order; the pivot is the remaining row with a
-    nonzero there and the fewest nonzeros, ties to the earliest row in key
-    order.  The pivot columns are the leftmost independent ones whatever
-    rows are picked, and the solution supported on them is unique.
 
     An exact peel comes first.  A row whose one nonzero a_rt has right-hand
     side 0 forces y_t = 0 in every solution.  Every other column is 0 at
@@ -265,27 +236,29 @@ def _solve(columns: list[dict], rhs: dict) -> dict[int, Fraction] | None:
     every row, and by induction the rows this leaves with one entry are
     peeled in turn.  A row left holding only b != 0 reads 0 = b: None.
 
-    The rows that remain are eliminated over GF(P), P = 2^e - 1 for e in
-    _MERSENNE_EXPONENTS, and the answer is proved on their integer rows, in
-    O(nnz) per vector:
-    - each mod-P free column f that some row holds gets the kernel vector
-      with y_f = 1 and the other free columns 0, reconstructed over Q and
-      checked to satisfy A v = 0.  Then no free column is a rational
-      pivot, and columns independent mod P are independent over Q, so the
-      two pivot sets are equal;
-    - a row left holding only a right-hand side is then a nonzero minor of
-      [A | b] beyond the rank, so the system is inconsistent: None;
-    - otherwise the reconstructed solution on the pivot columns, checked to
-      satisfy A y = b, is the unique solution supported on them.
-    A failed step moves on to the next prime.  With H the Hadamard bound
-    prod max(1, |row|_2) over the rows of [A | b], no nonzero minor
-    vanishes mod P once P > 2 H^2, and every kernel or solution entry is a
-    ratio of minors, each at most H, so within the reconstruction bound
-    sqrt(P/2): every step passes.  Only a system far too large to hold in
-    memory gets past the last prime, with ValueError.  A step is proved at
-    whatever prime it passes, so the ladder starts at the first P > 2 A^2,
-    A the largest |entry| of the remaining rows: below it, a 1x1 system
-    a y = b with coprime entries, one of them A, fails to reconstruct.
+    The rows that remain are eliminated over the integers (_eliminate).
+    Columns are taken in index order; the pivot is the remaining row with a
+    nonzero there and the fewest nonzeros, ties to the earliest row in key
+    order.  Each step replaces a row by a nonzero multiple of itself minus
+    a multiple of another, which is invertible, so the dependencies among
+    the columns never change; at the end the pivot rows are in echelon
+    form, where a column is independent of the columns before it exactly
+    when it holds a pivot.  So the pivot columns are the leftmost
+    independent ones whatever rows are picked, and the solution supported
+    on them is unique.  A row left holding only b != 0 is a combination of
+    the rows that reads 0 = b: None.  Otherwise back substitution over the
+    pivots, last first, gives that solution in Fractions.
+
+    Growth bound.  A pivot row at column c is reduced only by earlier
+    pivot rows, so it lies in the span of its own input row and of the k
+    input rows the earlier pivots came from, and vanishes at the k earlier
+    pivot columns c_1 < ... < c_k.  Those k + 1 rows are independent, so
+    the vectors of their span that vanish there form a line, spanned by
+    the integer vector whose entry t is the minor on columns c_1, ..., c_k,
+    t.  The pivot row, divided by its content, is that vector divided by
+    its content, up to sign: its entries are at most the Hadamard bound
+    H = prod max(1, |row|_2) over the input rows.  A waiting row reduced
+    by a pivot grows by at most that pivot's size, once per pivot column.
     """
     ncols = len(columns)
     rows: dict = {}  # the one transposition, with the right-hand side as column ncols
@@ -306,46 +279,15 @@ def _solve(columns: list[dict], rhs: dict) -> dict[int, Fraction] | None:
             del rows[key][t]
             if len(rows[key]) == 1:
                 singles.append(key)
-    remaining = [rows[key] for key in sorted(key for key, row in rows.items() if row)]
-    bound = 2 * max((abs(c) for row in remaining for c in row.values()), default=0) ** 2
-
-    def holds(lifted: tuple[int, dict[int, int]] | None, target: dict) -> bool:
-        # A v = target exactly, for v = numerators / d, in O(nnz of v's columns)
-        if lifted is None:
-            return False
-        d, v = lifted
-        acc: dict = {}
-        for t, c in v.items():
-            if c:
-                for key, a in columns[t].items():
-                    acc[key] = acc.get(key, 0) + a * c
-        return {k: s for k, s in acc.items() if s} == {k: d * b for k, b in target.items()}
-
-    for e in _MERSENNE_EXPONENTS:
-        prime = 2**e - 1
-        if prime <= bound:
-            continue
-        pivots, inconsistent = _eliminate(remaining, ncols, prime)
-
-        def back_substitute(y: dict[int, int], below: int, homogeneous: bool) -> dict[int, int]:
-            # pivot columns at or beyond `below` are zero; a pivot row holds
-            # only columns right of its own, and y nothing at ncols
-            for col, row in reversed(pivots.items()):
-                if col < below:
-                    acc = 0 if homogeneous else row.get(ncols, 0)
-                    y[col] = (acc - sum(c * y.get(t, 0) for t, c in row.items())) % prime
-            return y
-
-        free = [t for t, col in enumerate(columns) if col and t not in peeled and t not in pivots]
-        if not all(holds(_lift(back_substitute({f: 1}, f, True), prime), {}) for f in free):
-            continue
-        if inconsistent:
-            return None
-        lifted = _lift(back_substitute({}, ncols, False), prime)
-        if holds(lifted, rhs):
-            d, num = lifted
-            return peeled | {col: Fraction(num[col], d) for col in reversed(pivots)}
-    raise ValueError("the box system's coefficients are too large to certify")
+    pivots = _eliminate([rows[key] for key in sorted(key for key, row in rows.items() if row)], ncols)
+    if pivots is None:
+        return None
+    y: dict[int, Fraction] = {}
+    for col, (a, row) in reversed(pivots.items()):
+        # the pivot row holds only columns right of col: pivot columns
+        # already solved, free columns (zero) and the right-hand side
+        y[col] = Fraction(row.get(ncols, 0) - sum(c * y[t] for t, c in row.items() if t in y), a)
+    return peeled | y
 
 
 def _check_box(box: int, cap: int) -> None:
@@ -421,9 +363,8 @@ def find_witness_box(x: WeylElement, box: int, cap: int = DEFAULT_BOX_CAP) -> We
     code 0, because [X, y] = d exactly when [x, y] = 1.  Each row is d
     times the row of the rational system, so the nonzeros, the pivots and
     the witness are the same: the one supported on the leftmost independent
-    columns (see _solve), found modulo a prime and certified exactly.  A
-    returned witness is always verified.  None means only that no witness
-    exists within the box.
+    columns (see _solve).  A returned witness is always verified.  None
+    means only that no witness exists within the box.
 
     Three exact reductions shrink the system and change no answer:
     - the constant term of [x, y] is
@@ -439,7 +380,7 @@ def find_witness_box(x: WeylElement, box: int, cap: int = DEFAULT_BOX_CAP) -> We
       therefore the unit block's;
     - _solve first peels, in a cascade, each column that a one-entry row
       forces to 0; a row left holding only its right-hand side gives None
-      with no prime involved.
+      with no elimination.
     """
     _check_box(box, cap)
     if x.is_zero():
@@ -557,11 +498,10 @@ def _rules(profile: ElementProfile) -> _Found | None:
             if index is None:
                 raise WeylInternalError(f"face {sorted(face)} at weight {w} is no edge of the polygon")
         if index == 1:
-            d, xs = numerators(x)
-            leading = BiPoly._from_numerators(d, {pt: xs[pt] for pt in face})
+            # w is positive, so the support's face at w is the frontier's
             return RuleCitation(
                 RuleId.AXIS_POWER_INDEX_ONE,
-                {"weight": str(w), "weighted_degree": v, "leading_polynomial": str(leading)},
+                {"weight": str(w), "weighted_degree": v, "leading_polynomial": str(weight_polynomial(x, w))},
                 "the leading polynomial at an axis weight with weighted degree "
                 "at least rho + sigma is not a proper power; a witness would "
                 "force an impossible leading-polynomial proportionality",

@@ -443,12 +443,13 @@ class TestOracleLayersScript:
         rows = {line[:22].split()[0]: line.split() for line in proc.stdout.splitlines()[1:]}
         assert len(rows) == 4
         # 81 columns, 125 rows and 578 nonzeros, of which the peel leaves 19
-        # x 34 / 120 to one elimination at 2^61 - 1; h is decided by the peel
+        # x 34 / 120 to the elimination, whose pivot rows reach 6 bits; h is
+        # decided by the peel
         assert rows["p^3*q^2+q^4+p^2"][2:12] == ["81", "x", "125", "/", "578", "19", "x", "34", "/", "120"]
-        assert rows["p^3*q^2+q^4+p^2"][12:14] == ["61", "no"]
+        assert rows["p^3*q^2+q^4+p^2"][12:14] == ["6", "no"]
         assert rows["p+q^2"][13] == "yes"
         assert rows["h"][12:14] == ["-", "no"]
-        # 17 pivots mod 2^61 - 1 on the 19 columns the peel leaves, and an
-        # entry of 11 bits; the peel decides h alone, so it has no rank
+        # 17 pivots on the 19 columns the peel leaves, and an entry of 11
+        # bits; the peel decides h alone, so it has no rank
         assert rows["p^3*q^2+q^4+p^2"][16:] == ["17", "11"]
         assert rows["h"][16:] == ["-", "1"]

@@ -3,6 +3,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from math import gcd, prod
 
 import pytest
 import hypothesis.strategies as st
@@ -348,9 +349,7 @@ class TestBoxReductions:
             find_witness_box(element_from_string("p^5 + q^5 + h"), 5)
 
 
-# the element of orbit seed 11 whose box-4 system has 32-bit entries, so its
-# ladder starts at 2^127 - 1 (at 2^61 - 1 a kernel certificate has entries
-# beyond sqrt(P/2))
+# the element of orbit seed 11 whose box-4 system has 32-bit entries
 ORBIT_LARGE_ENTRIES = (
     "22667121*p^4 - 23652648*p^3*q + 9255384*p^2*q^2 - 1609632*p*q^3 + 104976*q^4"
     " + 36316908*p^3 - 28422342*p^2*q + 7414632*p*q^2 - 644760*q^3 + 57286093*p^2"
@@ -420,145 +419,89 @@ class TestSparseSolver:
 
 class TestModularSolver(TestSparseSolver):
     """_solve, through columns_of: the hand-built systems above, then
-    systems with entries below 2^29, so that the ladder starts at the first
-    prime P = 2^61 - 1, built to defeat a proof step there, which must
-    certify at 2^127 - 1 after one retry."""
+    systems that defeat an elimination modulo a prime (a determinant of
+    2^61 - 1, a solution entry beyond sqrt((2^61 - 1)/2) from small
+    entries, entries of hundreds of digits), each with its exact answer."""
 
     solve = staticmethod(lambda rows, ncols: solvability._solve(*columns_of(rows, ncols)))
     PRIME = 2**61 - 1
-    NEXT = 2**127 - 1
     # M = [[A, 1, 0], [0, B, 1], [1, 0, C]] has det ABC + 1 = PRIME: its
     # columns are independent over Q but not mod PRIME
     A, B, C = 1311753, 1317173, 1334550
 
-    @pytest.fixture
-    def primes(self, monkeypatch):
-        # the primes an elimination ran at, in order
-        calls = []
-        eliminate = solvability._eliminate
-
-        def counted(rows, ncols, prime):
-            calls.append(prime)
-            return eliminate(rows, ncols, prime)
-
-        monkeypatch.setattr(solvability, "_eliminate", counted)
-        return calls
-
-    def test_column_of_prime_multiples_is_a_pivot_over_q(self, primes):
+    def test_column_of_prime_multiples_is_a_pivot_over_q(self):
         # M y = column 2 of M: mod P column 2 is a combination of columns 0
-        # and 1 (it minus that combination is a column of prime multiples),
-        # so it is free and fails its kernel certificate; over Q it is the
-        # third independent column, and y = (0, 0, 1)
+        # and 1 (it minus that combination is a column of prime multiples);
+        # over Q it is the third independent column, and y = (0, 0, 1)
         A, B, C = self.A, self.B, self.C
         assert A * B * C + 1 == self.PRIME
         rows = [{0: A, 1: 1}, {1: B, 2: 1, 3: 1}, {0: 1, 2: C, 3: C}]
-        pivots, _ = solvability._eliminate(rows, 3, self.PRIME)
-        assert list(pivots) == [0, 1]
-        primes.clear()
         assert self.solve(rows, 3) == {0: 0, 1: 0, 2: 1}
-        assert primes == [self.PRIME, self.NEXT]
 
-    def test_inconsistent_mod_prime_only(self, primes):
-        # M y = (0, 0, 1) leaves 0 = 1 mod P, yet y = (1, -A, AB)/P solves
+    def test_inconsistent_mod_prime_only(self):
+        # M y = (0, 0, 1) reads 0 = 1 mod P, yet y = (1, -A, AB)/P solves
         A, B, C = self.A, self.B, self.C
         rows = [{0: A, 1: 1}, {1: B, 2: 1}, {0: 1, 2: C, 3: 1}]
-        assert solvability._eliminate(rows, 3, self.PRIME)[1]
-        primes.clear()
         assert self.solve(rows, 3) == {0: Fraction(1, self.PRIME), 1: Fraction(-A, self.PRIME),
                                        2: Fraction(A * B, self.PRIME)}
-        assert primes == [self.PRIME, self.NEXT]
 
-    def test_consistent_mod_prime_only(self, primes):
+    def test_consistent_mod_prime_only(self):
         # columns 0 and 1 of M with column 2 as the right-hand side agree
         # mod P but not over Q; no row has one entry, so the peel leaves all
-        # three to the elimination, and the solution found mod P fails A y = b
+        # three to the elimination
         A, B, C = self.A, self.B, self.C
         rows = [{0: A, 1: 1}, {1: B, 2: 1}, {0: 1, 2: C}]
-        assert not solvability._eliminate(rows, 2, self.PRIME)[1]
-        primes.clear()
         assert self.solve(rows, 2) is None
-        assert primes == [self.PRIME, self.NEXT]
 
-    def test_peel_decides_without_elimination(self, primes):
+    def test_peel_decides_without_elimination(self, monkeypatch):
+        def no_elimination(rows, ncols):
+            raise AssertionError("eliminated a system the peel decides")
+
+        monkeypatch.setattr(solvability, "_eliminate", no_elimination)
         assert self.solve([{0: 1, 1: 1}, {1: 3}, {1: 2, 2: 5}], 2) is None
         assert self.solve([{0: 2}, {1: 4}], 1) is None
-        assert not primes
-        # the row of P is peeled over Q, so the rest certifies at P, no retry
+        monkeypatch.undo()
+        # the row of P is peeled, and x0 + x1 = 1 is left to the elimination
         assert self.solve([{0: 2**61 - 1}, {0: 1, 1: 1, 2: 1}], 2) == {0: 0, 1: 1}
-        assert primes == [self.PRIME]
 
-    # x0 = K x1 and x1 = K: small entries, but x0 = K^2 lies beyond the
-    # reconstruction bound sqrt(P/2) < 2^30
+    # x0 = K x1 and x1 = K: small entries, but x0 = K^2 lies beyond
+    # sqrt((2^61 - 1)/2) < 2^30
     K = 2**16 + 1
     BEYOND = [{0: 1, 1: -K}, {1: 1, 2: K}]
 
-    def test_coefficient_beyond_reconstruction(self, primes):
-        big = self.K**2
-        assert solvability._reconstruct(big, self.PRIME) is None
-        assert solvability._reconstruct(big, self.NEXT) == (big, 1)
-        assert self.solve(self.BEYOND, 2) == {0: big, 1: self.K}
-        assert primes == [self.PRIME, self.NEXT]
+    def test_coefficient_beyond_reconstruction(self):
+        assert self.solve(self.BEYOND, 2) == {0: self.K**2, 1: self.K}
 
-    def test_first_rung_the_entries_allow(self, primes):
-        # an entry A >= 2^30 has 2 A^2 > 2^61 - 1, so the ladder starts at
-        # 2^127 - 1, where x0 = 2^31 + 1 reconstructs at once
+    def test_large_entries(self):
         assert self.solve([{0: 1, 1: 2**31 + 1}], 1) == {0: 2**31 + 1}
-        assert primes == [self.NEXT]
-        # 10^200 in x starts at 2^2203 - 1, the first P > 2 * 10^400; the
-        # kernel certificate of x itself fails there, and x^2, with entries
-        # near 10^400, certifies at 2^4423 - 1
-        primes.clear()
+        # x^2 of the system has entries near 10^400
         x = element_from_string("10^200*p + q^2")
-        y = find_witness_box(x, 4)
-        assert primes == [2**2203 - 1, 2**4423 - 1]
-        assert y == naive_box_witness(x, 4) == W({(0, 1): Fraction(1, 10**200)})
+        assert find_witness_box(x, 4) == naive_box_witness(x, 4) == W({(0, 1): Fraction(1, 10**200)})
 
-    def test_past_the_last_prime(self, monkeypatch):
-        monkeypatch.setattr(solvability, "_MERSENNE_EXPONENTS", (61,))
-        with pytest.raises(ValueError, match="too large"):
-            self.solve(self.BEYOND, 2)
-        # an entry past the last rung's bound fails before any elimination
-        with pytest.raises(ValueError, match="too large"):
-            self.solve([{0: 1, 1: 2**31 + 1}], 1)
-
-    def test_deep_box_systems_certified_without_fallback(self, primes, monkeypatch):
+    def test_deep_box_systems_certified_without_fallback(self):
         # the centralizers of these elements meet the box (x, x^2, powers of
-        # p + q^2, powers of h), so several kernel certificates are checked
-        lifts = []
-        lift = solvability._lift
-        monkeypatch.setattr(solvability, "_lift", lambda v, prime: lifts.append(v) or lift(v, prime))
+        # p + q^2, powers of h), so the systems have free columns
         for text in ("p^3*q^2+q^4+p^2", "(p+q^2)^2", "p+q^2", "h"):
             for box in (10, 12):
-                brackets, _, d = solvability._box_system(element_from_string(text), box)
-                primes.clear()
-                lifts.clear()
-                solvability._solve(brackets, {0: d})
-                assert primes == [self.PRIME] or text == "h" and not primes, (text, box)
-                # every p^i q^i is a polynomial in h, so h's centralizer
-                # columns are zero and need no certificate
-                assert len([v for v in lifts if len(v) > 1]) >= 2 or text == "h", (text, box)
+                y = find_witness_box(element_from_string(text), box, cap=12)
+                assert y == (Q if text == "p+q^2" else None), (text, box)
 
-    def test_box_24_certifies_after_one_retry(self, primes):
-        # the sixth kernel certificate at 2^61 - 1 has entries beyond sqrt(P/2)
+    def test_box_24_has_no_witness(self):
         x = element_from_string("p^3*q^2+q^4+p^2")
         assert find_witness_box(x, 24, cap=24) is None
-        assert primes == [self.PRIME, self.NEXT]
 
-    def test_orbit_element_certifies_at_its_first_rung(self, primes):
+    def test_orbit_element_matches_naive(self):
         x = element_from_string(ORBIT_LARGE_ENTRIES)
-        y = find_witness_box(x, 4)
-        assert primes == [self.NEXT]
-        assert y == naive_box_witness(x, 4)
+        assert find_witness_box(x, 4) == naive_box_witness(x, 4)
 
 
 @st.composite
 def sparse_systems(draw):
     """Small sparse integer systems, often rank-deficient or inconsistent:
     extra rows are combinations of the first ones, with the right-hand side
-    sometimes shifted.  Some entries are multiples of a tabulated prime or
-    too large to reconstruct at it, so some draws start past the first
-    prime and some escalate from the prime they start at.  Zero entries are
-    left out, as the solver requires."""
+    sometimes shifted.  Some entries are large: multiples of the primes
+    2^61 - 1 and 2^127 - 1, or past 2^200.  Zero entries are left out, as
+    the solver requires."""
     ncols = draw(st.integers(1, 6))
     small = st.integers(-9, 9).filter(bool)
     rows = draw(st.lists(st.dictionaries(st.integers(0, ncols), small, max_size=ncols + 1), min_size=1, max_size=6))
@@ -578,16 +521,61 @@ def sparse_systems(draw):
     return [{t: c for t, c in row.items() if c} for row in rows], ncols
 
 
-class TestModularMatchesExact:
+# an entry of 127 bits beside small ones
+LARGE_ENTRY_SYSTEM = ([{0: 2**127 - 1, 1: 1, 2: 1}], 2)
+# a cascade of one-entry rows from a prime multiple: x2 = 0, then x1 = 0
+CASCADE_SYSTEM = ([{2: 2**61 - 1}, {1: 3, 2: 1}, {0: 1, 1: 1, 3: 1}, {0: 2, 1: -1, 2: 5, 3: 2}], 3)
+
+
+class TestSolveMatchesNaive:
     @settings(max_examples=600, deadline=None)
     @given(sparse_systems())
-    # the entry 2^127 - 1 starts the ladder at 2^521 - 1
-    @example(([{0: 2**127 - 1, 1: 1, 2: 1}], 2))
-    # a cascade of one-entry rows from a prime multiple: x2 = 0, then x1 = 0
-    @example(([{2: 2**61 - 1}, {1: 3, 2: 1}, {0: 1, 1: 1, 3: 1}, {0: 2, 1: -1, 2: 5, 3: 2}], 3))
+    @example(LARGE_ENTRY_SYSTEM)
+    @example(CASCADE_SYSTEM)
     def test_random_systems(self, system):
         rows, ncols = system
         assert solvability._solve(*columns_of(rows, ncols)) == naive_solve(rows, ncols)
+
+
+def assert_growth_bound(rows, ncols):
+    """Every pivot row _eliminate returns is primitive, and its entries are
+    at most the Hadamard bound prod max(1, |row|_2) of the rows passed in,
+    compared squared so that it stays exact.  The right-hand side is also
+    eliminated as one more column, so an inconsistent system's pivots are
+    checked too."""
+    bound = prod(max(1, sum(c * c for c in row.values())) for row in rows)
+    for pivots in (solvability._eliminate(rows, ncols), solvability._eliminate(rows, ncols + 1)):
+        for a, row in (pivots or {}).values():
+            assert gcd(a, *row.values()) == 1, (a, row)
+            assert all(c * c <= bound for c in (a, *row.values())), (a, row)
+
+
+class TestGrowthBound:
+    @settings(max_examples=300, deadline=None)
+    @given(sparse_systems())
+    @example(LARGE_ENTRY_SYSTEM)
+    @example(CASCADE_SYSTEM)
+    def test_random_systems(self, system):
+        assert_growth_bound(*system)
+
+    @pytest.mark.parametrize("box", [8, 12])
+    def test_oracle_deep_systems(self, box, monkeypatch):
+        # the rows the peel leaves, as _solve passes them on
+        seen = []
+        eliminate = solvability._eliminate
+
+        def recorded(rows, ncols):
+            seen.append((rows, ncols))
+            return eliminate(rows, ncols)
+
+        monkeypatch.setattr(solvability, "_eliminate", recorded)
+        for text in ("p^3*q^2+q^4+p^2", "(p+q^2)^2", "p+q^2", "h"):
+            find_witness_box(element_from_string(text), box, cap=12)
+        monkeypatch.undo()
+        # h is decided by the peel
+        assert len(seen) == 3
+        for rows, ncols in seen:
+            assert_growth_bound(rows, ncols)
 
 
 class TestLadderVerdicts:
