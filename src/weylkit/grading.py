@@ -56,7 +56,7 @@ def grade_components(x: WeylElement) -> dict[int, WeylElement]:
 def grade_span(x: WeylElement) -> GradeSpan:
     if x.is_zero():
         raise ValueError("zero element has no grade span")
-    grades = [j - i for i, j in x.support()]
+    grades = [j - i for i, j in numerators(x)[1]]
     return GradeSpan(min(grades), max(grades))
 
 

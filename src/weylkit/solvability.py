@@ -15,12 +15,11 @@ from __future__ import annotations
 import enum
 from collections.abc import Iterator
 from fractions import Fraction
-from functools import cached_property
 from math import gcd
 
 from .element import WeylElement, WeylInternalError, _Value, commutator, numerators, power_bracket
 from .grading import GradeSpan, HForm, exp_ad, grade_span, to_h_form
-from .polygon import PolygonProfile, Weight, edges, exposed_face, frontier, weight_polynomial
+from .polygon import PolygonProfile, Weight, edges, frontier, weight_polynomial
 from .power_analysis import HomogShape, dehomogenize
 
 DEFAULT_BOX_BOUND = 4
@@ -47,6 +46,9 @@ class RuleId(enum.Enum):
     ORACLE_WITNESS = "oracle-witness"
 
 
+_LADDER = tuple(RuleId)  # every rule, the attempted tuple of an unknown verdict
+
+
 class RuleCitation(_Value):
     __slots__ = ("rule", "params", "citation")
 
@@ -54,6 +56,24 @@ class RuleCitation(_Value):
         object.__setattr__(self, "rule", rule)
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "citation", citation)
+
+
+class _fact:
+    """A profile fact: its method runs on the first read, and the value is
+    stored in the instance's __dict__ under the same name, where later reads
+    find it before this non-data descriptor.  functools.cached_property does
+    the same, but under Python 3.11 it takes an RLock on every first read,
+    which makes that read about three times as slow as this one (3.12
+    dropped the lock); a profile belongs to one call, so it needs none."""
+
+    def __init__(self, fn):
+        self.fn, self.name, self.__doc__ = fn, fn.__name__, fn.__doc__
+
+    def __get__(self, profile, owner=None):
+        if profile is None:
+            return self
+        value = profile.__dict__[self.name] = self.fn(profile)
+        return value
 
 
 class ElementProfile:
@@ -67,15 +87,15 @@ class ElementProfile:
     def __init__(self, x: WeylElement):
         self.x = x
 
-    @cached_property
+    @_fact
     def span(self) -> GradeSpan:
         return grade_span(self.x)
 
-    @cached_property
+    @_fact
     def h_form(self) -> HForm:
         return to_h_form(self.x)
 
-    @cached_property
+    @_fact
     def frontier(self) -> list[tuple[int, int]]:
         """The support points no other support point dominates
         coordinatewise (polygon.frontier), in decreasing i: every face and
@@ -83,11 +103,11 @@ class ElementProfile:
         and the constant and generator tests are read off it."""
         return frontier(numerators(self.x)[1])
 
-    @cached_property
+    @_fact
     def polygon(self) -> PolygonProfile:
         return edges(self.x, self.frontier)
 
-    @cached_property
+    @_fact
     def edge_shapes(self) -> tuple[HomogShape | None, ...]:
         """Factored shape of each polygon edge; None at a non-axis weight."""
         return tuple(
@@ -95,12 +115,12 @@ class ElementProfile:
             for e in self.polygon.edges
         )
 
-    @cached_property
+    @_fact
     def edge_indices(self) -> tuple[int | None, ...]:
         """Power index of each polygon edge; None at a non-axis weight."""
         return tuple(s.power_index() if s else None for s in self.edge_shapes)
 
-    @cached_property
+    @_fact
     def dominates_unit(self) -> bool:
         """True iff v(w) >= rho + sigma at every coprime positive weight w,
         where v is the weighted degree of x.
@@ -142,16 +162,24 @@ def verify_witness(x: WeylElement, y: WeylElement) -> bool:
     return commutator(x, y) == WeylElement.one()
 
 
-def witness_for_affine(x: WeylElement) -> WeylElement | None:
-    """Witness for elements of the shapes a*p + g(q) or a*q + g(p), a != 0.
+def witness_for_affine(x: WeylElement, front: list[tuple[int, int]] | None = None) -> WeylElement | None:
+    """Witness for elements of the shapes a*p + g(q) or a*q + g(p), a != 0;
+    front is the frontier of x's support when the caller already holds it.
 
     [a*p + g(q), q/a] = 1 and [a*q + g(p), -p/a] = 1, so the witness is a
     scaled generator in both cases.  Returns None when x has neither shape.
+
+    The shape is read off the frontier, which runs in decreasing i and
+    increasing j and keeps the largest i of each j.  Its first point is
+    (1, 0) exactly when the largest i is 1 and (1, 0) is the only support
+    point with i = 1, that is, x = a*p + g(q) with a != 0; its last point
+    is (0, 1) exactly in the mirror case.
     """
-    pts = x.support()
-    if all(pt == (1, 0) or pt[0] == 0 for pt in pts) and x.coeff(1, 0):
+    if front is None:
+        front = frontier(numerators(x)[1])
+    if front[:1] == [(1, 0)]:
         y = WeylElement.monomial(0, 1, Fraction(1) / x.coeff(1, 0))
-    elif all(pt == (0, 1) or pt[1] == 0 for pt in pts) and x.coeff(0, 1):
+    elif front[-1:] == [(0, 1)]:
         y = WeylElement.monomial(1, 0, Fraction(-1) / x.coeff(0, 1))
     else:
         return None
@@ -397,15 +425,16 @@ def find_witness_box(x: WeylElement, box: int, cap: int = DEFAULT_BOX_CAP) -> We
     return y
 
 
-def _axis_weights(front: list[tuple[int, int]]) -> Iterator[Weight]:
-    """(1,1), then (n,1) and (1,n) for n up to max exponent + 1: every face
-    an axis direction can expose on a support.  Hull slopes are bounded by
-    the exponent spans, so beyond that the exposed face is stable.  The
-    largest exponent is the nonempty frontier's first i or last j."""
-    yield Weight(1, 1)
+def _axis_weights(front: list[tuple[int, int]]) -> Iterator[tuple[int, int]]:
+    """(1,1), then (n,1) and (1,n) for n up to max exponent + 1, as (rho,
+    sigma) pairs: every face an axis direction can expose on a support.
+    Hull slopes are bounded by the exponent spans, so beyond that the
+    exposed face is stable.  The largest exponent is the nonempty frontier's
+    first i or last j."""
+    yield 1, 1
     for n in range(2, max(front[0][0], front[-1][1]) + 2):
-        yield Weight(n, 1)
-        yield Weight(1, n)
+        yield n, 1
+        yield 1, n
 
 
 _Found = tuple[RuleCitation, WeylElement | None]
@@ -462,7 +491,7 @@ def _rules(profile: ElementProfile) -> _Found | None:
             f"{shape}; a solvable polynomial in a single element must have degree 1",
         ), None
 
-    witness = witness_for_affine(x)
+    witness = witness_for_affine(x, front)
     if witness is not None:
         return RuleCitation(
             RuleId.AFFINE_FAMILY,
@@ -474,7 +503,9 @@ def _rules(profile: ElementProfile) -> _Found | None:
     polygon = profile.polygon
 
     for e in polygon.edges:
-        if e.weight.rho >= 2 and e.weight.sigma >= 2 and e.degree > e.weight.rho + e.weight.sigma:
+        # the degree always exceeds rho + sigma: the edge starts at some (i0, j0) with
+        # j0 >= rho, so degree >= sigma j0 >= rho sigma > rho + sigma (coprime, both >= 2)
+        if e.weight.rho >= 2 and e.weight.sigma >= 2:
             return RuleCitation(
                 RuleId.NON_AXIS_EDGE,
                 {"weight": str(e.weight), "degree": e.degree},
@@ -485,20 +516,27 @@ def _rules(profile: ElementProfile) -> _Found | None:
 
     # the power index of each face: a one-point face X^a Y^b is its single
     # term, of index gcd(a, b) at every weight; a face of two or more points
-    # is exposed by w alone, so it is the polygon edge at w
-    for w in _axis_weights(front):
-        v, face = exposed_face(front, w)
-        if v < w.rho + w.sigma:
-            continue
+    # is exposed by w alone, so it is the polygon edge at w.  v >= rho + sigma
+    # always: v <= n at (n,1) (or (1,n)) means x = a*p + g(q) (or its mirror),
+    # deg g <= n, which a rule above decides
+    for rho, sigma in _axis_weights(front):
+        v, face = -1, []  # exposed_face on int weights, with no Weight built
+        for pt in front:
+            d = pt[0] * rho + pt[1] * sigma
+            if d > v:
+                v, face = d, [pt]
+            elif d == v:
+                face.append(pt)
         if len(face) == 1:
-            (pt,) = face
-            index = gcd(*pt)
+            index = gcd(*face[0])
         else:
-            index = next((r for e, r in zip(polygon.edges, profile.edge_indices) if e.weight == w), None)
+            index = next((r for e, r in zip(polygon.edges, profile.edge_indices)
+                          if e.weight.rho == rho and e.weight.sigma == sigma), None)
             if index is None:
-                raise WeylInternalError(f"face {sorted(face)} at weight {w} is no edge of the polygon")
+                raise WeylInternalError(f"face {sorted(face)} at weight ({rho},{sigma}) is no edge of the polygon")
         if index == 1:
             # w is positive, so the support's face at w is the frontier's
+            w = Weight(rho, sigma)
             return RuleCitation(
                 RuleId.AXIS_POWER_INDEX_ONE,
                 {"weight": str(w), "weighted_degree": v, "leading_polynomial": str(weight_polynomial(x, w))},
@@ -648,14 +686,13 @@ def analyze(
     _check_box(box, cap)
     profile = ElementProfile(x)
     found = _rules(profile) or _reduced(profile) or _oracle(x, box, cap)
-    ladder = tuple(RuleId)
     if found is None:
-        return Verdict(Outcome.UNKNOWN, attempted=ladder, profile=profile)
+        return Verdict(Outcome.UNKNOWN, attempted=_LADDER, profile=profile)
     cit, witness = found
     return Verdict(
         Outcome.UNSOLVABLE if witness is None else Outcome.SOLVABLE,
         witness=witness,
         reasons=(cit,),
-        attempted=ladder[:ladder.index(cit.rule) + 1],
+        attempted=_LADDER[:_LADDER.index(cit.rule) + 1],
         profile=profile,
     )

@@ -100,6 +100,34 @@ class TestWitnessForAffine:
             assert y == W({(0, 1): 1 / alpha})
             assert verify_witness(x, y)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(
+        weyl_elements(max_exp=3, max_terms=5, nonzero=True, fractional=True),
+        # a*p + g(q) and its mirror, then one term more, which may leave the
+        # shape (p + p*q, p^2 + q) or stay in it (a constant, a power of q)
+        st.builds(lambda a, g, swap: W({((0, 1) if swap else (1, 0)): a}) + (omega(g) if swap else g),
+                  coefficients(fractional=True),
+                  st.dictionaries(st.integers(0, 4).map(lambda j: (0, j)), coefficients(fractional=True),
+                                  max_size=4).map(W),
+                  st.booleans()).flatmap(
+            lambda x: st.one_of(st.just(x), weyl_elements(max_exp=2, max_terms=1).map(lambda t: x + t))),
+    ))
+    @example(P + P * Q)  # first frontier point (1, 1)
+    @example(P ** 2 + Q)  # last frontier point (0, 1), but p^2 beside it
+    @example(P + Q)  # both shapes: a*p + g(q) is read first
+    @example(P - P)  # the zero element, whose frontier is empty
+    def test_frontier_shape_matches_support_scan(self, x):
+        # the shape read off the frontier, given or computed, against the
+        # scan of every support point that it replaced
+        pts = x.support()
+        if x.coeff(1, 0) and all(pt == (1, 0) or pt[0] == 0 for pt in pts):
+            expected = W({(0, 1): 1 / x.coeff(1, 0)})
+        elif x.coeff(0, 1) and all(pt == (0, 1) or pt[1] == 0 for pt in pts):
+            expected = W({(1, 0): -1 / x.coeff(0, 1)})
+        else:
+            expected = None
+        assert witness_for_affine(x) == witness_for_affine(x, ElementProfile(x).frontier) == expected
+
 
 def dominates_unit(x):
     return ElementProfile(x).dominates_unit
@@ -739,6 +767,26 @@ class TestLadderVerdicts:
         assert v.outcome == Outcome.UNKNOWN
         assert maps == []
 
+    @pytest.mark.parametrize("text, calls, outcome", [
+        # one step, 1/3*p^3, maps x to -2*p^3 + p^2*q^2, whose (2,1) edge
+        # X^2 (Y^2 - 2X) bounds the image's term by k + b + n a = 5, one
+        # above deg 4: skipped by a hair
+        ("p^6 - 2*p^4*q + p^2*q^2", 1, Outcome.UNSOLVABLE),
+        # the (1,1) edge (X + Y)^2 bounds it by 2 = deg x: the step runs
+        ("p^2 + 2*p*q + q^2", 1, Outcome.UNSOLVABLE),
+        # the (1,2) edge X^2 Y^4 (Y + X^2)^2 bounds it by 2 + 2 + 2*4 = 12 >
+        # 10, and only with b counted
+        ("p^6*q^4 + 2*p^4*q^5 + p^2*q^6", 0, Outcome.UNKNOWN),
+    ])
+    def test_precheck_runs_exp_ad_exactly_when_a_step_can_drop(self, monkeypatch, text, calls, outcome):
+        # found by counting exp_ad calls on small elements against copies of
+        # _reduction_step with the pre-check dropped, k off by one, > taken
+        # as >= or shifted by 1, or one of its terms dropped or negated
+        maps = []
+        monkeypatch.setattr(solvability, "exp_ad", lambda g, x: maps.append(g) or exp_ad(g, x))
+        assert analyze(element_from_string(text)).outcome == outcome
+        assert len(maps) == calls
+
     def test_solvable_always_carries_verified_witness(self):
         rng = random.Random(7)
         for _ in range(60):
@@ -806,8 +854,9 @@ class TestElementProfile:
         # on every support point (edges from the hull of the whole support)
         profile = ElementProfile(x)
         support = x.support()
-        assert list(solvability._axis_weights(profile.frontier)) == reference_axis_weights(support)
-        for w in solvability._axis_weights(profile.frontier):
+        weights = reference_axis_weights(support)
+        assert list(solvability._axis_weights(profile.frontier)) == [(w.rho, w.sigma) for w in weights]
+        for w in weights:
             assert exposed_face(profile.frontier, w) == exposed_face(support, w)
         assert solvability._size(profile) == (max(i + j for i, j in support), len(support))
         assert profile.dominates_unit == (
@@ -871,8 +920,9 @@ class TestElementProfile:
             return wrapper
 
         # each axis edge is factored once, for its power index and for the
-        # reduction steps alike
-        for name in ("grade_span", "to_h_form", "edges", "dehomogenize"):
+        # reduction steps alike; the profile's descriptor fills each fact
+        # once, and the frontier is shared with edges and witness_for_affine
+        for name in ("frontier", "grade_span", "to_h_form", "edges", "dehomogenize"):
             monkeypatch.setattr(solvability, name, counting(name, getattr(solvability, name)))
         for text in (
             "h", "p^4 + p^3*q + p^2*q^2 + q^3 + q", "p^3*q + q^3", "p^2*q^2 + p*q + 1",
@@ -882,7 +932,7 @@ class TestElementProfile:
             faces.clear()
             build_report(text, element_from_string(text), box=2, cap=8)
             # the report shows span, h-form and polygon of every nonzero x
-            assert (calls["grade_span"], calls["to_h_form"], calls["edges"]) == (1, 1, 1)
+            assert (calls["frontier"], calls["grade_span"], calls["to_h_form"], calls["edges"]) == (1, 1, 1, 1)
             assert len(set(faces)) == len(faces)
 
 
