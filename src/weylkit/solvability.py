@@ -17,7 +17,7 @@ from collections.abc import Iterator
 from fractions import Fraction
 from math import gcd
 
-from .element import WeylElement, WeylInternalError, _Value, commutator, numerators, power_bracket
+from .element import WeylElement, WeylInternalError, _Value, commutator, numerators
 from .grading import GradeSpan, HForm, exp_ad, grade_span, to_h_form
 from .polygon import PolygonProfile, Weight, edges, frontier, weight_polynomial
 from .power_analysis import HomogShape, dehomogenize
@@ -197,13 +197,16 @@ def _eliminate(rows: list[dict[int, int]], ncols: int) -> dict[int, tuple[int, d
     pivot column in column order, each as (a, row): a its pivot entry and
     row the rest, holding only columns right of it; None as soon as a row
     is left holding only a right-hand side (column ncols).  See _solve for
-    the pivot rule and the proofs.  The rows passed in are not changed.
+    the pivot rule and the proofs.  The rows passed in are not changed: a
+    row is copied the first time it is changed, and reduced in place after.
 
     A row waits in the bucket of its leftmost column, so every row in a
     bucket holds its column.  The pivot row is divided by its content (the
-    gcd of its entries).  A waiting row holding f at the pivot column
-    becomes (a/g) row - (f/g) pivot, g = gcd(a, f), which drops that column,
-    and moves to the bucket of its new leftmost column.
+    gcd of its entries), which is 1 with no gcd taken when the pivot entry
+    is +-1.  A waiting row holding f at the pivot column becomes
+    (a/g) row - (f/g) pivot, g = gcd(a, f), which drops that column, and
+    moves to the bucket of its new leftmost column; it is scaled, into a
+    new row, only when a/g != 1.
     """
     current = list(rows)
     waiting: dict[int, list[int]] = {}
@@ -222,16 +225,25 @@ def _eliminate(rows: list[dict[int, int]], ncols: int) -> dict[int, tuple[int, d
             if n < fewest or n == fewest and k < pk:
                 pk, fewest = k, n
         row = current[pk]
-        content = gcd(*row.values())
-        pivot = {t: c // content for t, c in row.items() if t != col}
-        a = row[col] // content
+        a = row[col]
+        content = 1 if a == 1 or a == -1 else gcd(*row.values())
+        if content == 1:
+            pivot = dict(row) if row is rows[pk] else row
+            del pivot[col]
+        else:
+            pivot = {t: c // content for t, c in row.items() if t != col}
+            a //= content
         for k in hits:
             if k != pk:
                 row = current[k]
                 f = row[col]
                 g = gcd(a, f)
                 s, f = a // g, f // g
-                row = {t: s * c for t, c in row.items() if t != col}
+                if s != 1:
+                    row = {t: s * c for t, c in row.items() if t != col}
+                else:
+                    row = dict(row) if row is rows[k] else row
+                    del row[col]
                 for t, c in pivot.items():
                     c = row.get(t, 0) - f * c
                     if c:
@@ -275,7 +287,9 @@ def _solve(columns: list[dict], rhs: dict) -> dict[int, Fraction] | None:
     independent ones whatever rows are picked, and the solution supported
     on them is unique.  A row left holding only b != 0 is a combination of
     the rows that reads 0 = b: None.  Otherwise back substitution over the
-    pivots, last first, gives that solution in Fractions.
+    pivots, last first, gives that solution in Fractions; it sums over the
+    solved values that are not 0 only, and a pivot whose value is 0 gets
+    the shared _ZERO with no Fraction built.
 
     Growth bound.  A pivot row at column c is reduced only by earlier
     pivot rows, so it lies in the span of its own input row and of the k
@@ -311,10 +325,18 @@ def _solve(columns: list[dict], rhs: dict) -> dict[int, Fraction] | None:
     if pivots is None:
         return None
     y: dict[int, Fraction] = {}
+    nonzero: dict[int, Fraction] = {}  # the solved pivot values that are not 0
     for col, (a, row) in reversed(pivots.items()):
         # the pivot row holds only columns right of col: pivot columns
         # already solved, free columns (zero) and the right-hand side
-        y[col] = Fraction(row.get(ncols, 0) - sum(c * y[t] for t, c in row.items() if t in y), a)
+        b = row.get(ncols, 0)
+        for t, c in row.items():
+            if t in nonzero:
+                b -= c * nonzero[t]
+        if b:
+            y[col] = nonzero[col] = Fraction(b, a)
+        else:
+            y[col] = _ZERO
     return peeled | y
 
 
@@ -345,11 +367,19 @@ def _box_system(x: WeylElement, box: int) -> tuple[list[dict[int, int]], list[tu
     classes are the single grades, so that block is j - i = -g0.  Only its
     columns are kept, in their box order.
 
-    [X, p^i] and [X, q^j] are taken once for i, j <= box and coded, and
-    column (i, j) sums the shifts [X, p^i] q^j + p^i [X, q^j] (the Leibniz
-    rule of element.commutator), which add j and i W to the codes.  The loop
-    is written out here, not shared with commutator, because a shared call
-    per column cost about 20% of the time.
+    The tables [X, p^n] and [X, q^n], n <= box, are built in one pass over
+    the terms of X.  By the closed form of element.power_bracket, with
+    k! C(b,k) = b!/(b-k)!, the term c p^a q^b adds f_k C(n,k) at code
+    (a + n - k) W + b - k to table n of [X, p^n], for every k >= 1 and
+    n >= k, where f_k = (-1)^k c b!/(b-k)! = -(b - k + 1) f_(k-1); a step
+    from n to n + 1 adds W to the code and multiplies the value by
+    (n + 1)/(n + 1 - k), exactly.  The q side mirrors it: f_0 = -c, a in
+    place of b, and code (a - k) W + b + n - k.  Column (i, j) sums the
+    shifts [X, p^i] q^j + p^i [X, q^j] (the Leibniz rule of
+    element.commutator), which add j and i W to the codes.  The loops are
+    written out here, not shared with commutator: a shared call per column
+    cost about 20% of the time, and 2(box + 1) power_bracket calls two to
+    four times the pass.
     """
     d, xs = numerators(x)
     width = box + max((j for _, j in xs), default=0) + 1
@@ -362,8 +392,26 @@ def _box_system(x: WeylElement, box: int) -> tuple[list[dict[int, int]], list[tu
         for j in range(box + 1)
         if ((j - i + g0) % m if m else j - i + g0) == 0
     ]
-    left = [{a * width + b: c for (a, b), c in power_bracket(xs, i, False).items() if c} for i in range(box + 1)]
-    right = [{a * width + b: c for (a, b), c in power_bracket(xs, j, True).items() if c} for j in range(box + 1)]
+    left: list[dict[int, int]] = [{} for _ in range(box + 1)]  # [X, p^n] by n
+    right: list[dict[int, int]] = [{} for _ in range(box + 1)]  # [X, q^n] by n
+    for (a, b), c in xs.items():
+        # per side: its tables, the exponent e the bracket lowers, f_0, and
+        # the code steps per k and per n
+        for tables, e, f, down, step in ((left, b, c, 1, width), (right, a, -c, width, 1)):
+            base = a * width + b
+            for k in range(1, min(e, box) + 1):
+                f = -f * (e - k + 1)
+                base -= down
+                key, v = base, f
+                for n in range(k, box + 1):
+                    table = tables[n]
+                    table[key] = table.get(key, 0) + v
+                    key += step
+                    v = v * (n + 1) // (n + 1 - k)
+    for table in (*left, *right):  # terms of X that cancel leave zeros
+        if 0 in table.values():
+            for k in [k for k, c in table.items() if not c]:
+                del table[k]
     brackets = []
     for i, j in columns:
         entry = {k + j: c for k, c in left[i].items()}

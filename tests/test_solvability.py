@@ -1,5 +1,6 @@
 """Decision ladder, witnesses, and the box oracle."""
 
+import copy
 import random
 from collections import Counter
 from fractions import Fraction
@@ -315,6 +316,18 @@ class TestBoxReductions:
             assert (decoded, d) == reference_box_columns(x, box, columns), (str(x), box)
             assert all(all(col.values()) for col in brackets)
 
+    @pytest.mark.parametrize("text", [
+        "p^3*q^2+q^4+p^2", "10^200*p + q^2", "3/2*q - 2/5*(p - 1/3*q^2)^2", "p^2*q^7 - 5*p^6*q + q",
+    ])
+    def test_system_matches_reference_brackets_to_box_8(self, text):
+        # the one-pass tables step C(n, k) up to n = 8, and the last element
+        # steps b!/(b-k)! (and a!/(a-k)!) up to k = 7
+        x = element_from_string(text)
+        for box in range(9):
+            brackets, columns, d = solvability._box_system(x, box)
+            assert (decoded_box_columns(x, box, brackets), d) == reference_box_columns(x, box, columns), (text, box)
+            assert all(all(col.values()) for col in brackets)
+
     def test_row_codes_at_the_width_bound(self):
         # p + q^5 at box 4: W = 4 + 5 + 1 = 10, and the shift of [q^5, p^i]
         # by q^4 reaches q^8 = q^(5 + 4 - 1), the largest q-exponent a row
@@ -578,6 +591,25 @@ def assert_growth_bound(rows, ncols):
             assert all(c * c <= bound for c in (a, *row.values())), (a, row)
 
 
+def oracle_deep_systems(box):
+    """The rows the peel leaves on the oracle_deep elements at the box, as
+    _solve passes them to _eliminate, with their ncols."""
+    seen = []
+    eliminate = solvability._eliminate
+
+    def recorded(rows, ncols):
+        seen.append((copy.deepcopy(rows), ncols))
+        return eliminate(rows, ncols)
+
+    solvability._eliminate = recorded
+    try:
+        for text in ("p^3*q^2+q^4+p^2", "(p+q^2)^2", "p+q^2", "h"):
+            find_witness_box(element_from_string(text), box, cap=box)
+    finally:
+        solvability._eliminate = eliminate
+    return seen
+
+
 class TestGrowthBound:
     @settings(max_examples=300, deadline=None)
     @given(sparse_systems())
@@ -587,23 +619,64 @@ class TestGrowthBound:
         assert_growth_bound(*system)
 
     @pytest.mark.parametrize("box", [8, 12])
-    def test_oracle_deep_systems(self, box, monkeypatch):
-        # the rows the peel leaves, as _solve passes them on
-        seen = []
-        eliminate = solvability._eliminate
-
-        def recorded(rows, ncols):
-            seen.append((rows, ncols))
-            return eliminate(rows, ncols)
-
-        monkeypatch.setattr(solvability, "_eliminate", recorded)
-        for text in ("p^3*q^2+q^4+p^2", "(p+q^2)^2", "p+q^2", "h"):
-            find_witness_box(element_from_string(text), box, cap=12)
-        monkeypatch.undo()
-        # h is decided by the peel
-        assert len(seen) == 3
-        for rows, ncols in seen:
+    def test_oracle_deep_systems(self, box):
+        systems = oracle_deep_systems(box)
+        assert len(systems) == 3  # h is decided by the peel
+        for rows, ncols in systems:
             assert_growth_bound(rows, ncols)
+
+
+def assert_rows_unchanged(rows, ncols):
+    """_eliminate reduces copies of the rows it is given, never the rows."""
+    before = copy.deepcopy(rows)
+    for n in (ncols, ncols + 1):
+        solvability._eliminate(rows, n)
+        assert rows == before, n
+
+
+class TestEliminate:
+    @settings(max_examples=300, deadline=None)
+    @given(sparse_systems())
+    @example(LARGE_ENTRY_SYSTEM)
+    @example(CASCADE_SYSTEM)
+    def test_random_rows_are_not_changed(self, system):
+        assert_rows_unchanged(*system)
+
+    @pytest.mark.parametrize("box", [8, 12])
+    def test_oracle_deep_rows_are_not_changed(self, box):
+        systems = oracle_deep_systems(box)
+        assert len(systems) == 3  # h is decided by the peel
+        for rows, ncols in systems:
+            assert_rows_unchanged(rows, ncols)
+
+    def test_pivot_ties_go_to_the_earliest_row(self):
+        # both rows hold 3 entries at column 0: the pivot is row 0
+        rows = [{0: 1, 1: 1, 2: 3}, {0: 1, 1: 2, 2: 5}]
+        assert solvability._eliminate(rows, 2) == {0: (1, {1: 1, 2: 3}), 1: (1, {2: 2})}
+        # row 1 - row 0 = {1: 1, 2: 2} joins column 1's bucket after row 2,
+        # which has as many entries: the pivot is still the earlier row 1
+        rows = [{0: 1, 1: 1, 2: 1}, {0: 1, 1: 2, 2: 3}, {1: 1, 2: 5}]
+        assert solvability._eliminate(rows, 3) == {0: (1, {1: 1, 2: 1}), 1: (1, {2: 2}), 2: (1, {})}
+
+    def test_pivot_rows_are_divided_by_their_content(self):
+        assert solvability._eliminate([{0: 2, 1: 4, 2: 6}], 2) == {0: (1, {1: 2, 2: 3})}
+        assert solvability._eliminate([{0: -2, 1: 4}], 1) == {0: (-1, {1: 2})}
+
+    @pytest.mark.parametrize("a", [1, -1])
+    def test_stops_at_the_first_row_left_with_its_right_hand_side(self, monkeypatch, a):
+        # a x0 = 1 and x0 = 2 leave 0 = b at column 0; rows 2 and 3, which
+        # start at column 1, are never reduced.  Every reduction takes one
+        # gcd, and a pivot entry +-1 needs none for its content
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return gcd(*args)
+
+        monkeypatch.setattr(solvability, "gcd", counted)
+        rows = [{0: a, 2: 1}, {0: 1, 2: 2}, {1: 1, 2: 1}, {1: 2, 2: 1}]
+        assert solvability._eliminate(rows, 2) is None
+        assert len(calls) == 1
 
 
 class TestLadderVerdicts:
