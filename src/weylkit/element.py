@@ -15,7 +15,7 @@ from __future__ import annotations
 import operator
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
-from math import gcd, lcm
+from math import comb, gcd, lcm
 
 ExponentPair = tuple[int, int]
 
@@ -302,23 +302,55 @@ def mul(x: WeylElement, y: WeylElement) -> WeylElement:
     return WeylElement._from_numerators(dx * dy, mul_numerators(xs, ys))
 
 
-def power_bracket(xs: Mapping[ExponentPair, int], n: int, on_q: bool) -> dict[ExponentPair, int]:
-    """[X, q^n] if on_q else [X, p^n] on integer coefficient maps, by the
-    recurrence of mul; zeros where terms of X cancel are left to the sums:
+def bracket_tables(xs: Mapping[ExponentPair, int], ps: Iterable[int],
+                   qs: Iterable[int]) -> tuple[dict[int, dict[int, int]], dict[int, dict[int, int]], int]:
+    """[X, p^n] for each n in ps and [X, q^n] for each n in qs (ascending,
+    no n twice) on an integer coefficient map X, in one pass over its terms:
+    two maps from n to a table {a*W + b: value} keyed by the code of p^a q^b,
+    and W = (largest q-exponent of X) + (largest n in qs) + 1, which a shift
+    by q^j, j <= that n, keeps above every q-exponent.  Cancelled terms
+    leave zeros.  By the closed form of mul, c p^a q^b adds, for 1 <= k <= n,
 
-        [p^a q^b, p^n] =  sum_{k>=1} (-1)^k k! C(b,k) C(n,k) p^(a+n-k) q^(b-k),
-        [p^a q^b, q^n] = -sum_{k>=1} (-1)^k k! C(a,k) C(n,k) p^(a-k) q^(b+n-k)."""
-    acc: dict[ExponentPair, int] = {}
-    for (a, b), coef in xs.items():
-        if on_q:
-            m, coef, b = a, -coef, b + n
-        else:
-            m, a = b, a + n
-        for k in range(1, min(m, n) + 1):
-            coef = -(coef * (m - k + 1) * (n - k + 1)) // k
-            key = (a - k, b - k)
-            acc[key] = acc.get(key, 0) + coef
-    return acc
+        f_k C(n,k) at p^(a+n-k) q^(b-k) to [X, p^n],  f_k = (-1)^k c b!/(b-k)!,
+        g_k C(n,k) at p^(a-k) q^(b+n-k) to [X, q^n],  g_k = -(-1)^k c a!/(a-k)!,
+
+    with f_k = -(b - k + 1) f_(k-1) and g_k likewise in a.  Along a run of
+    consecutive n, f_k C(n,k) steps to f_k C(n+1,k) by one multiplication
+    by n + 1 and one exact division by n + 1 - k, and the code by W or 1.
+    A run starts at its first n from comb, or at n = k from f_k.  So gaps
+    between the n cost nothing, and k stops at the largest n."""
+    left, right = {}, {}
+    sides = []  # per side: its runs (first n, tables of n, n + 1, ...) and its largest n
+    for tables, ns in ((left, ps), (right, qs)):
+        runs, n = [], 0
+        for n in ns:
+            tables[n] = table = {}
+            if n - 1 not in tables:
+                runs.append((n, run := []))
+            run.append(table)
+        sides.append((runs, n))
+    p_side, q_side = sides
+    width = max([j for _, j in xs], default=0) + q_side[1] + 1
+    for (a, b), c in xs.items():
+        base = a * width + b
+        # per side: the exponent e it lowers, f_0, and the code steps per k and per n
+        for (runs, top), e, f, key0, down, step in ((p_side, b, c, base, 1, width),
+                                                    (q_side, a, -c, base, width, 1)):
+            for k in range(1, min(e, top) + 1):
+                f = -f * (e - k + 1)
+                key0 -= down
+                for n, run in runs:
+                    if n >= k:
+                        key, v = key0 + (n - k) * step, f * comb(n, k)
+                    else:
+                        run = run[k - n:]  # empty if the run ends below k
+                        n, key, v = k, key0, f
+                    for table in run:
+                        table[key] = table.get(key, 0) + v
+                        key += step
+                        n += 1
+                        v = v * n // (n - k)
+    return left, right, width
 
 
 def commutator(x: WeylElement, y: WeylElement) -> WeylElement:
@@ -326,28 +358,22 @@ def commutator(x: WeylElement, y: WeylElement) -> WeylElement:
     than as two products, on the integer numerators X = dx*x and Y = dy*y
     (see numerators).  ad X is a derivation, [X, p^c q^d] = [X, p^c] q^d +
     p^c [X, q^d], and in the p-before-q order both products only shift
-    exponents.  So one power_bracket is taken per distinct exponent c >= 1
-    of p and d >= 1 of q in Y, each term cy p^c q^d adds cy times its two
-    shifted copies, and the sums are the numerators over dx*dy."""
+    exponents.  So each term cy p^c q^d of Y adds cy times the two shifted
+    bracket_tables of its exponents, on codes, and the sums, decoded once,
+    are the numerators over dx*dy."""
     dx, xs = numerators(x)
     dy, ys = numerators(y)
-    left, right = {}, {}  # power_bracket by exponent of p, of q
-    for c, d in ys:
-        if c and c not in left:
-            left[c] = power_bracket(xs, c, False)
-        if d and d not in right:
-            right[d] = power_bracket(xs, d, True)
-    acc: dict[ExponentPair, int] = {}
+    left, right, width = bracket_tables(xs, sorted({c for c, _ in ys}), sorted({d for _, d in ys}))
+    acc: dict[int, int] = {}
     for (c, d), cy in ys.items():
-        if c:
-            for (i, j), v in left[c].items():
-                key = (i, j + d)
-                acc[key] = acc.get(key, 0) + cy * v
-        if d:
-            for (i, j), v in right[d].items():
-                key = (i + c, j)
-                acc[key] = acc.get(key, 0) + cy * v
-    return WeylElement._from_numerators(dx * dy, acc)
+        for key, v in left[c].items():
+            key += d
+            acc[key] = acc.get(key, 0) + cy * v
+        shift = c * width
+        for key, v in right[d].items():
+            key += shift
+            acc[key] = acc.get(key, 0) + cy * v
+    return WeylElement._from_numerators(dx * dy, {divmod(key, width): v for key, v in acc.items()})
 
 
 def power(x: WeylElement, n: int) -> WeylElement:

@@ -47,10 +47,11 @@ class HForm(_Value):
 
 def grade_components(x: WeylElement) -> dict[int, WeylElement]:
     """Split x into its graded pieces, keyed by s = j - i."""
+    d, xs = numerators(x)
     buckets: dict[int, dict] = {}
-    for (i, j), c in x.terms().items():
+    for (i, j), c in xs.items():
         buckets.setdefault(j - i, {})[(i, j)] = c
-    return {s: WeylElement(terms) for s, terms in sorted(buckets.items())}
+    return {s: WeylElement._from_numerators(d, nums) for s, nums in sorted(buckets.items())}
 
 
 def grade_span(x: WeylElement) -> GradeSpan:

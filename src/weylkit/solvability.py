@@ -17,7 +17,7 @@ from collections.abc import Iterator
 from fractions import Fraction
 from math import gcd
 
-from .element import WeylElement, WeylInternalError, _Value, commutator, numerators
+from .element import WeylElement, WeylInternalError, _Value, bracket_tables, commutator, numerators
 from .grading import GradeSpan, HForm, exp_ad, grade_span, to_h_form
 from .polygon import PolygonProfile, Weight, edges, frontier, weight_polynomial
 from .power_analysis import HomogShape, dehomogenize
@@ -352,11 +352,11 @@ def _box_system(x: WeylElement, box: int) -> tuple[list[dict[int, int]], list[tu
     the unit row, as {row code: nonzero int}, their exponent pairs, and the
     right-hand side d at the unit row, code 0; see find_witness_box.
 
-    Row p^a q^b has the code a W + b, W = box + (largest q-exponent of x)
-    + 1.  Every row has b <= that exponent + box - 1 < W, since each
-    bracket term lowers the q-exponent of its term of x by k >= 1 before
-    the shift by q^j, j <= box; so the codes are distinct, and they sort
-    as the pairs (a, b) do.
+    Row p^a q^b has the code a W + b, with the W of bracket_tables:
+    box + (largest q-exponent of x) + 1.  Every row has b <= that exponent
+    + box - 1 < W, since each bracket term lowers the q-exponent of its
+    term of x by k >= 1 before the shift by q^j, j <= box; so the codes are
+    distinct, and they sort as the pairs (a, b) do.
 
     The bracket of x with p^i q^j has its terms in the grades j - i + g
     for g in the set G of grades of x's non-constant terms.  With g0 the
@@ -367,22 +367,12 @@ def _box_system(x: WeylElement, box: int) -> tuple[list[dict[int, int]], list[tu
     classes are the single grades, so that block is j - i = -g0.  Only its
     columns are kept, in their box order.
 
-    The tables [X, p^n] and [X, q^n], n <= box, are built in one pass over
-    the terms of X.  By the closed form of element.power_bracket, with
-    k! C(b,k) = b!/(b-k)!, the term c p^a q^b adds f_k C(n,k) at code
-    (a + n - k) W + b - k to table n of [X, p^n], for every k >= 1 and
-    n >= k, where f_k = (-1)^k c b!/(b-k)! = -(b - k + 1) f_(k-1); a step
-    from n to n + 1 adds W to the code and multiplies the value by
-    (n + 1)/(n + 1 - k), exactly.  The q side mirrors it: f_0 = -c, a in
-    place of b, and code (a - k) W + b + n - k.  Column (i, j) sums the
-    shifts [X, p^i] q^j + p^i [X, q^j] (the Leibniz rule of
-    element.commutator), which add j and i W to the codes.  The loops are
-    written out here, not shared with commutator: a shared call per column
-    cost about 20% of the time, and 2(box + 1) power_bracket calls two to
-    four times the pass.
+    Column (i, j) is the Leibniz sum [X, p^i] q^j + p^i [X, q^j] (see
+    element.commutator) of the tables element.bracket_tables builds for
+    n <= box, shifted by j and i W on the codes, with the zeros of
+    cancelled terms dropped.
     """
     d, xs = numerators(x)
-    width = box + max((j for _, j in xs), default=0) + 1
     grades = [j - i for i, j in xs if i or j]
     g0 = min(grades, default=0)
     m = gcd(*(g - g0 for g in grades))
@@ -392,29 +382,10 @@ def _box_system(x: WeylElement, box: int) -> tuple[list[dict[int, int]], list[tu
         for j in range(box + 1)
         if ((j - i + g0) % m if m else j - i + g0) == 0
     ]
-    left: list[dict[int, int]] = [{} for _ in range(box + 1)]  # [X, p^n] by n
-    right: list[dict[int, int]] = [{} for _ in range(box + 1)]  # [X, q^n] by n
-    for (a, b), c in xs.items():
-        # per side: its tables, the exponent e the bracket lowers, f_0, and
-        # the code steps per k and per n
-        for tables, e, f, down, step in ((left, b, c, 1, width), (right, a, -c, width, 1)):
-            base = a * width + b
-            for k in range(1, min(e, box) + 1):
-                f = -f * (e - k + 1)
-                base -= down
-                key, v = base, f
-                for n in range(k, box + 1):
-                    table = tables[n]
-                    table[key] = table.get(key, 0) + v
-                    key += step
-                    v = v * (n + 1) // (n + 1 - k)
-    for table in (*left, *right):  # terms of X that cancel leave zeros
-        if 0 in table.values():
-            for k in [k for k, c in table.items() if not c]:
-                del table[k]
+    left, right, width = bracket_tables(xs, range(box + 1), range(box + 1))
     brackets = []
     for i, j in columns:
-        entry = {k + j: c for k, c in left[i].items()}
+        entry = {k + j: c for k, c in left[i].items() if c}
         shift = i * width
         for k, c in right[j].items():
             k += shift
@@ -422,7 +393,7 @@ def _box_system(x: WeylElement, box: int) -> tuple[list[dict[int, int]], list[tu
             if c:
                 entry[k] = c
             else:
-                del entry[k]
+                entry.pop(k, None)
         brackets.append(entry)
     return brackets, columns, d
 
@@ -433,14 +404,14 @@ def find_witness_box(x: WeylElement, box: int, cap: int = DEFAULT_BOX_CAP) -> We
     The commutator is linear in y, so the search is an exact linear solve.
     It runs on integers: with d the common denominator of x and X = d*x,
     column (i, j) is the bracket [X, p^i q^j] = [X, p^i] q^j + p^i [X, q^j]
-    on X's integer numerators, shifted from 2(box + 1) pure-power brackets
-    (see _box_system) and stored as a sparse column keyed by an integer
-    code of the row monomial, and the right-hand side is d at the unit row,
-    code 0, because [X, y] = d exactly when [x, y] = 1.  Each row is d
-    times the row of the rational system, so the nonzeros, the pivots and
-    the witness are the same: the one supported on the leftmost independent
-    columns (see _solve).  A returned witness is always verified.  None
-    means only that no witness exists within the box.
+    on X's integer numerators, shifted from the tables of bracket_tables
+    that commutator shares, as a sparse column keyed by an integer code of
+    the row monomial (see _box_system), and the right-hand side is d at the
+    unit row, code 0, because [X, y] = d exactly when [x, y] = 1.  Each row
+    is d times the row of the rational system, so the nonzeros, the pivots
+    and the witness are the same: the one supported on the leftmost
+    independent columns (see _solve).  A returned witness is always
+    verified.  None means only that no witness exists within the box.
 
     Three exact reductions shrink the system and change no answer:
     - the constant term of [x, y] is

@@ -1,6 +1,7 @@
 """Core arithmetic: normal ordering, ring axioms, commutator identities."""
 
 import contextlib
+import math
 import random
 import sys
 from fractions import Fraction
@@ -22,7 +23,8 @@ from weylkit import (
     normalize_qp,
     power,
 )
-from weylkit.element import format_ratio, format_terms
+from weylkit import element
+from weylkit.element import bracket_tables, format_ratio, format_terms, numerators
 
 from oracles import ad_power, reference_bracket, reference_mul, rewrite_normal_qp, substitute_poly, swap_normal_qp
 from strategies import coefficients, exponent_pairs, weyl_elements
@@ -202,9 +204,9 @@ with_axis_terms = st.tuples(
 
 
 class TestLeibnizBracket:
-    """commutator takes one bracket per pure power of y and shifts it: the
-    result must not depend on how y's exponents repeat or on which axes
-    its terms lie."""
+    """commutator shifts the bracket_tables of y's distinct exponents: the
+    result must not depend on how y's exponents repeat, on the gaps between
+    them or on which axes its terms lie."""
 
     @settings(max_examples=200, deadline=None)
     @given(operands, shared_exponents)
@@ -219,6 +221,8 @@ class TestLeibnizBracket:
     @pytest.mark.parametrize("y", [
         W({(0, 0): 5}), W({(3, 0): 1}), W({(0, 3): 1}), W({(2, 0): 1, (0, 2): -1, (0, 0): 7}),
         W({(1, 1): 1, (1, 2): 2, (2, 1): 3, (2, 2): 4}),
+        # gapped and isolated high exponents: runs that start above k
+        W({(0, 50): 1}), W({(40, 40): 1}), W({(1, 0): 1, (0, 9): 1}), W({(2, 7): 1, (7, 0): 1}),
     ])
     def test_hand_cases_match_reference(self, y):
         for terms in ({(2, 3): 1, (1, 0): Fraction(1, 2)}, {(0, 4): 3, (3, 0): -1, (1, 1): 2}):
@@ -234,6 +238,76 @@ class TestLeibnizBracket:
                 assert commutator(x, mul(pi, qj)) == (
                     mul(commutator(x, pi), qj) + mul(pi, commutator(x, qj))
                 ), (str(x), i, j)
+
+
+# ascending exponent sets for bracket_tables: runs and gaps below 10, with
+# or without 0, and maybe one n well above every exponent of X
+exponent_sets = st.builds(
+    lambda low, zero, high: sorted(low | ({0} if zero else set()) | ({high} if high else set())),
+    st.sets(st.integers(1, 9), max_size=7),
+    st.booleans(),
+    st.sampled_from([None, 40]),
+)
+
+
+def assert_tables_match_reference(x, ps, qs):
+    """Each table of bracket_tables on x's numerators X is [X, p^n] (or
+    [X, q^n]) of the rewriting reference, keyed by code, zeros aside; and
+    there is one table for each n asked for, and no other."""
+    _, xs = numerators(x)
+    left, right, width = bracket_tables(xs, ps, qs)
+    assert width == max([j for _, j in xs], default=0) + max(qs, default=0) + 1
+    assert list(left) == list(ps) and list(right) == list(qs)
+    for tables, gen in ((left, P), (right, Q)):
+        for n, table in tables.items():
+            ref = reference_bracket(W(xs), power(gen, n))
+            expected = {i * width + j: c for (i, j), c in ref.terms().items()}
+            assert {k: v for k, v in table.items() if v} == expected, (str(x), str(gen), n)
+
+
+class TestBracketTables:
+    @settings(max_examples=150, deadline=None)
+    @given(operands, exponent_sets, exponent_sets)
+    def test_tables_match_reference(self, x, ps, qs):
+        assert_tables_match_reference(x, ps, qs)
+
+    @pytest.mark.parametrize("ps, qs", [
+        ([], []), ([0], [0]), (range(5), range(5)), ([0, 2, 3, 7], [1, 40]), ([40], [3, 4, 5, 9]),
+    ])
+    def test_one_table_per_exponent_asked_for(self, ps, qs):
+        # p^2 q^7 - 5 p^6 q + q: k runs past 5 on both sides
+        assert_tables_match_reference(W({(2, 7): 1, (6, 1): -5, (0, 1): 1}), ps, qs)
+
+    def test_runs_start_from_comb_and_step(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(element, "comb", lambda n, k: calls.append((n, k)) or math.comb(n, k))
+        # q^3 on the runs [0], [2, 3] and [7]: comb starts each run at or
+        # above k, and k = 3 enters [2, 3] at n = 3 from f_3
+        bracket_tables({(0, 3): 1}, [0, 2, 3, 7], [])
+        assert calls == [(2, 1), (7, 1), (2, 2), (7, 2), (7, 3)]
+        calls.clear()
+        # one run from 0: every value is a step
+        bracket_tables({(0, 3): 1, (3, 0): 1, (2, 2): 1}, range(9), range(9))
+        assert calls == []
+
+    def test_commutator_asks_for_the_distinct_exponents_of_y(self, monkeypatch):
+        asked = []
+
+        def recording(xs, ps, qs):
+            asked.append((ps, qs))
+            return bracket_tables(xs, ps, qs)
+
+        monkeypatch.setattr(element, "bracket_tables", recording)
+        x, y = W({(3, 2): 1, (0, 4): 1}), W({(2, 7): 1, (7, 0): 1, (2, 0): 3})
+        assert commutator(x, y) == reference_bracket(x, y)
+        assert asked == [([2, 7], [0, 7])]
+
+    def test_cancelled_terms_leave_zeros(self):
+        # in [p q^2 + q, p^2], k = 2 of p q^2 and k = 1 of q meet at p with
+        # +2 and -2
+        left, _, width = bracket_tables({(1, 2): 1, (0, 1): 1}, [2], [])
+        assert left[2][1 * width + 0] == 0
+        assert_tables_match_reference(W({(1, 2): 1, (0, 1): 1}), [2], [])
 
 
 class TestAdPower:

@@ -37,6 +37,7 @@ from weylkit import (
 )
 from weylkit import solvability
 from weylkit.cli import build_report
+from weylkit.element import bracket_tables
 from weylkit.polygon import exposed_face
 
 from oracles import (
@@ -304,6 +305,8 @@ class TestBoxReductions:
     ))
     @example(element_from_string("p + q^2"))
     @example(element_from_string("h"))
+    # [p q^2 + q, p^2] holds a zero at p that no [X, q^j] meets at box 2
+    @example(element_from_string("p*q^2 + q"))
     def test_system_matches_reference_brackets(self, x):
         # the shift assembly of each column, and its zero pruning, against
         # brackets built by single-swap products: the same columns, the same
@@ -327,6 +330,18 @@ class TestBoxReductions:
             brackets, columns, d = solvability._box_system(x, box)
             assert (decoded_box_columns(x, box, brackets), d) == reference_box_columns(x, box, columns), (text, box)
             assert all(all(col.values()) for col in brackets)
+
+    def test_asks_the_kernel_for_exactly_the_exponents_up_to_the_box(self, monkeypatch):
+        asked = []
+
+        def recording(xs, ps, qs):
+            asked.append((list(ps), list(qs)))
+            return bracket_tables(xs, ps, qs)
+
+        monkeypatch.setattr(solvability, "bracket_tables", recording)
+        for box in (0, 3, 8):
+            solvability._box_system(element_from_string("p^3*q^2+q^4+p^2"), box)
+        assert asked == [(list(range(box + 1)), list(range(box + 1))) for box in (0, 3, 8)]
 
     def test_row_codes_at_the_width_bound(self):
         # p + q^5 at box 4: W = 4 + 5 + 1 = 10, and the shift of [q^5, p^i]
